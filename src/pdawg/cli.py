@@ -17,7 +17,7 @@ import click
 
 from . import __version__
 from .duality import offline_build_pdawg, suffix_link_tree_as_pstree, verify_duality
-from .matcher import OccurrenceIndex, build_occurrence_index, locate, p_match_query
+from .matcher import build_occurrence_index, locate, p_match_query
 from .oracles import (
     PSTree,
     build_oracle_pdawg,
@@ -113,20 +113,16 @@ def _build_pdawg(p: PString, engine: str):
             "slinks_deleted": stats.suffix_links_deleted,
         }
         return g, steps
-    rev = pv_reverse(p.prev())
+    tree, _counters = build_pstree_rtl(pv_reverse(p.prev()))
     if engine == "offline":
-        tree = build_pstree_naive(rev)
         g = offline_build_pdawg(tree)
     else:  # rtl
-        tree, _counters = build_pstree_rtl(rev)
         g = upward_links_to_pdawg(tree)
     return g, {"redirected_secondary": 0, "slinks_deleted": 0}
 
 
-def _index_json(
-    g: Pdawg, *, pi_auto: bool, tokenize: bool, idx: OccurrenceIndex | None
-) -> dict:
-    body = {
+def _index_json(g: Pdawg, *, pi_auto: bool, tokenize: bool) -> dict:
+    return {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "alphabet": {
@@ -139,13 +135,6 @@ def _index_json(
         "text": list(g.text_codes),
         "pdawg": to_json_dict(g),
     }
-    if idx is not None:
-        body["locate"] = {
-            "enter": list(idx.enter),
-            "leave": list(idx.leave),
-            "positions": list(idx.positions),
-        }
-    return body
 
 
 def _dump_json(obj: dict) -> str:
@@ -160,9 +149,8 @@ def _dump_json(obj: dict) -> str:
 @click.option("--pi-auto", is_flag=True, help="Treat every non-static symbol of the text as a parameter.")
 @click.option("--tokenize", is_flag=True, help="Split the text on whitespace instead of reading characters.")
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None, help="Write the index file here.")
-@click.option("--with-locate", is_flag=True, help="Also store the occurrence-location arrays in the index.")
 @click.option("--engine", type=click.Choice(["online", "offline", "rtl"]), default="online", show_default=True, help="Construction algorithm.")
-def cmd_build(textfile, sigma_chars, sigma_file, pi_chars, pi_auto, tokenize, out, with_locate, engine):
+def cmd_build(textfile, sigma_chars, sigma_file, pi_chars, pi_auto, tokenize, out, engine):
     """Index TEXTFILE and print build statistics as JSON."""
     if (sigma_chars is None) == (sigma_file is None):
         raise click.UsageError("give exactly one of --sigma or --sigma-file")
@@ -183,11 +171,9 @@ def cmd_build(textfile, sigma_chars, sigma_file, pi_chars, pi_auto, tokenize, ou
     except AlphabetError as exc:
         raise click.UsageError(str(exc)) from exc
     g, steps = _build_pdawg(text, engine)
-    idx = build_occurrence_index(g) if with_locate else None
     if out is not None:
         Path(out).write_text(
-            _dump_json(_index_json(g, pi_auto=pi_auto, tokenize=tokenize, idx=idx)),
-            "utf-8",
+            _dump_json(_index_json(g, pi_auto=pi_auto, tokenize=tokenize)), "utf-8"
         )
     summary = stats_summary(g)
     stats = {
@@ -208,7 +194,7 @@ def cmd_build(textfile, sigma_chars, sigma_file, pi_chars, pi_auto, tokenize, ou
 # loading
 
 
-def _load_index(path: str) -> tuple[Pdawg, OccurrenceIndex | None, dict]:
+def _load_index(path: str) -> tuple[Pdawg, dict]:
     try:
         obj = json.loads(Path(path).read_text("utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -227,18 +213,7 @@ def _load_index(path: str) -> tuple[Pdawg, OccurrenceIndex | None, dict]:
         g = from_json_dict(obj["pdawg"], alphabet, text_codes)
     except (KeyError, TypeError, ValueError, AlphabetError) as exc:
         _corrupt(f"{path}: {exc}")
-    idx = None
-    if "locate" in obj:
-        idx = build_occurrence_index(g)
-        stored = obj["locate"]
-        fresh = {
-            "enter": list(idx.enter),
-            "leave": list(idx.leave),
-            "positions": list(idx.positions),
-        }
-        if stored != fresh:
-            _corrupt(f"{path}: stored occurrence arrays disagree with the automaton")
-    return g, idx, obj
+    return g, obj
 
 
 def _pattern_pstring(obj: dict, g: Pdawg, pattern: str) -> PString:
@@ -273,12 +248,10 @@ def cmd_query(indexfile, pattern, do_locate, begin_positions):
     Matching is up to renaming of parameter symbols.  The empty pattern
     matches everywhere: its end positions are 0..n.
     """
-    g, idx, obj = _load_index(indexfile)
+    g, obj = _load_index(indexfile)
     p = _pattern_pstring(obj, g, pattern)
     if do_locate or begin_positions:
-        if idx is None:
-            idx = build_occurrence_index(g)
-        ends = locate(idx, p)
+        ends = locate(build_occurrence_index(g), p)
         if begin_positions:
             result = [e - len(p) + 1 for e in ends]
         else:
@@ -361,7 +334,7 @@ def cmd_dot(indexfile, structure, out):
     dashed.  The pstree view shows the suffix tree of the reversed text;
     psauto rebuilds the minimized factor automaton from the stored text.
     """
-    g, _idx, _obj = _load_index(indexfile)
+    g, _obj = _load_index(indexfile)
     if structure == "pdawg":
         lines = _dot_pdawg(g)
     elif structure == "pstree":

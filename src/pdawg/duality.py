@@ -90,45 +90,47 @@ def suffix_link_tree_as_pstree(g: Pdawg) -> PSTree:
     return tree
 
 
-def weiner_links(tree: PSTree) -> PSTree:
-    """Populate prepend links on every node, definitionally.
+def weiner_links(tree: PSTree) -> list[dict[int, int]]:
+    """Prepend links of every node, definitionally: `links[v][a]` is a node.
 
     Prepending symbol `a` to a node string v gives a·v when a is static or a
     fresh parameter (0); prepending an old parameter occurrence means some
     0 inside v now points at the new front, so position a of v flips from 0
     to a and the front becomes 0.  The link exists iff the result is still a
-    factor; it points at the shallowest node at or below its locus.
+    factor; it points at the shallowest node at or below its locus, so it is
+    explicit (lands on the node itself) iff the target is one deeper than v.
     """
     strs = tree.node_strings()
     statics = sorted({c for c in tree.text_codes if c < 0})
-    for v in range(tree.node_count()):
-        sv = strs[v]
-        out = tree.weiner[v]
-        out.clear()
-        candidates = statics + [0] + [a for a in range(1, len(sv) + 1) if sv[a - 1] == 0]
-        for a in candidates:
+    links: list[dict[int, int]] = []
+    for sv in strs:
+        out = {}
+        for a in statics + [0] + [a for a in range(1, len(sv) + 1) if sv[a - 1] == 0]:
             if a < 0:
                 alpha = (a,) + sv
             elif a == 0:
                 alpha = (0,) + sv
             else:
                 alpha = (0,) + sv[: a - 1] + (a,) + sv[a:]
-            loc = tree.descend(alpha)
-            if loc is None:
-                continue
-            node, exact = loc
-            out[a] = (node, exact)
-    return tree
+            node = tree.descend(alpha)
+            if node is not None:
+                out[a] = node
+        links.append(out)
+    return links
 
 
-def links_to_pdawg(tree: PSTree, links: list[dict[int, tuple[int, bool]]]) -> Pdawg:
-    """Interpret a link map over the tree of S as the PDAWG of reverse(S)."""
+def _suffix_nodes(tree: PSTree) -> list[int]:
+    """Validate the tree and return its suffix node of every depth 0..n."""
     _validate_tree(tree)
     n = len(tree.text_codes)
     sfx = tree.suffix_node_by_depth()
     for d in range(n + 1):
         if d not in sfx:
             raise StructureError(f"no suffix node of depth {d}")
+    return [sfx[d] for d in range(n + 1)]
+
+
+def _to_pdawg(tree: PSTree, sfx: list[int], links: list[dict[int, int]]) -> Pdawg:
     g = Pdawg(tree.alphabet)
     g.text_codes = _pv_reverse_codes(tree.text_codes)
     count = tree.node_count()
@@ -138,12 +140,17 @@ def links_to_pdawg(tree: PSTree, links: list[dict[int, tuple[int, bool]]]) -> Pd
         TOP if tree.parent[v] is None else tree.parent[v] + 1 for v in range(count)
     ]
     g.edges = [top_edges] + [
-        {lbl: tgt + 1 for lbl, (tgt, _explicit) in links[v].items()}
-        for v in range(count)
+        {lbl: tgt + 1 for lbl, tgt in links[v].items()} for v in range(count)
     ]
-    g.sink_history = [sfx[d] + 1 for d in range(n + 1)]
+    g.sink_history = [v + 1 for v in sfx]
     g.sink = g.sink_history[-1]
     return g
+
+
+def links_to_pdawg(tree: PSTree, links: list[dict[int, int]]) -> Pdawg:
+    """Interpret a link map (label -> node, per node) over the tree of S as
+    the PDAWG of reverse(S)."""
+    return _to_pdawg(tree, _suffix_nodes(tree), links)
 
 
 def offline_build_pdawg(tree: PSTree) -> Pdawg:
@@ -154,34 +161,29 @@ def offline_build_pdawg(tree: PSTree) -> Pdawg:
     node becomes too shallow to keep the back-reference meaningful, and the
     climb stops as soon as it runs into a link deposited earlier.
     """
-    _validate_tree(tree)
-    n = len(tree.text_codes)
-    sfx = tree.suffix_node_by_depth()
-    for d in range(n + 1):
-        if d not in sfx:
-            raise StructureError(f"no suffix node of depth {d}")
+    sfx = _suffix_nodes(tree)
     t_codes = _pv_reverse_codes(tree.text_codes)
 
-    links: list[dict[int, tuple[int, bool]]] = [dict() for _ in range(tree.node_count())]
+    links: list[dict[int, int]] = [dict() for _ in range(tree.node_count())]
     parent, depth = tree.parent, tree.depth
-    seeds = [(sfx[l - 1], t_codes[l - 1], sfx[l]) for l in range(1, n + 1)]
+    seeds = [(sfx[l - 1], t_codes[l - 1], sfx[l]) for l in range(1, len(sfx))]
     seeds.sort(key=lambda s: label_sort_key(s[1], tree.alphabet))
     for v, k, u in seeds:
         while True:
             lbl = k if k < 0 or depth[v] >= k else 0
             existing = links[v].get(lbl)
             if existing is not None:
-                if existing[0] != u:
+                if existing != u:
                     raise AssertionError("conflicting propagated links")
                 break
-            links[v][lbl] = (u, depth[u] == depth[v] + 1)
+            links[v][lbl] = u
             pv = parent[v]
             if pv is None:
                 break
             v = pv
             while depth[parent[u]] >= depth[v] + 1:  # type: ignore[index]
                 u = parent[u]  # type: ignore[assignment]
-    return links_to_pdawg(tree, links)
+    return _to_pdawg(tree, sfx, links)
 
 
 @dataclass
@@ -201,14 +203,11 @@ class DualityReport:
 def verify_duality(g: Pdawg, tree: PSTree) -> DualityReport:
     """Check the four-point correspondence between g and the tree of reverse(text).
 
-    Populates the tree's Weiner links when they are absent.  Items: (1) node
-    strings are mutual reversals, (2) primary edges are exactly the explicit
-    links, (3) secondary edges are exactly the implicit links, (4) suffix
-    links mirror the tree edges.
+    Items: (1) node strings are mutual reversals, (2) primary edges are
+    exactly the explicit Weiner links, (3) secondary edges are exactly the
+    implicit ones, (4) suffix links mirror the tree edges.
     """
-    if all(not m for m in tree.weiner):
-        weiner_links(tree)
-
+    links = weiner_links(tree)
     names = node_longest_codes(g)
     rev = {u: _pv_reverse_codes(names[u]) for u in g.node_ids()}
     strs = tree.node_strings()
@@ -235,8 +234,8 @@ def verify_duality(g: Pdawg, tree: PSTree) -> DualityReport:
             pd_edges[g.lens[tgt] == g.lens[u] + 1].add((rev[u], lbl, rev[tgt]))
     tw_links = {True: set(), False: set()}
     for v in range(tree.node_count()):
-        for lbl, (tgt, explicit) in tree.weiner[v].items():
-            tw_links[explicit].add((strs[v], lbl, strs[tgt]))
+        for lbl, tgt in links[v].items():
+            tw_links[tree.depth[tgt] == tree.depth[v] + 1].add((strs[v], lbl, strs[tgt]))
     for name, flag in (("item2", True), ("item3", False)):
         diff = pd_edges[flag].symmetric_difference(tw_links[flag])
         witness = None

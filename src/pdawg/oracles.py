@@ -299,8 +299,8 @@ class PSTree:
 
     Nodes are the root, every branching inner node, and every node whose
     string is a re-encoded suffix (suffix ends stay explicit even when they
-    do not branch).  `weiner` and `uplinks` start empty; the duality and
-    right-to-left tooling fill them in.
+    do not branch).  `uplinks` starts empty; the right-to-left builder keeps
+    its through-the-parent links there.
     """
 
     __slots__ = (
@@ -308,7 +308,6 @@ class PSTree:
         "depth",
         "children",
         "is_suffix",
-        "weiner",
         "uplinks",
         "text_codes",
         "alphabet",
@@ -320,8 +319,6 @@ class PSTree:
         # first symbol of edge label -> (full label, child id)
         self.children: list[dict[int, tuple[tuple[int, ...], int]]] = [{}]
         self.is_suffix: list[bool] = [False]
-        # weiner[v]: label -> (target node, explicit?)
-        self.weiner: list[dict[int, tuple[int, bool]]] = [{}]
         # uplinks[v]: label -> (first symbol of final edge or None, node)
         self.uplinks: list[dict[int, tuple[int | None, int]]] = [{}]
         self.text_codes = text_codes
@@ -339,7 +336,6 @@ class PSTree:
         self.depth.append(depth)
         self.children.append({})
         self.is_suffix.append(is_suffix)
-        self.weiner.append({})
         self.uplinks.append({})
         return len(self.parent) - 1
 
@@ -364,13 +360,9 @@ class PSTree:
     def suffix_node_by_depth(self) -> dict[int, int]:
         return {self.depth[v]: v for v in range(self.node_count()) if self.is_suffix[v]}
 
-    def descend(self, codes: tuple[int, ...]) -> tuple[int, bool] | None:
-        """Locate `codes` in the tree.
-
-        Returns (node, exact) where node is the shallowest node at or below
-        the locus and exact says the locus is the node itself, or None when
-        the string is not present.
-        """
+    def descend(self, codes: tuple[int, ...]) -> int | None:
+        """The shallowest node at or below the locus of `codes`, or None when
+        the string is not present."""
         u = 0
         q = 0
         m = len(codes)
@@ -384,9 +376,7 @@ class PSTree:
                 return None
             q += take
             u = ch
-            if take < len(label):
-                return (u, False)
-        return (u, True)
+        return u
 
     def canonical_form(self) -> dict:
         strs = self.node_strings()

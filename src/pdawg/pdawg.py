@@ -74,24 +74,19 @@ class Pdawg:
         return self.lens[u]
 
 
-def _trans(g: Pdawg, u: int, i: int, a: int) -> int | None:
-    """Transition from u reading symbol `a` after having read i symbols.
+def _zero_label(labels: dict, i: int) -> int | None:
+    """Which label of `labels` symbol 0 follows after i symbols were read.
 
-    Static symbols and positive distances follow plain edges.  Symbol 0 may be
-    the image of any distance exceeding i, so every integer label b with b = 0
-    or b > i is a candidate; a unique candidate is followed directly, several
-    candidates all lead to one class reachable via the suffix link of the
-    child along the smallest positive candidate.
+    Symbol 0 may be the image of any distance exceeding i, so every integer
+    label b with b = 0 or b > i is a candidate.  None means no candidate, a
+    label >= 0 is the unique candidate, to be followed directly, and -b means
+    several bundled candidates: they all lead to one class, the suffix link
+    (tree parent) of the target along b, the smallest positive candidate.
     """
-    if u == TOP:
-        return g.source
-    eu = g.edges[u]
-    if a != 0:
-        return eu.get(a)
     only = None
     count = 0
     best = None
-    for b in eu:
+    for b in labels:
         if b >= 0 and (b == 0 or b > i):
             count += 1
             only = b
@@ -100,8 +95,43 @@ def _trans(g: Pdawg, u: int, i: int, a: int) -> int | None:
     if count == 0:
         return None
     if count == 1:
-        return eu[only]
-    out = g.slinks[eu[best]]
+        return only
+    return -best  # type: ignore[operator]
+
+
+def _lrs_bound(labels: dict, a: int) -> int:
+    """Length of the longest repeated suffix when extension by integer `a`
+    survives only through a bundled 0-label of a node with these labels.
+
+    The widest integer label m (0 is wider than any distance) caps the
+    back-reference the repeated suffix can keep.
+    """
+    m = None
+    for b in labels:
+        if b >= 0 and (m is None or (m != 0 and (b == 0 or b > m))):
+            m = b
+    if m is None:
+        raise AssertionError("pre-LRS node lost its integer labels")
+    return m if a == 0 else (a if m == 0 else min(a, m))
+
+
+def _trans(g: Pdawg, u: int, i: int, a: int) -> int | None:
+    """Transition from u reading symbol `a` after having read i symbols.
+
+    Static symbols and positive distances follow plain edges; symbol 0 is
+    resolved by `_zero_label`.
+    """
+    if u == TOP:
+        return g.source
+    eu = g.edges[u]
+    if a != 0:
+        return eu.get(a)
+    b = _zero_label(eu, i)
+    if b is None:
+        return None
+    if b >= 0:
+        return eu[b]
+    out = g.slinks[eu[-b]]
     if out is None:
         raise AssertionError("trans consulted an unset suffix link")
     return out
@@ -149,13 +179,7 @@ def build_online(
             return lens[u] + 1, v, u
         # only reachable for integer a: the surviving extension went through
         # a bundled 0-edge, so the repeated suffix is shorter than len(u)+1
-        m = None
-        for b in eu:
-            if b >= 0 and (m is None or (m != 0 and (b == 0 or b > m))):
-                m = b
-        if m is None:
-            raise AssertionError("pre-LRS node lost its integer labels")
-        k = m if a == 0 else (a if m == 0 else min(a, m))
+        k = _lrs_bound(eu, a)
         v = _trans(g, u, k - 1, 0)
         if v is None:
             raise AssertionError("longest repeated suffix has no class")
@@ -355,6 +379,8 @@ def from_json_dict(d: dict, alphabet: Alphabet, text_codes: tuple[int, ...]) -> 
         g.sink_history = [int(h) + 1 for h in history]
         if len(g.sink_history) != len(text_codes) + 1:
             raise ValueError("sink history length disagrees with the text")
+        if not all(1 <= h < len(g.lens) for h in g.sink_history):
+            raise ValueError("sink history entry out of range")
         g.sink = g.sink_history[-1]
         for u in g.node_ids():
             if u != g.source and not 1 <= g.slinks[u] < len(g.lens):

@@ -22,7 +22,7 @@ from typing import Iterator
 from .pstrings import PString, PvString, _pv_reverse_codes, _z
 from .oracles import PSTree
 from .duality import StructureError, links_to_pdawg
-from .pdawg import Pdawg
+from .pdawg import Pdawg, _lrs_bound, _zero_label
 
 TOP = -1  # virtual ancestor above the root, mirroring the PDAWG's top node
 
@@ -80,20 +80,12 @@ def _trans_rtl(tree: PSTree, u: int, i: int, a: int) -> int | None:
     if a != 0:
         st = m.get(a)
         return None if st is None else _simulate(tree, st)
-    only = None
-    count = 0
-    best = None
-    for b in m:
-        if b >= 0 and (b == 0 or b > i):
-            count += 1
-            only = b
-            if b != 0 and (best is None or b < best):
-                best = b
-    if count == 0:
+    b = _zero_label(m, i)
+    if b is None:
         return None
-    if count == 1:
-        return _simulate(tree, m[only])
-    p = tree.parent[_simulate(tree, m[best])]
+    if b >= 0:
+        return _simulate(tree, m[b])
+    p = tree.parent[_simulate(tree, m[-b])]
     if p is None:
         raise AssertionError("transition consulted an unattached node")
     return p
@@ -161,13 +153,7 @@ def rtl_steps(s: PString | PvString) -> Iterator[tuple[int, PSTree, RtlCounters]
                 k = d + 1
                 v = _simulate(tree, m[zau])
             else:
-                big = None
-                for b in m:
-                    if b >= 0 and (big is None or (big != 0 and (b == 0 or b > big))):
-                        big = b
-                if big is None:
-                    raise AssertionError("stop node lost its integer labels")
-                k = big if a == 0 else (a if big == 0 else min(a, big))
+                k = _lrs_bound(m, a)
                 t = _trans_rtl(tree, u, k - 1, 0)
                 if t is None:
                     raise AssertionError("longest repeated suffix has no node")
@@ -268,11 +254,8 @@ def build_pstree_rtl(s: PString | PvString) -> tuple[PSTree, RtlCounters]:
 
 def upward_links_to_pdawg(tree: PSTree) -> Pdawg:
     """Expand the stored upward links and reinterpret them as PDAWG edges."""
-    links = []
-    for v in range(tree.node_count()):
-        out = {}
-        for lbl, st in tree.uplinks[v].items():
-            tgt = _simulate(tree, st)
-            out[lbl] = (tgt, tree.depth[tgt] == tree.depth[v] + 1)
-        links.append(out)
+    links = [
+        {lbl: _simulate(tree, st) for lbl, st in tree.uplinks[v].items()}
+        for v in range(tree.node_count())
+    ]
     return links_to_pdawg(tree, links)

@@ -34,6 +34,7 @@ from pdawg import (
     tree_equal,
     upward_links_to_pdawg,
     verify_duality,
+    weiner_links,
 )
 
 from helpers import (
@@ -271,9 +272,10 @@ def test_06_duality_with_the_reversed_text_tree(capsys, small_corpus):
             failures.append(f"{text}: {bad[0]} — {report.items[bad[0]]['witness']}")
             return
         explicit = implicit = 0
+        links = weiner_links(tree)
         for v in range(tree.node_count()):
-            for _tgt, ex in tree.weiner[v].values():
-                if ex:
+            for tgt in links[v].values():
+                if tree.depth[tgt] == tree.depth[v] + 1:
                     explicit += 1
                 else:
                     implicit += 1

@@ -9,6 +9,8 @@ from click.testing import CliRunner
 from pdawg import Alphabet, __version__, canonical_form, from_json_dict
 from pdawg.cli import main
 
+from helpers import separation_text
+
 
 @pytest.fixture()
 def runner():
@@ -64,31 +66,37 @@ class TestBuild:
         assert len(obj["pdawg"]["nodes"]) == 1
 
     def test_output_is_deterministic(self, runner, tmp_path, text_file):
-        out1, stats1 = _build(runner, tmp_path, text_file, "--with-locate")
+        out1, stats1 = _build(runner, tmp_path, text_file)
         body1 = open(out1, "rb").read()
-        out2, stats2 = _build(runner, tmp_path, text_file, "--with-locate")
+        out2, stats2 = _build(runner, tmp_path, text_file)
         assert stats1 == stats2
         assert open(out2, "rb").read() == body1
 
     def test_index_file_round_trips_exactly(self, runner, tmp_path, text_file):
-        out, _ = _build(runner, tmp_path, text_file, "--with-locate")
+        out, _ = _build(runner, tmp_path, text_file)
         text = open(out, encoding="utf-8").read()
         assert json.dumps(json.loads(text), indent=2) + "\n" == text
 
     def test_engines_agree(self, runner, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_text("xyaxbyazxya\n", "utf-8")
-        forms = []
-        for engine in ("online", "offline", "rtl"):
-            out = str(tmp_path / f"{engine}.json")
-            result = runner.invoke(
-                main,
-                ["build", str(path), "--sigma", "ab", "--pi", "xyz",
-                 "--out", out, "--engine", engine],
-            )
-            assert result.exit_code == 0, result.output
-            forms.append(_load_canonical(out))
-        assert forms[0] == forms[1] == forms[2]
+        t3 = separation_text(3)
+        inputs = [
+            ("xyaxbyazxya", ["--sigma", "ab", "--pi", "xyz"]),
+            ("a" + "b" * 10 + "c", ["--sigma", "abc", "--pi", "x"]),
+            (" ".join(t3.raw), ["--sigma", " ".join(t3.alphabet.sigma),
+                                "--pi", " ".join(sorted(t3.alphabet.pi)), "--tokenize"]),
+        ]
+        for k, (text, flags) in enumerate(inputs):
+            path = tmp_path / f"t{k}.txt"
+            path.write_text(text + "\n", "utf-8")
+            forms = []
+            for engine in ("online", "offline", "rtl"):
+                out = str(tmp_path / f"{k}-{engine}.json")
+                result = runner.invoke(
+                    main, ["build", str(path), *flags, "--out", out, "--engine", engine]
+                )
+                assert result.exit_code == 0, result.output
+                forms.append(_load_canonical(out))
+            assert forms[0] == forms[1] == forms[2], text
 
     def test_overlapping_alphabets_is_a_usage_error(self, runner, text_file):
         result = runner.invoke(main, ["build", text_file, "--sigma", "ax", "--pi", "xy"])
@@ -116,6 +124,11 @@ class TestBuild:
         result = runner.invoke(
             main,
             ["build", text_file, "--sigma", "a", "--pi", "xy", "--engine", "magic"],
+        )
+        assert result.exit_code == 2
+        # the occurrence arrays are no longer stored, so the flag is gone too
+        result = runner.invoke(
+            main, ["build", text_file, "--sigma", "a", "--pi", "xy", "--with-locate"]
         )
         assert result.exit_code == 2
 
@@ -148,7 +161,7 @@ class TestBuild:
 class TestQuery:
     @pytest.fixture()
     def index(self, runner, tmp_path, text_file):
-        out, _ = _build(runner, tmp_path, text_file, "--with-locate")
+        out, _ = _build(runner, tmp_path, text_file)
         return out
 
     def test_existence_answers(self, runner, index):
@@ -201,12 +214,20 @@ class TestQuery:
         out, _ = _build(runner, tmp_path, text_file)
         result = runner.invoke(main, ["query", out, "ax", "--locate"])
         assert result.output.strip() == "[3, 5]"
+        # older files may still carry a "locate" block; it is never read
+        obj = json.loads(open(out, encoding="utf-8").read())
+        obj["locate"] = {"enter": [], "leave": [], "positions": [5, 3]}
+        with open(out, "w", encoding="utf-8") as f:
+            json.dump(obj, f)
+        result = runner.invoke(main, ["query", out, "ax", "--locate"])
+        assert result.exit_code == 0
+        assert result.output.strip() == "[3, 5]"
 
 
 class TestCorruptIndexes:
     @pytest.fixture()
     def index(self, runner, tmp_path, text_file):
-        out, _ = _build(runner, tmp_path, text_file, "--with-locate")
+        out, _ = _build(runner, tmp_path, text_file)
         return out
 
     def _mangle(self, index, fn):
@@ -232,13 +253,18 @@ class TestCorruptIndexes:
         self._mangle(index, lambda o: o["pdawg"]["nodes"].pop())
         assert runner.invoke(main, ["query", index, "ya"]).exit_code == 3
 
-    def test_tampered_locate_arrays(self, runner, index):
-        def swap(o):
-            pos = o["locate"]["positions"]
-            pos[0], pos[1] = pos[1], pos[0]
+    def test_sink_history_out_of_range(self, runner, index):
+        self._mangle(index, lambda o: o["pdawg"]["sink_history"].__setitem__(2, 99))
+        result = runner.invoke(main, ["query", index, "xax", "--locate"])
+        assert result.exit_code == 3
+        assert "sink history entry out of range" in result.output
 
-        self._mangle(index, swap)
-        assert runner.invoke(main, ["query", index, "ya"]).exit_code == 3
+    def test_negative_sink_history_entry(self, runner, index):
+        # a negative entry would index from the end and answer [2, 3]
+        self._mangle(index, lambda o: o["pdawg"]["sink_history"].__setitem__(2, -5))
+        result = runner.invoke(main, ["query", index, "xax", "--locate"])
+        assert result.exit_code == 3
+        assert "sink history entry out of range" in result.output
 
 
 class TestDot:

@@ -62,22 +62,22 @@ class TestSuffixLinkTree:
 class TestWeinerLinks:
     def test_root_links_cover_the_first_symbols(self):
         tree = build_pstree_naive(BACKWARD.prev())
-        weiner_links(tree)
+        links = weiner_links(tree)
         # prepending a static or a fresh parameter to the empty string lands
         # on the corresponding depth-1 locus whenever it occurs at all
-        assert set(tree.weiner[tree.root]) == {-1, -2, 0}
+        assert set(links[tree.root]) == {-1, -2, 0}
 
     def test_link_counts_match_the_edge_partition(self):
         for t in distinct_by_prev(all_pstrings(A_XY, 5)):
             g, tree = _pair(t)
-            weiner_links(tree)
+            links = weiner_links(tree)
             explicit = sum(
                 1 for v in range(tree.node_count())
-                for _tgt, ex in tree.weiner[v].values() if ex
+                for tgt in links[v].values() if tree.depth[tgt] == tree.depth[v] + 1
             )
             implicit = sum(
                 1 for v in range(tree.node_count())
-                for _tgt, ex in tree.weiner[v].values() if not ex
+                for tgt in links[v].values() if tree.depth[tgt] != tree.depth[v] + 1
             )
             s = stats_summary(g)
             assert explicit == s["primary"]
@@ -85,14 +85,14 @@ class TestWeinerLinks:
 
     def test_ancestors_inherit_links_with_shrunk_labels(self):
         tree = build_pstree_naive(BACKWARD.prev())
-        weiner_links(tree)
+        links = weiner_links(tree)
         for v in range(tree.node_count()):
-            for k in tree.weiner[v]:
+            for k in links[v]:
                 u = tree.parent[v]
                 d = tree.depth[v]
                 while u is not None:
                     t = k if k < 0 or tree.depth[u] >= k else 0
-                    assert t in tree.weiner[u], (v, k, u)
+                    assert t in links[u], (v, k, u)
                     u = tree.parent[u]
 
 

@@ -31,14 +31,14 @@ class TestSimulateWeiner:
     def test_every_stored_link_resolves_to_its_definitional_target(self):
         tree, _ = build_pstree_rtl(BACKWARD.prev())
         links = upward_links(tree)
-        weiner_links(tree)  # repopulates tree.weiner definitionally
+        defined = weiner_links(tree)
         stored = {(l.source, l.label) for l in links}
-        defined = {
-            (v, lbl) for v in range(tree.node_count()) for lbl in tree.weiner[v]
+        assert stored == {
+            (v, lbl) for v in range(tree.node_count()) for lbl in defined[v]
         }
-        assert stored == defined
         for link in links:
-            target, explicit = tree.weiner[link.source][link.label]
+            target = defined[link.source][link.label]
+            explicit = tree.depth[target] == tree.depth[link.source] + 1
             assert simulate_weiner(tree, link) == target
             assert (link.first is None) == explicit
 
@@ -48,12 +48,12 @@ class TestSimulateWeiner:
             t = random_pstring(rng, AB_XYZ, rng.randint(0, 30))
             tree, _ = build_pstree_rtl(t.prev())
             links = upward_links(tree)
-            weiner_links(tree)
+            defined = weiner_links(tree)
             assert {(l.source, l.label) for l in links} == {
-                (v, lbl) for v in range(tree.node_count()) for lbl in tree.weiner[v]
+                (v, lbl) for v in range(tree.node_count()) for lbl in defined[v]
             }
             for link in links:
-                assert simulate_weiner(tree, link) == tree.weiner[link.source][link.label][0]
+                assert simulate_weiner(tree, link) == defined[link.source][link.label]
 
 
 class TestStepwiseConstruction:
