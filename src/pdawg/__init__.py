@@ -39,6 +39,7 @@ from .pdawg import (
     Pdawg,
     build_online,
     canonical_form,
+    check_invariants,
     from_json_dict,
     node_longest_codes,
     stats_summary,
@@ -105,6 +106,7 @@ __all__ = [
     "build_pstree_rtl",
     "build_pstrie",
     "canonical_form",
+    "check_invariants",
     "from_json_dict",
     "is_valid_pv",
     "label_sort_key",

@@ -16,21 +16,12 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .duality import offline_build_pdawg, suffix_link_tree_as_pstree, verify_duality
+from .duality import StructureError, offline_build_pdawg, suffix_link_tree_as_pstree
 from .matcher import build_occurrence_index, locate, p_match_query
-from .oracles import (
-    PSTree,
-    build_oracle_pdawg,
-    build_psauto,
-    build_pstree_naive,
-    build_pstrie,
-    scan_occurrences,
-    tree_equal,
-)
+from .oracles import PSTree, build_psauto
 from .pdawg import (
     Pdawg,
     build_online,
-    canonical_form,
     from_json_dict,
     node_longest_codes,
     stats_summary,
@@ -42,11 +33,17 @@ from .pstrings import (
     PString,
     PvString,
     label_sort_key,
-    prev_decode,
     pv_reverse,
-    re_encode,
 )
-from .rtl import build_pstree_rtl, rtl_steps, upward_links_to_pdawg
+from .rtl import build_pstree_rtl, upward_links_to_pdawg
+from .verify import (
+    check_bounds,
+    check_duality,
+    check_encodings,
+    check_matching,
+    check_pdawg,
+    check_rtl,
+)
 
 INDEX_FORMAT = "pdawg-index"
 INDEX_VERSION = 1
@@ -338,7 +335,10 @@ def cmd_dot(indexfile, structure, out):
     if structure == "pdawg":
         lines = _dot_pdawg(g)
     elif structure == "pstree":
-        lines = _dot_pstree(suffix_link_tree_as_pstree(g))
+        try:
+            lines = _dot_pstree(suffix_link_tree_as_pstree(g))
+        except StructureError as exc:
+            _corrupt(f"{indexfile}: {exc}")
     else:
         lines = _dot_psauto(g)
     payload = "\n".join(lines) + "\n"
@@ -385,129 +385,6 @@ def _pstring(raw: str, sigma: str) -> PString:
     return PString(raw, Alphabet.from_text(raw, set(sigma)))
 
 
-def _check_encodings(raw: str, sigma: str) -> str | None:
-    p = _pstring(raw, sigma)
-    pv = p.prev()
-    if pv_reverse(pv_reverse(pv)) != pv:
-        return "reversal applied twice is not the identity"
-    if prev_decode(pv).prev().codes != pv.codes:
-        return "decode does not invert the encoding"
-    if re_encode(pv) != pv:
-        return "whole-text re-encoding is not a fixpoint"
-    n = len(pv)
-    for i in range(1, n + 1):
-        for j in range(i - 1, n + 1):
-            win = pv.window(i, j)
-            if re_encode(win) != win:
-                return f"window ({i},{j}) re-encoding is not a fixpoint"
-    return None
-
-
-def _check_pdawg(raw: str, sigma: str) -> str | None:
-    p = _pstring(raw, sigma)
-    g, _stats = build_online(p)
-    oracle = build_oracle_pdawg(p)
-    if canonical_form(g) != oracle.canonical_form():
-        return "online automaton differs from the class-enumeration oracle"
-    n = len(raw)
-    if n >= 3:
-        if g.node_count() > 2 * n - 1:
-            return f"{g.node_count()} nodes exceeds 2n-1"
-        if g.edge_count() > 3 * n - 4:
-            return f"{g.edge_count()} edges exceeds 3n-4"
-    return None
-
-
-def _check_matching(raw: str, sigma: str, rng: random.Random) -> str | None:
-    p = _pstring(raw, sigma)
-    pv = p.prev()
-    g, _stats = build_online(p)
-    idx = build_occurrence_index(g)
-    n = len(pv)
-    factors = build_pstrie(pv).factor_strings()
-    if locate(idx, pv.window(1, 0)) != tuple(range(n + 1)):
-        return "empty pattern should end at every position 0..n"
-    seen = set()
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            win = pv.window(i, j)
-            if win.codes in seen:
-                continue
-            seen.add(win.codes)
-            if not p_match_query(g, win):
-                return f"factor at ({i},{j}) reported absent"
-            if locate(idx, win) != scan_occurrences(pv, win):
-                return f"locate disagrees with the scan at ({i},{j})"
-    alpha = sigma + "xyz"
-    for _ in range(20):
-        m = rng.randint(1, n + 2)
-        kraw = "".join(rng.choice(alpha) for _ in range(m))
-        kp = _pstring(kraw, sigma)
-        expected = kp.prev().codes in factors and len(kraw) <= n
-        if p_match_query(g, kp) != expected:
-            return f"membership of {kraw!r} should be {expected}"
-        ends = locate(idx, kp)
-        if expected != bool(ends):
-            return f"locate of {kraw!r} disagrees with membership"
-    return None
-
-
-def _check_duality(raw: str, sigma: str) -> str | None:
-    p = _pstring(raw, sigma)
-    g, _stats = build_online(p)
-    tree = suffix_link_tree_as_pstree(g)
-    report = verify_duality(g, tree)
-    if not report.all_pass():
-        failed = sorted(name for name, item in report.items.items() if not item["pass"])
-        return f"duality items failed: {failed}"
-    return None
-
-
-def _check_rtl(raw: str, sigma: str) -> str | None:
-    p = _pstring(raw, sigma)
-    pv = p.prev()
-    n = len(pv)
-    tree = None
-    for i, tree, counters in rtl_steps(pv):
-        ref = build_pstree_naive(pv.window(n - i + 1, n))
-        if not tree_equal(tree, ref):
-            return f"tree after {i} prepended symbols differs from the oracle"
-        if counters.per_step_redirections[-1] > 1:
-            return f"step {i} redirected {counters.per_step_redirections[-1]} links"
-    g = upward_links_to_pdawg(tree)
-    ref_g, _stats = build_online(pv_reverse(pv))
-    if canonical_form(g) != canonical_form(ref_g):
-        return "stored links do not spell the online automaton"
-    return None
-
-
-def _t_k(k: int) -> PString:
-    block = [s for i in range(1, k + 1) for s in (f"x{i}", f"a{i}")]
-    sigma = [f"a{i}" for i in range(1, k + 1)]
-    pi = [f"x{i}" for i in range(1, k + 1)]
-    return PString(block + block, Alphabet(sigma, pi))
-
-
-def _check_bounds(max_k: int, max_n: int) -> str | None:
-    for k in range(2, max_k + 1):
-        t = _t_k(k)
-        states = build_psauto(t).state_count()
-        if states < k * (k - 1) // 2:
-            return f"minimal DFA for the separation family k={k} is too small"
-        g, _stats = build_online(t)
-        if g.node_count() > 2 * 4 * k - 1:
-            return f"automaton for the separation family k={k} is too large"
-    al = Alphabet("abc", "xy")
-    for n in range(3, max_n + 1):
-        g, _stats = build_online(PString("a" + "b" * (n - 1), al))
-        if g.node_count() != 2 * n - 1:
-            return f"a·b^{n - 1} misses the node-count ceiling"
-        g, _stats = build_online(PString("a" + "b" * (n - 2) + "c", al))
-        if g.edge_count() != 3 * n - 4:
-            return f"a·b^{n - 2}·c misses the edge-count ceiling"
-    return None
-
-
 SUITES = ("encodings", "pdawg", "matching", "duality", "rtl", "bounds")
 
 
@@ -526,18 +403,21 @@ def cmd_selftest(max_len, seed, suites):
         raise click.UsageError(f"unknown suites: {unknown}")
 
     def run_texts(name: str, texts, check) -> int:
+        def detail_of(raw: str) -> str | None:
+            return check(_pstring(raw, "ab").prev())
+
         count = 0
         for raw in texts:
             count += 1
-            detail = check(raw)
+            detail = detail_of(raw)
             if detail is not None:
-                witness = _minimize(raw, lambda r: check(r) is not None)
+                witness = _minimize(raw, lambda r: detail_of(r) is not None)
                 click.echo(
                     json.dumps(
                         {
                             "suite": name,
                             "witness": witness,
-                            "detail": check(witness) or detail,
+                            "detail": detail_of(witness) or detail,
                         }
                     )
                 )
@@ -545,9 +425,23 @@ def cmd_selftest(max_len, seed, suites):
         return count
 
     rng = random.Random(seed)
+
+    def check_matching_sampled(pv: PvString) -> str | None:
+        patterns = _random_texts(rng, "ab", "xyz", 20, len(pv) + 2)
+        return check_matching(pv) or check_matching(
+            pv, [_pstring(r, "ab").prev() for r in patterns]
+        )
+
+    checks = {
+        "encodings": check_encodings,
+        "pdawg": check_pdawg,
+        "matching": check_matching_sampled,
+        "duality": check_duality,
+        "rtl": check_rtl,
+    }
     for name in chosen:
         if name == "bounds":
-            detail = _check_bounds(max_k=6, max_n=max(12, 4 * max_len))
+            detail = check_bounds(max_k=6, max_n=max(12, 4 * max_len))
             if detail is not None:
                 click.echo(json.dumps({"suite": name, "witness": None, "detail": detail}))
                 sys.exit(EXIT_PROPERTY)
@@ -556,16 +450,7 @@ def cmd_selftest(max_len, seed, suites):
         exhaustive_len = max_len if name in ("encodings", "pdawg") else min(max_len, 5)
         texts = list(_exhaustive_texts("a", "xy", exhaustive_len))
         texts += list(_random_texts(rng, "ab", "xyz", 40, 3 * max_len))
-        if name == "encodings":
-            count = run_texts(name, texts, lambda r: _check_encodings(r, "ab"))
-        elif name == "pdawg":
-            count = run_texts(name, texts, lambda r: _check_pdawg(r, "ab"))
-        elif name == "matching":
-            count = run_texts(name, texts, lambda r: _check_matching(r, "ab", rng))
-        elif name == "duality":
-            count = run_texts(name, texts, lambda r: _check_duality(r, "ab"))
-        else:
-            count = run_texts(name, texts, lambda r: _check_rtl(r, "ab"))
+        count = run_texts(name, texts, checks[name])
         click.echo(f"suite={name} ok ({count} texts)")
     click.echo("all selected suites passed")
 

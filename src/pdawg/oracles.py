@@ -25,7 +25,7 @@ def _text_codes(t: PString | PvString) -> tuple[tuple[int, ...], Alphabet]:
     return pv.codes, pv.alphabet
 
 
-def rpos(w: PvString, x: PvString) -> tuple[int, ...]:
+def rpos(w: PvString, x: PString | PvString) -> tuple[int, ...]:
     """All 1-based end positions of occurrences of x in w (0 marks the empty prefix).
 
     Position i is in the result iff the length-|x| window of w ending at i
@@ -45,16 +45,10 @@ def rpos(w: PvString, x: PvString) -> tuple[int, ...]:
 
 def scan_occurrences(t: PString | PvString, p: PString | PvString) -> tuple[int, ...]:
     """End positions of parameterized occurrences of p in t, by direct scan."""
-    wc, alphabet = _text_codes(t)
-    xc = pattern_codes(p, alphabet)
-    if not xc:
+    pv = t.prev() if isinstance(t, PString) else t
+    if not pattern_codes(p, pv.alphabet):
         raise ValueError("scan_occurrences requires a nonempty pattern")
-    m = len(xc)
-    return tuple(
-        i
-        for i in range(m, len(wc) + 1)
-        if _re_encode_codes(wc[i - m : i]) == xc
-    )
+    return rpos(pv, p)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .pstrings import (
     PString,
     PvString,
     PvSymbol,
+    _check_codes,
     _code_of_symbol,
     _re_encode_codes,
     label_sort_key,
@@ -311,6 +312,64 @@ def stats_summary(g: Pdawg) -> dict:
     }
 
 
+def check_invariants(g: Pdawg) -> None:
+    """Raise ValueError unless g has the shape of the PDAWG of its text.
+
+    One linear pass over facts every PDAWG satisfies: the source is node 0
+    with length 0; every other suffix link leads to a strictly shorter node,
+    so the chains end at the source; every edge leads to a longer node; a
+    positive label points no further back than its node's length; prefix i
+    ends in a class of length i; every node is on the suffix-link chain of
+    some prefix; n >= 3 bounds the counts by 2n-1 nodes and 3n-4 edges; and
+    the text is a valid prev-encoding over the alphabet.
+    """
+    lens, slinks, edges = g.lens, g.slinks, g.edges
+    count = len(lens)
+    if g.source != 1 or count < 2 or lens[1] != 0 or slinks[1] != TOP:
+        raise ValueError("source must be node 0 with length 0 and no suffix link")
+    for u in range(2, count):
+        s = slinks[u]
+        if not 1 <= s < count:
+            raise ValueError(f"suffix link of node {u - 1} out of range")
+        if lens[s] >= lens[u]:
+            raise ValueError(f"suffix link of node {u - 1} is not shorter")
+    edge_count = 0
+    for u in range(1, count):
+        L = lens[u]
+        eu = edges[u]
+        edge_count += len(eu)
+        for b, t in eu.items():
+            if not 1 <= t < count:
+                raise ValueError(f"edge target of node {u - 1} out of range")
+            if lens[t] <= L:
+                raise ValueError(f"edge of node {u - 1} does not lead to a longer node")
+            if b > L:
+                raise ValueError(f"label {b} of node {u - 1} exceeds its length")
+    w = g.text_codes
+    n = len(w)
+    history = g.sink_history
+    if len(history) != n + 1:
+        raise ValueError("sink history length disagrees with the text")
+    on_chain = [True] + [False] * (count - 1)
+    for i, h in enumerate(history):
+        if not 1 <= h < count:
+            raise ValueError("sink history entry out of range")
+        if lens[h] != i:
+            raise ValueError(f"sink history entry {i} has length {lens[h]}")
+        while not on_chain[h]:
+            on_chain[h] = True
+            h = slinks[h]
+    if not all(on_chain):
+        raise ValueError("some node is on no suffix-link chain of a prefix")
+    if n >= 3 and (count - 1 > 2 * n - 1 or edge_count > 3 * n - 4):
+        raise ValueError(
+            f"{count - 1} nodes / {edge_count} edges exceed 2n-1 / 3n-4 at n={n}"
+        )
+    if n and min(w) < -len(g.alphabet.sigma):
+        raise ValueError("text symbol outside the static alphabet")
+    _check_codes(w)
+
+
 def _label_to_json(code: int, alphabet: Alphabet) -> dict:
     if code < 0:
         return {"s": alphabet.static_symbol(code)}
@@ -339,7 +398,7 @@ def to_json_dict(g: Pdawg) -> dict:
             {
                 "len": g.lens[u],
                 "edges": [
-                    [_label_to_json(lbl, g.alphabet), tgt - 1, g.lens[tgt] == g.lens[u] + 1]
+                    [_label_to_json(lbl, g.alphabet), tgt - 1]
                     for lbl, tgt in items
                 ],
                 "slink": None if g.slinks[u] == TOP else g.slinks[u] - 1,
@@ -353,41 +412,29 @@ def to_json_dict(g: Pdawg) -> dict:
 
 
 def from_json_dict(d: dict, alphabet: Alphabet, text_codes: tuple[int, ...]) -> Pdawg:
+    """Load a `to_json_dict` document; ValueError unless it passes
+    `check_invariants`.  Edges written by older versions carry a third
+    element, the primary flag, which the lengths determine; it is ignored."""
     try:
         nodes = d["nodes"]
-        source = d["source"]
-        history = d["sink_history"]
         g = Pdawg(alphabet)
         g.text_codes = tuple(text_codes)
-        if source != 0 or not nodes:
-            raise ValueError("source must be node 0")
-        top_edges = dict(g.edges[TOP])
+        g.source = int(d["source"]) + 1
         # rebuild arena (node i in file -> arena id i+1)
         g.lens = [-1] + [int(spec["len"]) for spec in nodes]
         g.slinks = [None] + [
             TOP if spec["slink"] is None else int(spec["slink"]) + 1 for spec in nodes
         ]
-        g.edges = [top_edges] + [
+        g.edges = [g.edges[TOP]] + [
             {
                 _label_from_json(lbl, alphabet): int(tgt) + 1
-                for lbl, tgt, _primary in spec["edges"]
+                for lbl, tgt, *_primary in spec["edges"]
             }
             for spec in nodes
         ]
-        if g.lens[g.source] != 0:
-            raise ValueError("source node must have length 0")
-        g.sink_history = [int(h) + 1 for h in history]
-        if len(g.sink_history) != len(text_codes) + 1:
-            raise ValueError("sink history length disagrees with the text")
-        if not all(1 <= h < len(g.lens) for h in g.sink_history):
-            raise ValueError("sink history entry out of range")
-        g.sink = g.sink_history[-1]
-        for u in g.node_ids():
-            if u != g.source and not 1 <= g.slinks[u] < len(g.lens):
-                raise ValueError("suffix link out of range")
-            for tgt in g.edges[u].values():
-                if not 1 <= tgt < len(g.lens):
-                    raise ValueError("edge target out of range")
-        return g
+        g.sink_history = [int(h) + 1 for h in d["sink_history"]]
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed index body: {exc}") from exc
+    check_invariants(g)
+    g.sink = g.sink_history[-1]
+    return g

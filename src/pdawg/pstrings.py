@@ -247,7 +247,13 @@ class PvString:
 
 
 def _check_codes(codes: Sequence[int]) -> None:
-    """Raise InvalidPvString unless `codes` is a well-formed prev-encoding."""
+    """Raise InvalidPvString unless `codes` is a well-formed prev-encoding.
+
+    A back-reference must point at a parameter and at its *previous*
+    occurrence, so no position may be referenced twice: the later of two
+    references skips the closer occurrence made by the earlier one.
+    """
+    referrer: dict[int, int] = {}
     for i, c in enumerate(codes):
         if c <= 0:
             continue
@@ -260,14 +266,12 @@ def _check_codes(codes: Sequence[int]) -> None:
             raise InvalidPvString(
                 f"position {i + 1} points at a static symbol", position=i + 1
             )
-        # the referenced occurrence must be the *previous* one: no position
-        # strictly between j and i may point back at j as well
-        for m in range(j + 1, i):
-            if codes[m] > 0 and m - codes[m] == j:
-                raise InvalidPvString(
-                    f"position {i + 1} skips a closer occurrence at {m + 1}",
-                    position=i + 1,
-                )
+        m = referrer.setdefault(j, i)
+        if m != i:
+            raise InvalidPvString(
+                f"position {i + 1} skips a closer occurrence at {m + 1}",
+                position=i + 1,
+            )
 
 
 def prev_encode(s: PString) -> PvString:
@@ -283,11 +287,14 @@ def prev_decode(x: PvString, pool: Sequence[str] | None = None) -> PString:
     ill-formed input and AlphabetError if the pool is unusable.
     """
     codes = x.codes
+    _check_codes(codes)
     sigma = set(x.alphabet.sigma)
     if pool is not None:
         for name in pool:
             if name in sigma:
                 raise AlphabetError(f"pool name {name!r} collides with a static symbol")
+        if len(set(pool)) < len(pool):
+            raise AlphabetError("pool names repeat")
 
     def fresh_names() -> Iterator[str]:
         if pool is not None:
@@ -314,21 +321,8 @@ def prev_decode(x: PvString, pool: Sequence[str] | None = None) -> PString:
             used.append(name)
             raw.append(name)
         else:
-            j = i - c
-            if j < 0 or codes[j] < 0:
-                raise InvalidPvString(
-                    f"position {i + 1} has no parameter to refer back to",
-                    position=i + 1,
-                )
-            raw.append(raw[j])
-    out = PString(raw, Alphabet(x.alphabet.sigma, used))
-    got = out.prev().codes
-    if got != codes:
-        bad = next(i for i, (a, b) in enumerate(zip(got, codes)) if a != b)
-        raise InvalidPvString(
-            f"position {bad + 1} skips a closer occurrence", position=bad + 1
-        )
-    return out
+            raw.append(raw[i - c])
+    return PString(raw, Alphabet(x.alphabet.sigma, used))
 
 
 def is_valid_pv(codes: Sequence[int]) -> bool:

@@ -32,17 +32,3 @@ def random_pstring(rng, alphabet, n):
     symbols = sorted(alphabet.sigma) + sorted(alphabet.pi)
     return PString([rng.choice(symbols) for _ in range(n)], alphabet)
 
-
-def separation_text(k):
-    """x1 a1 ... xk ak repeated twice: k parameters, k statics, length 4k.
-
-    The doubled block forces a minimal suffix automaton to distinguish
-    quadratically many parameter contexts while the class-merged graph
-    stays linear in the text length.
-    """
-    block = []
-    for i in range(1, k + 1):
-        block += [f"x{i}", f"a{i}"]
-    sigma = [f"a{i}" for i in range(1, k + 1)]
-    pi = [f"x{i}" for i in range(1, k + 1)]
-    return PString(block + block, Alphabet(sigma, pi))

@@ -17,34 +17,22 @@ import pytest
 from pdawg import (
     Alphabet,
     PString,
-    build_occurrence_index,
     build_online,
-    build_oracle_pdawg,
-    build_psauto,
-    build_pstree_naive,
-    canonical_form,
-    locate,
-    offline_build_pdawg,
-    p_match_query,
+    check_invariants,
     prev_encode,
     pv_reverse,
-    rtl_steps,
-    scan_occurrences,
-    stats_summary,
-    tree_equal,
-    upward_links_to_pdawg,
-    verify_duality,
-    weiner_links,
+    rpos,
+)
+from pdawg.verify import (
+    check_bounds,
+    check_duality,
+    check_matching,
+    check_offline,
+    check_pdawg,
+    check_rtl,
 )
 
-from helpers import (
-    A_XY,
-    AB_XYZ,
-    all_pstrings,
-    distinct_by_prev,
-    random_pstring,
-    separation_text,
-)
+from helpers import A_XY, AB_XYZ, all_pstrings, distinct_by_prev, random_pstring
 
 AB_XY = Alphabet("ab", "xy")
 
@@ -62,6 +50,18 @@ def _report(capsys, label, elapsed, failures, budget=None):
     with capsys.disabled():
         print(line, flush=True)
     assert ok, line
+
+
+def _failures(check, texts, limit=1):
+    """Run a per-text check of pdawg.verify, naming each failing text."""
+    failures = []
+    for t in texts:
+        detail = check(t.prev())
+        if detail is not None:
+            failures.append(f"{str(t) or '(empty)'}: {detail}")
+            if len(failures) >= limit:
+                break
+    return failures
 
 
 @pytest.fixture(scope="module")
@@ -108,23 +108,15 @@ def test_01_encoding_ground_truth(capsys):
 
 def test_02_online_builds_match_the_definitional_index(capsys, small_corpus):
     t0 = time.perf_counter()
-    failures = []
-    for t in small_corpus:
-        pv = t.prev()
-        g, _ = build_online(pv)
-        if canonical_form(g) != build_oracle_pdawg(pv).canonical_form():
-            failures.append(str(t) or "(empty)")
-            if len(failures) >= 3:
-                break
+    failures = _failures(check_pdawg, small_corpus, limit=3)
     # re-verify the prefix-closure argument literally on a sample
     rng = random.Random(2)
     for t in rng.sample(small_corpus, 80):
         pv = t.prev()
         for i in range(len(pv) + 1):
-            p = pv.window(1, i)
-            g, _ = build_online(p)
-            if canonical_form(g) != build_oracle_pdawg(p).canonical_form():
-                failures.append(f"prefix {i} of {t}")
+            detail = check_pdawg(pv.window(1, i))
+            if detail is not None:
+                failures.append(f"prefix {i} of {t}: {detail}")
                 break
     _report(
         capsys,
@@ -139,30 +131,23 @@ def test_03_size_bounds_and_extremal_families(capsys, small_corpus):
     t0 = time.perf_counter()
     failures = []
 
-    def check_bounds(g, n, what):
-        # the bounds presume n >= 3; shorter texts are outside them
-        if n >= 3 and (g.node_count() > 2 * n - 1 or g.edge_count() > 3 * n - 4):
-            failures.append(
-                f"{what}: {g.node_count()} nodes / {g.edge_count()} edges at n={n}"
-            )
+    def check(t, what):
+        # the validator checks 2n-1 / 3n-4 for n >= 3
+        g, _ = build_online(t.prev())
+        try:
+            check_invariants(g)
+        except ValueError as exc:
+            failures.append(f"{what}: {exc}")
 
     for t in small_corpus:
-        g, _ = build_online(t.prev())
-        check_bounds(g, len(t), str(t))
+        check(t, str(t))
     rng = random.Random(3)
     for _ in range(1000):
         n = rng.randint(3, 300)
-        t = random_pstring(rng, AB_XYZ, n)
-        g, _ = build_online(t.prev())
-        check_bounds(g, n, f"random n={n}")
-    statics = Alphabet("abc", "")
-    for n in range(3, 101):
-        g, _ = build_online(PString("a" + "b" * (n - 1), statics).prev())
-        if g.node_count() != 2 * n - 1:
-            failures.append(f"node family misses equality at n={n}")
-        g, _ = build_online(PString("a" + "b" * (n - 2) + "c", statics).prev())
-        if g.edge_count() != 3 * n - 4:
-            failures.append(f"edge family misses equality at n={n}")
+        check(random_pstring(rng, AB_XYZ, n), f"random n={n}")
+    detail = check_bounds(max_k=1, max_n=100)  # the extremal families only
+    if detail is not None:
+        failures.append(detail)
     _report(
         capsys,
         "criterion 3: size bounds hold and the extremal families reach them",
@@ -174,14 +159,9 @@ def test_03_size_bounds_and_extremal_families(capsys, small_corpus):
 def test_04_quadratic_automaton_versus_linear_index(capsys):
     t0 = time.perf_counter()
     failures = []
-    for k in range(2, 13):
-        t = separation_text(k)
-        states = build_psauto(t).state_count()
-        if states < k * (k - 1) // 2:
-            failures.append(f"automaton of block size {k} has only {states} states")
-        g, _ = build_online(t.prev())
-        if g.node_count() > 2 * len(t) - 1:
-            failures.append(f"index of block size {k} has {g.node_count()} nodes")
+    detail = check_bounds(max_k=12, max_n=2)  # the separation family only
+    if detail is not None:
+        failures.append(detail)
     _report(
         capsys,
         "criterion 4: the minimal automaton grows quadratically, the index stays linear",
@@ -192,39 +172,17 @@ def test_04_quadratic_automaton_versus_linear_index(capsys):
 
 def test_05_queries_agree_with_the_direct_scan(capsys, small_corpus, medium_corpus):
     t0 = time.perf_counter()
-    failures = []
+    failures = _failures(check_matching, small_corpus)
     non_factors = 0
 
-    def check(g, idx, pv, p):
-        nonlocal non_factors
-        occ = scan_occurrences(pv, p) if len(p) <= len(pv) else ()
-        if not occ:
-            non_factors += 1
-        if p_match_query(g, p) != bool(occ):
-            failures.append(f"existence of {p} in {pv}")
-        if locate(idx, p) != occ:
-            failures.append(f"positions of {p} in {pv}")
-
-    for t in small_corpus:
-        pv = t.prev()
-        g, _ = build_online(pv)
-        idx = build_occurrence_index(g)
-        n = len(pv)
-        seen = set()
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                p = pv.window(i, j)
-                if p.codes not in seen:
-                    seen.add(p.codes)
-                    check(g, idx, pv, p)
-        if failures:
-            break
+    def check(pv, patterns):
+        detail = check_matching(pv, patterns)
+        if detail is not None:
+            failures.append(f"{pv}: {detail}")
 
     rng = random.Random(55)
     for t in medium_corpus:
         pv = t.prev()
-        g, _ = build_online(pv)
-        idx = build_occurrence_index(g)
         n = len(pv)
         if n <= 30:
             windows = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
@@ -233,21 +191,23 @@ def test_05_queries_agree_with_the_direct_scan(capsys, small_corpus, medium_corp
             for _ in range(60):
                 i = rng.randint(1, n)
                 windows.append((i, rng.randint(i, n)))
-        for i, j in windows:
-            check(g, idx, pv, pv.window(i, j))
-        for _ in range(5):
-            check(g, idx, pv, random_pstring(rng, AB_XYZ, rng.randint(1, 12)).prev())
+        extra = [random_pstring(rng, AB_XYZ, rng.randint(1, 12)).prev() for _ in range(5)]
+        non_factors += sum(not rpos(pv, p) for p in extra)
+        check(pv, [pv.window(i, j) for i, j in windows] + extra)
         if failures:
             break
 
     # make sure enough verified non-factors went through the full check
     guard = 0
     big = medium_corpus[0].prev()
+    patterns = []
     while non_factors < 1000 and guard < 5000 and not failures:
         guard += 1
-        g, _ = build_online(big)
-        idx = build_occurrence_index(g)
-        check(g, idx, big, random_pstring(rng, AB_XYZ, rng.randint(6, 14)).prev())
+        p = random_pstring(rng, AB_XYZ, rng.randint(6, 14)).prev()
+        non_factors += not rpos(big, p)
+        patterns.append(p)
+    if patterns:
+        check(big, patterns)
     if non_factors < 1000:
         failures.append(f"only {non_factors} non-factor patterns exercised")
     _report(
@@ -261,33 +221,7 @@ def test_05_queries_agree_with_the_direct_scan(capsys, small_corpus, medium_corp
 
 def test_06_duality_with_the_reversed_text_tree(capsys, small_corpus):
     t0 = time.perf_counter()
-    failures = []
-
-    def check(text, pv):
-        g, _ = build_online(pv)
-        tree = build_pstree_naive(pv_reverse(pv))
-        report = verify_duality(g, tree)
-        if not report.all_pass():
-            bad = [k for k, item in report.items.items() if not item["pass"]]
-            failures.append(f"{text}: {bad[0]} — {report.items[bad[0]]['witness']}")
-            return
-        explicit = implicit = 0
-        links = weiner_links(tree)
-        for v in range(tree.node_count()):
-            for tgt in links[v].values():
-                if tree.depth[tgt] == tree.depth[v] + 1:
-                    explicit += 1
-                else:
-                    implicit += 1
-        s = stats_summary(g)
-        if (explicit, implicit) != (s["primary"], s["secondary"]):
-            failures.append(f"{text}: link counts {explicit}/{implicit}")
-
-    check("yayaxab", PString("yayaxab", AB_XY).prev())
-    for t in small_corpus:
-        check(str(t) or "(empty)", t.prev())
-        if failures:
-            break
+    failures = _failures(check_duality, [PString("yayaxab", AB_XY), *small_corpus])
     _report(
         capsys,
         "criterion 6: the four-point correspondence holds with matching counts",
@@ -298,16 +232,7 @@ def test_06_duality_with_the_reversed_text_tree(capsys, small_corpus):
 
 def test_07_offline_construction_matches_online(capsys, small_corpus):
     t0 = time.perf_counter()
-    failures = []
-    for t in small_corpus:
-        pv = t.prev()
-        tree = build_pstree_naive(pv_reverse(pv))
-        g = offline_build_pdawg(tree)
-        online, _ = build_online(pv)
-        if canonical_form(g) != canonical_form(online):
-            failures.append(str(t) or "(empty)")
-            if len(failures) >= 3:
-                break
+    failures = _failures(check_offline, small_corpus, limit=3)
     _report(
         capsys,
         "criterion 7: bottom-up construction from the tree matches online",
@@ -318,26 +243,7 @@ def test_07_offline_construction_matches_online(capsys, small_corpus):
 
 def test_08_right_to_left_construction(capsys, small_corpus):
     t0 = time.perf_counter()
-    failures = []
-    for t in small_corpus:
-        pv = t.prev()
-        n = len(pv)
-        tree = None
-        for i, tree, counters in rtl_steps(pv):
-            if not tree_equal(tree, build_pstree_naive(pv.window(n - i + 1, n))):
-                failures.append(f"step {i} of {t}")
-                break
-            if counters.per_step_redirections[-1] > 1:
-                failures.append(f"{counters.per_step_redirections[-1]} redirections at step {i} of {t}")
-                break
-        if failures:
-            break
-        if tree is not None:
-            g = upward_links_to_pdawg(tree)
-            online, _ = build_online(pv_reverse(pv))
-            if canonical_form(g) != canonical_form(online):
-                failures.append(f"final links of {t}")
-                break
+    failures = _failures(check_rtl, small_corpus)
     _report(
         capsys,
         "criterion 8: right-to-left building is stepwise exact with sparse redirections",

@@ -8,8 +8,7 @@ from click.testing import CliRunner
 
 from pdawg import Alphabet, __version__, canonical_form, from_json_dict
 from pdawg.cli import main
-
-from helpers import separation_text
+from pdawg.verify import separation_text
 
 
 @pytest.fixture()
@@ -224,6 +223,22 @@ class TestQuery:
         assert result.output.strip() == "[3, 5]"
 
 
+DOT = (("dot", "--structure", "pstree"),)
+LOCATE_AND_DOT = (("query", "xax", "--locate"), ("query", "ya", "--locate")) + DOT
+# each leaves the xaxay index parsable but inconsistent
+INCONSISTENT = {
+    "sink-history-length": lambda o: o["pdawg"]["sink_history"].__setitem__(2, 3),
+    "suffix-link-self-loop": lambda o: o["pdawg"]["nodes"][3].update(slink=3),
+    "edge-to-itself": lambda o: o["pdawg"]["nodes"][1]["edges"][0].__setitem__(1, 1),
+    "label-past-the-source": lambda o: o["pdawg"]["nodes"][0]["edges"][0].__setitem__(0, {"n": 7}),
+    "node-length": lambda o: o["pdawg"]["nodes"][2].update(len=3),
+    "text-points-at-a-static": lambda o: o["text"].__setitem__(2, 1),
+    "text-symbol-outside-the-alphabet": lambda o: o["text"].__setitem__(1, -9),
+    "node-on-no-chain": lambda o: o["pdawg"]["nodes"].append({"len": 1, "edges": [], "slink": 0}),
+    "text-of-another-structure": lambda o: o.update(text=[0, -1, 0, -1, 0]),
+}
+
+
 class TestCorruptIndexes:
     @pytest.fixture()
     def index(self, runner, tmp_path, text_file):
@@ -265,6 +280,18 @@ class TestCorruptIndexes:
         result = runner.invoke(main, ["query", index, "xax", "--locate"])
         assert result.exit_code == 3
         assert "sink history entry out of range" in result.output
+
+    @pytest.mark.parametrize("name", sorted(INCONSISTENT))
+    def test_inconsistent_structure_exits_3(self, runner, index, name):
+        self._mangle(index, INCONSISTENT[name])
+        # the text-only change leaves a well-formed automaton that answers
+        # queries; only the tree view can tell the two apart
+        commands = DOT if name == "text-of-another-structure" else LOCATE_AND_DOT
+        for command, *args in commands:
+            result = runner.invoke(main, [command, index, *args])
+            assert result.exit_code == 3, (command, args, result.output)
+            assert "error: " in result.output
+            assert "Traceback" not in result.output
 
 
 class TestDot:

@@ -15,12 +15,12 @@ from pdawg import (
     canonical_form,
     offline_build_pdawg,
     pv_reverse,
-    stats_summary,
     suffix_link_tree_as_pstree,
     tree_equal,
     verify_duality,
     weiner_links,
 )
+from pdawg.verify import check_duality, check_offline
 
 from helpers import A_XY, AB_XYZ, all_pstrings, distinct_by_prev, random_pstring
 
@@ -69,19 +69,7 @@ class TestWeinerLinks:
 
     def test_link_counts_match_the_edge_partition(self):
         for t in distinct_by_prev(all_pstrings(A_XY, 5)):
-            g, tree = _pair(t)
-            links = weiner_links(tree)
-            explicit = sum(
-                1 for v in range(tree.node_count())
-                for tgt in links[v].values() if tree.depth[tgt] == tree.depth[v] + 1
-            )
-            implicit = sum(
-                1 for v in range(tree.node_count())
-                for tgt in links[v].values() if tree.depth[tgt] != tree.depth[v] + 1
-            )
-            s = stats_summary(g)
-            assert explicit == s["primary"]
-            assert implicit == s["secondary"]
+            assert check_duality(t.prev()) is None, str(t)
 
     def test_ancestors_inherit_links_with_shrunk_labels(self):
         tree = build_pstree_naive(BACKWARD.prev())
@@ -117,9 +105,7 @@ class TestVerifyDuality:
         rng = random.Random(31)
         for _ in range(500):
             t = random_pstring(rng, AB_XYZ, rng.randint(0, 14))
-            g, tree = _pair(t)
-            report = verify_duality(g, tree)
-            assert report.all_pass(), (str(t), report.to_json_dict())
+            assert check_duality(t.prev()) is None, str(t)
 
     def test_mismatched_pair_reports_a_witness(self):
         g, _ = build_online(FORWARD.prev())
@@ -147,10 +133,7 @@ class TestOfflineBuild:
 
     def test_exhaustive_small_texts(self):
         for t in distinct_by_prev(all_pstrings(A_XY, 6)):
-            tree = build_pstree_naive(pv_reverse(t.prev()))
-            g = offline_build_pdawg(tree)
-            online, _ = build_online(t.prev())
-            assert canonical_form(g) == canonical_form(online), str(t)
+            assert check_offline(t.prev()) is None, str(t)
 
     def test_malformed_tree_is_rejected(self):
         alpha = Alphabet("a", "x")

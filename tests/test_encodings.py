@@ -84,6 +84,8 @@ class TestPrevDecode:
         pv = PString("xy", A_XY).prev()
         with pytest.raises(AlphabetError, match="exhausted"):
             prev_decode(pv, pool=("q",))
+        with pytest.raises(AlphabetError, match="repeat"):
+            prev_decode(pv, pool=("q", "q"))
 
     def test_pool_clash_with_static_rejected(self):
         pv = PString("x", A_XY).prev()

@@ -12,8 +12,8 @@ from pdawg import (
     locate,
     p_match_query,
     rpos,
-    scan_occurrences,
 )
+from pdawg.verify import check_matching
 
 from helpers import A_XY, AB_XYZ, all_pstrings, random_pstring
 
@@ -105,35 +105,16 @@ class TestOccurrenceIndex:
 
 def test_exhaustive_tiny_corpus_matches_the_scan():
     for t in all_pstrings(A_XY, 4):
-        pv = t.prev()
-        g, _ = build_online(pv)
-        idx = build_occurrence_index(g)
-        n = len(pv)
-        assert locate(idx, pv.window(1, 0)) == tuple(range(n + 1))
-        seen = set()
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                p = pv.window(i, j)
-                if p.codes in seen:
-                    continue
-                seen.add(p.codes)
-                assert p_match_query(g, p)
-                assert locate(idx, p) == scan_occurrences(pv, p)
+        assert check_matching(t.prev()) is None, str(t)
 
 
 def test_random_texts_and_patterns_match_the_scan():
     rng = random.Random(11)
     for _ in range(15):
         n = rng.randint(1, 80)
-        t = random_pstring(rng, AB_XYZ, n)
-        pv = t.prev()
-        g, _ = build_online(pv)
-        idx = build_occurrence_index(g)
-        for _ in range(30):
-            m = rng.randint(1, min(n + 2, 12))
-            p = random_pstring(rng, AB_XYZ, m).prev()
-            occ = scan_occurrences(pv, p) if m <= n else ()
-            assert p_match_query(g, p) == bool(occ)
-            assert locate(idx, p) == occ
-            if m <= n:
-                assert occ == rpos(pv, p)
+        pv = random_pstring(rng, AB_XYZ, n).prev()
+        patterns = [
+            random_pstring(rng, AB_XYZ, rng.randint(1, min(n + 2, 12))).prev()
+            for _ in range(30)
+        ]
+        assert check_matching(pv, patterns) is None, str(pv)

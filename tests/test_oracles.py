@@ -15,8 +15,9 @@ from pdawg import (
     rpos,
     scan_occurrences,
 )
+from pdawg.verify import separation_text
 
-from helpers import A_XY, AB_XYZ, all_pstrings, random_pstring, separation_text
+from helpers import A_XY, AB_XYZ, all_pstrings, random_pstring
 
 XAXAY = PString("xaxay", A_XY)
 

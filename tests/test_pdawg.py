@@ -21,6 +21,7 @@ from pdawg import (
     trans,
 )
 from pdawg import Static
+from pdawg.verify import check_pdawg
 
 from helpers import A_XY, AB_XYZ, all_pstrings, distinct_by_prev, random_pstring
 
@@ -210,12 +211,16 @@ class TestSerialization:
         back = from_json_dict(doc, g.alphabet, g.text_codes)
         assert canonical_form(back) == canonical_form(g)
         assert to_json_dict(back) == doc
+        # older documents store each edge with its primary flag as a third element
+        for spec in doc["nodes"]:
+            spec["edges"] = [[lbl, tgt, True] for lbl, tgt in spec["edges"]]
+        assert to_json_dict(from_json_dict(doc, g.alphabet, g.text_codes)) == to_json_dict(g)
 
     def test_labels_serialize_as_tagged_scalars(self):
         g, _ = build_online(XAXAY.prev())
         doc = to_json_dict(g)
         labels = {
-            tuple(lbl.items()) for spec in doc["nodes"] for lbl, _, _ in spec["edges"]
+            tuple(lbl.items()) for spec in doc["nodes"] for lbl, _ in spec["edges"]
         }
         assert (("s", "a"),) in labels
         assert (("n", 0),) in labels
@@ -237,9 +242,7 @@ class TestSerialization:
 
 def test_exhaustive_small_texts_match_the_definition():
     for t in distinct_by_prev(all_pstrings(A_XY, 5)):
-        pv = t.prev()
-        g, _ = build_online(pv)
-        assert canonical_form(g) == build_oracle_pdawg(pv).canonical_form()
+        assert check_pdawg(t.prev()) is None, str(t)
 
 
 @given(
@@ -249,6 +252,4 @@ def test_exhaustive_small_texts_match_the_definition():
 )
 @settings(max_examples=120)
 def test_random_texts_match_the_definition(t):
-    pv = t.prev()
-    g, _ = build_online(pv)
-    assert canonical_form(g) == build_oracle_pdawg(pv).canonical_form()
+    assert check_pdawg(t.prev()) is None
