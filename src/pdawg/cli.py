@@ -11,6 +11,7 @@ import itertools
 import json
 import random
 import sys
+from array import array
 from pathlib import Path
 
 import click
@@ -32,6 +33,7 @@ from .pstrings import (
     AlphabetError,
     PString,
     PvString,
+    format_codes,
     label_sort_key,
     pv_reverse,
 )
@@ -46,7 +48,7 @@ from .verify import (
 )
 
 INDEX_FORMAT = "pdawg-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 EXIT_PROPERTY = 1
 EXIT_CORRUPT = 3
@@ -74,17 +76,6 @@ def _read_text(path: str, tokenize: bool) -> list[str]:
     elif text.endswith("\n"):
         text = text[:-1]
     return list(text)
-
-
-def _codes_str(codes, alphabet: Alphabet) -> str:
-    parts = [alphabet.static_symbol(c) if c < 0 else str(c) for c in codes]
-    if all(len(p) == 1 for p in parts):
-        return "".join(parts)
-    return " ".join(parts)
-
-
-def _label_str(code: int, alphabet: Alphabet) -> str:
-    return alphabet.static_symbol(code) if code < 0 else str(code)
 
 
 def _gv_quote(s: str) -> str:
@@ -169,9 +160,9 @@ def cmd_build(textfile, sigma_chars, sigma_file, pi_chars, pi_auto, tokenize, ou
         raise click.UsageError(str(exc)) from exc
     g, steps = _build_pdawg(text, engine)
     if out is not None:
-        Path(out).write_text(
-            _dump_json(_index_json(g, pi_auto=pi_auto, tokenize=tokenize)), "utf-8"
-        )
+        index = _index_json(g, pi_auto=pi_auto, tokenize=tokenize)
+        # compact separators keep the dump in the C encoder; indent= would not
+        Path(out).write_text(json.dumps(index, separators=(",", ":")) + "\n", "utf-8")
     summary = stats_summary(g)
     stats = {
         "n": summary["n"],
@@ -206,9 +197,9 @@ def _load_index(path: str) -> tuple[Pdawg, dict]:
     try:
         spec = obj["alphabet"]
         alphabet = Alphabet(spec["sigma"], spec["pi"])
-        text_codes = tuple(int(c) for c in obj["text"])
+        text_codes = tuple(array("q", obj["text"]))
         g = from_json_dict(obj["pdawg"], alphabet, text_codes)
-    except (KeyError, TypeError, ValueError, AlphabetError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AlphabetError) as exc:
         _corrupt(f"{path}: {exc}")
     return g, obj
 
@@ -266,7 +257,7 @@ def _dot_pdawg(g: Pdawg) -> list[str]:
     names = node_longest_codes(g)
     lines = ["digraph pdawg {", "  rankdir=LR;", "  node [shape=circle fontsize=10];"]
     for u in g.node_ids():
-        label = "ε" if u == g.source else _codes_str(names[u], g.alphabet)
+        label = "ε" if u == g.source else format_codes(names[u], g.alphabet)
         shape = " shape=doublecircle" if u == g.sink else ""
         lines.append(f"  n{u - 1} [label={_gv_quote(label)}{shape}];")
     for u in g.node_ids():
@@ -276,7 +267,7 @@ def _dot_pdawg(g: Pdawg) -> list[str]:
             style = ' color="black:invis:black"' if g.is_primary(u, tgt) else ""
             lines.append(
                 f"  n{u - 1} -> n{tgt - 1}"
-                f" [label={_gv_quote(_label_str(lbl, g.alphabet))}{style}];"
+                f" [label={_gv_quote(format_codes((lbl,), g.alphabet))}{style}];"
             )
     for u in g.node_ids():
         if u != g.source:
@@ -291,13 +282,13 @@ def _dot_pstree(tree: PSTree) -> list[str]:
     strings = tree.node_strings()
     lines = ["digraph pstree {", "  node [shape=circle fontsize=10];"]
     for v in range(tree.node_count()):
-        label = "ε" if v == tree.root else _codes_str(strings[v], tree.alphabet)
+        label = "ε" if v == tree.root else format_codes(strings[v], tree.alphabet)
         shape = " shape=doublecircle" if tree.is_suffix[v] else ""
         lines.append(f"  t{v} [label={_gv_quote(label)}{shape}];")
     for v in range(tree.node_count()):
         for lab, child in tree.sorted_children(v):
             lines.append(
-                f"  t{v} -> t{child} [label={_gv_quote(_codes_str(lab, tree.alphabet))}];"
+                f"  t{v} -> t{child} [label={_gv_quote(format_codes(lab, tree.alphabet))}];"
             )
     lines.append("}")
     return lines
@@ -314,7 +305,7 @@ def _dot_psauto(g: Pdawg) -> list[str]:
             aut.transitions[q].items(), key=lambda e: label_sort_key(e[0], g.alphabet)
         ):
             lines.append(
-                f"  s{q} -> s{r} [label={_gv_quote(_label_str(lbl, g.alphabet))}];"
+                f"  s{q} -> s{r} [label={_gv_quote(format_codes((lbl,), g.alphabet))}];"
             )
     lines.append("}")
     return lines

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pstrings import (
-    PvString,
     _pv_reverse_codes,
     _z,
+    format_codes,
     label_sort_key,
 )
 from .oracles import PSTree
@@ -213,10 +213,7 @@ def verify_duality(g: Pdawg, tree: PSTree) -> DualityReport:
     strs = tree.node_strings()
 
     def fmt(codes: tuple[int, ...]) -> str:
-        return str(PvString._from_codes(codes, tree.alphabet)) or "(empty)"
-
-    def fmt_lbl(lbl: int) -> str:
-        return tree.alphabet.static_symbol(lbl) if lbl < 0 else str(lbl)
+        return format_codes(codes, tree.alphabet) or "(empty)"
 
     items: dict[str, dict] = {}
 
@@ -242,7 +239,7 @@ def verify_duality(g: Pdawg, tree: PSTree) -> DualityReport:
         if diff:
             s, lbl, t = sorted(diff)[0]
             kind = "primary/explicit" if flag else "secondary/implicit"
-            witness = f"unmatched {kind}: {fmt(s)} -[{fmt_lbl(lbl)}]-> {fmt(t)}"
+            witness = f"unmatched {kind}: {fmt(s)} -[{fmt((lbl,))}]-> {fmt(t)}"
         items[name] = {"pass": not diff, "witness": witness}
 
     a_sl = {(rev[g.slinks[u]], rev[u]) for u in g.node_ids() if u != g.source}

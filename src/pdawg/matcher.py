@@ -44,8 +44,14 @@ class OccurrenceIndex:
         for u in g.node_ids():
             if u != g.source:
                 order[g.slinks[u]].append(u)
-        enter = [0] * len(g.lens)
-        leave = [0] * len(g.lens)
+        lens, history = g.lens, g.sink_history
+        enter = [0] * len(lens)
+        leave = [0] * len(lens)
+        # prefix classes have distinct lengths, so listing prefix i when the
+        # tour enters its class lists every prefix in tour order
+        prefix = list(range(len(history)))
+        positions: list[int] = []
+        keys: list[int] = []
         clock = 0
         stack = [(g.source, False)]
         while stack:
@@ -54,14 +60,20 @@ class OccurrenceIndex:
                 leave[u] = clock
                 continue
             enter[u] = clock
+            i = lens[u]
+            if history[i] == u:
+                # not i itself: `locate` sorts slices of positions, and ints
+                # made in one run sort faster than those the build scattered
+                positions.append(prefix[i])
+                keys.append(clock)
             clock += 1
             stack.append((u, True))
             for ch in reversed(order[u]):
                 stack.append((ch, False))
         self.enter = enter
         self.leave = leave
-        self.positions = sorted(range(len(g.sink_history)), key=lambda i: (enter[g.sink_history[i]], i))
-        self.position_keys = [enter[g.sink_history[i]] for i in self.positions]
+        self.positions = positions
+        self.position_keys = keys
 
 
 def build_occurrence_index(g: Pdawg) -> OccurrenceIndex:

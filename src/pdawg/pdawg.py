@@ -15,7 +15,10 @@ split its class when the class is too coarse.
 
 from __future__ import annotations
 
+import operator
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 
 from .pstrings import (
     Alphabet,
@@ -25,7 +28,6 @@ from .pstrings import (
     _check_codes,
     _code_of_symbol,
     _re_encode_codes,
-    label_sort_key,
 )
 
 TOP = 0  # auxiliary node above the source; never counted or exported
@@ -318,13 +320,16 @@ def check_invariants(g: Pdawg) -> None:
     One linear pass over facts every PDAWG satisfies: the source is node 0
     with length 0; every other suffix link leads to a strictly shorter node,
     so the chains end at the source; every edge leads to a longer node; a
-    positive label points no further back than its node's length; prefix i
-    ends in a class of length i; every node is on the suffix-link chain of
-    some prefix; n >= 3 bounds the counts by 2n-1 nodes and 3n-4 edges; and
-    the text is a valid prev-encoding over the alphabet.
+    positive label points no further back than its node's length and a
+    negative one names a static symbol; prefix i ends in a class of length i,
+    reached from prefix i-1 along the edge labelled with text symbol i, so
+    the primary spine spells the text; every node is on the suffix-link chain
+    of some prefix; n >= 3 bounds the counts by 2n-1 nodes and 3n-4 edges;
+    and the text is a valid prev-encoding over the alphabet.
     """
     lens, slinks, edges = g.lens, g.slinks, g.edges
     count = len(lens)
+    lowest = -len(g.alphabet.sigma)
     if g.source != 1 or count < 2 or lens[1] != 0 or slinks[1] != TOP:
         raise ValueError("source must be node 0 with length 0 and no suffix link")
     for u in range(2, count):
@@ -343,8 +348,11 @@ def check_invariants(g: Pdawg) -> None:
                 raise ValueError(f"edge target of node {u - 1} out of range")
             if lens[t] <= L:
                 raise ValueError(f"edge of node {u - 1} does not lead to a longer node")
-            if b > L:
-                raise ValueError(f"label {b} of node {u - 1} exceeds its length")
+            if not lowest <= b <= L:
+                raise ValueError(
+                    f"label {b} of node {u - 1} is neither a static symbol"
+                    " nor a distance within its length"
+                )
     w = g.text_codes
     n = len(w)
     history = g.sink_history
@@ -361,80 +369,76 @@ def check_invariants(g: Pdawg) -> None:
             h = slinks[h]
     if not all(on_chain):
         raise ValueError("some node is on no suffix-link chain of a prefix")
+    # text symbol i leads from prefix i-1 to prefix i
+    if list(map(dict.get, map(edges.__getitem__, history[:-1]), w)) != history[1:]:
+        raise ValueError("the primary spine does not spell the text")
     if n >= 3 and (count - 1 > 2 * n - 1 or edge_count > 3 * n - 4):
         raise ValueError(
             f"{count - 1} nodes / {edge_count} edges exceed 2n-1 / 3n-4 at n={n}"
         )
-    if n and min(w) < -len(g.alphabet.sigma):
+    if n and min(w) < lowest:
         raise ValueError("text symbol outside the static alphabet")
     _check_codes(w)
 
 
-def _label_to_json(code: int, alphabet: Alphabet) -> dict:
-    if code < 0:
-        return {"s": alphabet.static_symbol(code)}
-    return {"n": code}
-
-
-def _label_from_json(obj: dict, alphabet: Alphabet) -> int:
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise ValueError("malformed edge label")
-    if "s" in obj:
-        return alphabet.static_code(obj["s"])
-    if "n" in obj:
-        v = obj["n"]
-        if not isinstance(v, int) or v < 0:
-            raise ValueError("malformed numeric label")
-        return v
-    raise ValueError("malformed edge label")
+_BODY_ARRAYS = ("lens", "slinks", "offsets", "labels", "targets", "sink_history")
 
 
 def to_json_dict(g: Pdawg) -> dict:
-    """Serialize without the top node; node ids shift down by one."""
-    nodes = []
-    for u in g.node_ids():
-        items = sorted(g.edges[u].items(), key=lambda e: label_sort_key(e[0], g.alphabet))
-        nodes.append(
-            {
-                "len": g.lens[u],
-                "edges": [
-                    [_label_to_json(lbl, g.alphabet), tgt - 1]
-                    for lbl, tgt in items
-                ],
-                "slink": None if g.slinks[u] == TOP else g.slinks[u] - 1,
-            }
-        )
+    """Serialize as flat int arrays without the top node, node ids shifted
+    down by one (so the source's suffix link, the top node, becomes -1).
+
+    Node u's edges are `labels[offsets[u]:offsets[u + 1]]`, sorted by code,
+    with the matching `targets`; a label is its int code, so a static symbol
+    is the negative code the text uses.
+    """
+    offsets = [0]
+    labels: list[int] = []
+    targets: list[int] = []
+    for eu in g.edges[1:]:
+        for lbl, tgt in sorted(eu.items()):
+            labels.append(lbl)
+            targets.append(tgt - 1)
+        offsets.append(len(labels))
     return {
-        "nodes": nodes,
+        "lens": g.lens[1:],
+        "slinks": [s - 1 for s in g.slinks[1:]],
+        "offsets": offsets,
+        "labels": labels,
+        "targets": targets,
         "source": g.source - 1,
         "sink_history": [h - 1 for h in g.sink_history],
     }
 
 
 def from_json_dict(d: dict, alphabet: Alphabet, text_codes: tuple[int, ...]) -> Pdawg:
-    """Load a `to_json_dict` document; ValueError unless it passes
-    `check_invariants`.  Edges written by older versions carry a third
-    element, the primary flag, which the lengths determine; it is ignored."""
+    """Load a `to_json_dict` document; ValueError unless every array holds
+    64-bit ints, the edge offsets partition the edges, no label repeats on a
+    node, and the result passes `check_invariants`."""
     try:
-        nodes = d["nodes"]
-        g = Pdawg(alphabet)
-        g.text_codes = tuple(text_codes)
-        g.source = int(d["source"]) + 1
-        # rebuild arena (node i in file -> arena id i+1)
-        g.lens = [-1] + [int(spec["len"]) for spec in nodes]
-        g.slinks = [None] + [
-            TOP if spec["slink"] is None else int(spec["slink"]) + 1 for spec in nodes
-        ]
-        g.edges = [g.edges[TOP]] + [
-            {
-                _label_from_json(lbl, alphabet): int(tgt) + 1
-                for lbl, tgt, *_primary in spec["edges"]
-            }
-            for spec in nodes
-        ]
-        g.sink_history = [int(h) + 1 for h in d["sink_history"]]
-    except (KeyError, TypeError, IndexError) as exc:
+        lens, slinks, offsets, labels, targets, history = (
+            array("q", d[k]) for k in _BODY_ARRAYS
+        )
+        source = operator.index(d["source"])
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed index body: {exc}") from exc
+    count = len(lens)
+    if len(slinks) != count or len(offsets) != count + 1 or len(labels) != len(targets):
+        raise ValueError("index body arrays disagree in length")
+    if offsets[0] != 0 or offsets[-1] != len(labels) or sorted(offsets) != list(offsets):
+        raise ValueError("edge offsets must rise from 0 to the edge count")
+    g = Pdawg(alphabet)
+    g.text_codes = tuple(text_codes)
+    g.source = source + 1
+    # node i in the file is arena id i+1; the file's -1 is the top node
+    g.lens = [-1, *lens]
+    g.slinks = [None, *(s + 1 for s in slinks)]
+    pairs = zip(labels, [t + 1 for t in targets])
+    edges = [dict(islice(pairs, hi - lo)) for lo, hi in zip(offsets, offsets[1:])]
+    if sum(map(len, edges)) != len(labels):
+        raise ValueError("a label repeats on a node")
+    g.edges = [g.edges[TOP], *edges]
+    g.sink_history = [h + 1 for h in history]
     check_invariants(g)
     g.sink = g.sink_history[-1]
     return g

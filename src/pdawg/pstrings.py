@@ -146,6 +146,14 @@ def _format_tokens(tokens: Sequence[str]) -> str:
     return " ".join(tokens)
 
 
+def format_codes(codes: Sequence[int], alphabet: Alphabet) -> str:
+    """Int codes as text: statics by name, distances as numbers, joined
+    without spaces when every symbol is one character, else with spaces."""
+    return _format_tokens(
+        [str(c) if c >= 0 else alphabet.static_symbol(c) for c in codes]
+    )
+
+
 class PString:
     """A parameterized string: raw symbols plus their alphabet."""
 
@@ -238,9 +246,7 @@ class PvString:
         )
 
     def __str__(self) -> str:
-        return _format_tokens(
-            [str(c) if c >= 0 else self.alphabet.static_symbol(c) for c in self.codes]
-        )
+        return format_codes(self.codes, self.alphabet)
 
     def __repr__(self) -> str:
         return f"PvString({str(self)!r})"

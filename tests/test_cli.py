@@ -6,8 +6,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from pdawg import Alphabet, __version__, canonical_form, from_json_dict
-from pdawg.cli import main
+from pdawg import __version__, canonical_form
+from pdawg.cli import _load_index, main
+from pdawg.pdawg import _BODY_ARRAYS
 from pdawg.verify import separation_text
 
 
@@ -33,9 +34,7 @@ def _build(runner, tmp_path, text_file, *extra):
 
 
 def _load_canonical(path):
-    obj = json.loads(open(path, encoding="utf-8").read())
-    alphabet = Alphabet(obj["alphabet"]["sigma"], obj["alphabet"]["pi"])
-    g = from_json_dict(obj["pdawg"], alphabet, tuple(obj["text"]))
+    g, _obj = _load_index(path)
     return canonical_form(g)
 
 
@@ -62,7 +61,18 @@ class TestBuild:
         assert stats["nodes"] == 1
         assert stats["edges"] == 0
         obj = json.loads(open(out, encoding="utf-8").read())
-        assert len(obj["pdawg"]["nodes"]) == 1
+        assert obj["pdawg"] == {
+            "lens": [0],
+            "slinks": [-1],
+            "offsets": [0, 0],
+            "labels": [],
+            "targets": [],
+            "source": 0,
+            "sink_history": [0],
+        }
+        result = runner.invoke(main, ["query", out, "", "--locate"])
+        assert result.exit_code == 0
+        assert result.output.strip() == "[0]"
 
     def test_output_is_deterministic(self, runner, tmp_path, text_file):
         out1, stats1 = _build(runner, tmp_path, text_file)
@@ -74,7 +84,7 @@ class TestBuild:
     def test_index_file_round_trips_exactly(self, runner, tmp_path, text_file):
         out, _ = _build(runner, tmp_path, text_file)
         text = open(out, encoding="utf-8").read()
-        assert json.dumps(json.loads(text), indent=2) + "\n" == text
+        assert json.dumps(json.loads(text), separators=(",", ":")) + "\n" == text
 
     def test_engines_agree(self, runner, tmp_path):
         t3 = separation_text(3)
@@ -213,7 +223,7 @@ class TestQuery:
         out, _ = _build(runner, tmp_path, text_file)
         result = runner.invoke(main, ["query", out, "ax", "--locate"])
         assert result.output.strip() == "[3, 5]"
-        # older files may still carry a "locate" block; it is never read
+        # a top-level block the loader does not know is never read
         obj = json.loads(open(out, encoding="utf-8").read())
         obj["locate"] = {"enter": [], "leave": [], "positions": [5, 3]}
         with open(out, "w", encoding="utf-8") as f:
@@ -223,20 +233,68 @@ class TestQuery:
         assert result.output.strip() == "[3, 5]"
 
 
-DOT = (("dot", "--structure", "pstree"),)
-LOCATE_AND_DOT = (("query", "xax", "--locate"), ("query", "ya", "--locate")) + DOT
+LOCATE_AND_DOT = (
+    ("query", "xax", "--locate"),
+    ("query", "ya", "--locate"),
+    ("dot", "--structure", "pstree"),
+)
 # each leaves the xaxay index parsable but inconsistent
 INCONSISTENT = {
     "sink-history-length": lambda o: o["pdawg"]["sink_history"].__setitem__(2, 3),
-    "suffix-link-self-loop": lambda o: o["pdawg"]["nodes"][3].update(slink=3),
-    "edge-to-itself": lambda o: o["pdawg"]["nodes"][1]["edges"][0].__setitem__(1, 1),
-    "label-past-the-source": lambda o: o["pdawg"]["nodes"][0]["edges"][0].__setitem__(0, {"n": 7}),
-    "node-length": lambda o: o["pdawg"]["nodes"][2].update(len=3),
+    "suffix-link-self-loop": lambda o: o["pdawg"]["slinks"].__setitem__(3, 3),
+    "edge-to-itself": lambda o: o["pdawg"]["targets"].__setitem__(2, 1),
+    "label-past-the-source": lambda o: o["pdawg"]["labels"].__setitem__(0, 7),
+    "static-label-outside-the-alphabet": lambda o: o["pdawg"]["labels"].__setitem__(0, -2),
+    "label-repeats-on-a-node": lambda o: o["pdawg"].update(
+        labels=o["pdawg"]["labels"][:1] + o["pdawg"]["labels"],
+        targets=o["pdawg"]["targets"][:1] + o["pdawg"]["targets"],
+        offsets=[0] + [k + 1 for k in o["pdawg"]["offsets"][1:]],
+    ),
+    "offsets-decrease": lambda o: o["pdawg"]["offsets"].__setitem__(2, 1),
+    "arrays-disagree-in-length": lambda o: o["pdawg"]["slinks"].pop(),
+    "node-length": lambda o: o["pdawg"]["lens"].__setitem__(2, 3),
     "text-points-at-a-static": lambda o: o["text"].__setitem__(2, 1),
     "text-symbol-outside-the-alphabet": lambda o: o["text"].__setitem__(1, -9),
-    "node-on-no-chain": lambda o: o["pdawg"]["nodes"].append({"len": 1, "edges": [], "slink": 0}),
+    "node-on-no-chain": lambda o: (
+        o["pdawg"]["lens"].append(1),
+        o["pdawg"]["slinks"].append(0),
+        o["pdawg"]["offsets"].append(o["pdawg"]["offsets"][-1]),
+    ),
     "text-of-another-structure": lambda o: o.update(text=[0, -1, 0, -1, 0]),
 }
+
+# the xaxay body as format version 1 wrote it: one object per node
+V1_BODY = json.loads(
+    '{"nodes":[{"len":0,"edges":[[{"s":"a"},2],[{"n":0},1]],"slink":null},'
+    '{"len":1,"edges":[[{"s":"a"},2]],"slink":0},'
+    '{"len":2,"edges":[[{"n":2},3],[{"n":0},5]],"slink":0},'
+    '{"len":3,"edges":[[{"s":"a"},4]],"slink":6},'
+    '{"len":4,"edges":[[{"n":0},5]],"slink":2},'
+    '{"len":5,"edges":[],"slink":6},'
+    '{"len":2,"edges":[[{"s":"a"},4]],"slink":1}],'
+    '"source":0,"sink_history":[0,1,2,3,4,5]}'
+)
+
+
+def _holder(obj, field):
+    return obj if field == "text" else obj["pdawg"]
+
+
+def _fuzz_edits(obj):
+    """(field, index, value, must exit 3): every +-1 edit of every body array
+    entry, of the text and of the source, then, at a few positions, values
+    that no array of ints may hold."""
+    for field in (*_BODY_ARRAYS, "text"):
+        for i, x in enumerate(_holder(obj, field)[field]):
+            yield field, i, x - 1, False
+            yield field, i, x + 1, False
+    yield "source", None, -1, True
+    yield "source", None, 1, True
+    for bad in ("1", 1.5, None, [1], 2**70):
+        for field in (*_BODY_ARRAYS, "text"):
+            for i in {0, len(_holder(obj, field)[field]) // 2}:
+                yield field, i, bad, True
+        yield "source", None, bad, True
 
 
 class TestCorruptIndexes:
@@ -264,8 +322,15 @@ class TestCorruptIndexes:
         self._mangle(index, lambda o: o.update(version=99))
         assert runner.invoke(main, ["query", index, "ya"]).exit_code == 3
 
+    def test_version_1_file_exits_3(self, runner, index):
+        self._mangle(index, lambda o: o.update(version=1, pdawg=V1_BODY))
+        for command, *args in LOCATE_AND_DOT:
+            result = runner.invoke(main, [command, index, *args])
+            assert result.exit_code == 3
+            assert "index version 1 unsupported (expected 2)" in result.output
+
     def test_damaged_body(self, runner, index):
-        self._mangle(index, lambda o: o["pdawg"]["nodes"].pop())
+        self._mangle(index, lambda o: o["pdawg"]["lens"].pop())
         assert runner.invoke(main, ["query", index, "ya"]).exit_code == 3
 
     def test_sink_history_out_of_range(self, runner, index):
@@ -284,14 +349,31 @@ class TestCorruptIndexes:
     @pytest.mark.parametrize("name", sorted(INCONSISTENT))
     def test_inconsistent_structure_exits_3(self, runner, index, name):
         self._mangle(index, INCONSISTENT[name])
-        # the text-only change leaves a well-formed automaton that answers
-        # queries; only the tree view can tell the two apart
-        commands = DOT if name == "text-of-another-structure" else LOCATE_AND_DOT
-        for command, *args in commands:
+        for command, *args in LOCATE_AND_DOT:
             result = runner.invoke(main, [command, index, *args])
             assert result.exit_code == 3, (command, args, result.output)
             assert "error: " in result.output
             assert "Traceback" not in result.output
+
+    def test_corruption_fuzz_never_crashes(self, runner, index):
+        # Edits to labels or targets can keep every invariant and so load a
+        # structure that answers wrongly; only a rebuild could tell.  What is
+        # checked is the exit contract: answer, or exit 3 with a message.
+        pristine = open(index, encoding="utf-8").read()
+        for field, i, value, must_fail in _fuzz_edits(json.loads(pristine)):
+            obj = json.loads(pristine)
+            if i is None:
+                _holder(obj, field)[field] = value
+            else:
+                _holder(obj, field)[field][i] = value
+            with open(index, "w", encoding="utf-8") as f:
+                json.dump(obj, f)
+            for command, *args in LOCATE_AND_DOT:
+                result = runner.invoke(main, [command, index, *args])
+                case = (field, i, value, command, args, result.output)
+                assert result.exit_code in ((3,) if must_fail else (0, 3)), case
+                if result.exit_code == 3:
+                    assert result.output.startswith("error: "), case
 
 
 class TestDot:

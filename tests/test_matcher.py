@@ -102,6 +102,16 @@ class TestOccurrenceIndex:
                     v = g.slinks[v]
             assert seen == set(g.node_ids()) - {g.source}
 
+    def test_positions_are_the_prefixes_sorted_by_tour_entry(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            g, _ = build_online(random_pstring(rng, AB_XYZ, rng.randint(0, 120)).prev())
+            idx = build_occurrence_index(g)
+            enter, history = idx.enter, g.sink_history
+            positions = sorted(range(len(history)), key=lambda i: (enter[history[i]], i))
+            assert idx.positions == positions
+            assert idx.position_keys == [enter[history[i]] for i in positions]
+
 
 def test_exhaustive_tiny_corpus_matches_the_scan():
     for t in all_pstrings(A_XY, 4):

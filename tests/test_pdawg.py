@@ -211,33 +211,54 @@ class TestSerialization:
         back = from_json_dict(doc, g.alphabet, g.text_codes)
         assert canonical_form(back) == canonical_form(g)
         assert to_json_dict(back) == doc
-        # older documents store each edge with its primary flag as a third element
-        for spec in doc["nodes"]:
-            spec["edges"] = [[lbl, tgt, True] for lbl, tgt in spec["edges"]]
-        assert to_json_dict(from_json_dict(doc, g.alphabet, g.text_codes)) == to_json_dict(g)
+        nodes = g.node_count()
+        assert len(doc["lens"]) == len(doc["slinks"]) == nodes
+        assert len(doc["offsets"]) == nodes + 1
+        assert len(doc["labels"]) == len(doc["targets"]) == g.edge_count()
+        assert doc["slinks"][doc["source"]] == -1
+        off = doc["offsets"]
+        for u in range(nodes):
+            labels = doc["labels"][off[u] : off[u + 1]]
+            assert labels == sorted(labels)
 
-    def test_labels_serialize_as_tagged_scalars(self):
+    def test_labels_serialize_as_codes(self):
         g, _ = build_online(XAXAY.prev())
-        doc = to_json_dict(g)
-        labels = {
-            tuple(lbl.items()) for spec in doc["nodes"] for lbl, _ in spec["edges"]
-        }
-        assert (("s", "a"),) in labels
-        assert (("n", 0),) in labels
+        labels = set(to_json_dict(g)["labels"])
+        assert labels == {g.alphabet.static_code("a"), 0, 2}
 
     def test_malformed_documents_are_rejected(self):
         pv = XAXAY.prev()
         g, _ = build_online(pv)
         doc = to_json_dict(g)
-        broken = dict(doc, nodes=[])
-        with pytest.raises(ValueError):
-            from_json_dict(broken, g.alphabet, g.text_codes)
-        broken = dict(doc, sink_history=doc["sink_history"][:-1])
-        with pytest.raises(ValueError):
-            from_json_dict(broken, g.alphabet, g.text_codes)
-        broken = dict(doc, source=3)
-        with pytest.raises(ValueError):
-            from_json_dict(broken, g.alphabet, g.text_codes)
+        off = doc["offsets"]
+        broken = [
+            dict(doc, lens=[]),
+            dict(doc, sink_history=doc["sink_history"][:-1]),
+            dict(doc, source=3),
+            dict(doc, slinks=doc["slinks"][:-1]),
+            dict(doc, targets=doc["targets"][:-1]),
+            dict(doc, source="0"),
+            {k: v for k, v in doc.items() if k != "targets"},
+            [],
+        ]
+        for bad in ("1", 1.5, None, [1], 2**70):
+            for key in ("lens", "slinks", "offsets", "labels", "targets", "sink_history"):
+                broken.append(dict(doc, **{key: [bad] + doc[key][1:]}))
+        for bad_doc in broken:
+            with pytest.raises(ValueError):
+                from_json_dict(bad_doc, g.alphabet, g.text_codes)
+        for offsets in ([0, 3, 2] + off[3:], off[:-1] + [off[-1] + 1], [1] + off[1:]):
+            with pytest.raises(ValueError, match="edge offsets"):
+                from_json_dict(dict(doc, offsets=offsets), g.alphabet, g.text_codes)
+        # node 0's first edge written twice: the same structure, but not a valid file
+        repeated = dict(
+            doc,
+            labels=doc["labels"][:1] + doc["labels"],
+            targets=doc["targets"][:1] + doc["targets"],
+            offsets=[0] + [k + 1 for k in off[1:]],
+        )
+        with pytest.raises(ValueError, match="label repeats"):
+            from_json_dict(repeated, g.alphabet, g.text_codes)
 
 
 def test_exhaustive_small_texts_match_the_definition():
