@@ -196,7 +196,10 @@ def _load_index(path: str) -> tuple[Pdawg, dict]:
         )
     try:
         spec = obj["alphabet"]
-        alphabet = Alphabet(spec["sigma"], spec["pi"])
+        names = (spec["sigma"], spec["pi"])
+        if not all(isinstance(x, list) and all(isinstance(s, str) for s in x) for x in names):
+            raise ValueError("alphabet sigma and pi must be lists of strings")
+        alphabet = Alphabet(*names)
         text_codes = tuple(array("q", obj["text"]))
         g = from_json_dict(obj["pdawg"], alphabet, text_codes)
     except (KeyError, TypeError, ValueError, OverflowError, AlphabetError) as exc:

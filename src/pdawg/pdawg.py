@@ -5,7 +5,10 @@ positions in the text; edges extend the longest member of a class by one
 symbol.  Because a back-reference distance can collapse to 0 when the context
 gets short, following an edge labelled 0 is position-dependent: `trans`
 resolves it by looking at how many integer labels are still compatible with
-the current context length.
+the current context length.  No positive label exceeds its node's length
+(`build_online` writes none and `check_invariants` rejects one), so once the
+context is as long as the node only the label 0 itself can follow symbol 0,
+and the transition is one lookup instead of a scan of the node's labels.
 
 `build_online` adds one symbol at a time, maintaining the suffix links, in the
 style of the classic DAWG construction: climb the suffix-link chain from the
@@ -77,15 +80,20 @@ class Pdawg:
         return self.lens[u]
 
 
-def _zero_label(labels: dict, i: int) -> int | None:
-    """Which label of `labels` symbol 0 follows after i symbols were read.
+def _zero_label(labels: dict, i: int, length: int) -> int | None:
+    """Which label of `labels`, on a node of this length, symbol 0 follows
+    after i symbols were read.
 
     Symbol 0 may be the image of any distance exceeding i, so every integer
     label b with b = 0 or b > i is a candidate.  None means no candidate, a
     label >= 0 is the unique candidate, to be followed directly, and -b means
     several bundled candidates: they all lead to one class, the suffix link
     (tree parent) of the target along b, the smallest positive candidate.
+    Relies on no positive label exceeding `length`.
     """
+    if i >= length:
+        # no distance label exceeds the node's length, so only 0 can follow
+        return 0 if 0 in labels else None
     only = None
     count = 0
     best = None
@@ -129,7 +137,7 @@ def _trans(g: Pdawg, u: int, i: int, a: int) -> int | None:
     eu = g.edges[u]
     if a != 0:
         return eu.get(a)
-    b = _zero_label(eu, i)
+    b = _zero_label(eu, i, g.lens[u])
     if b is None:
         return None
     if b >= 0:

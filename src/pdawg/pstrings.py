@@ -453,7 +453,7 @@ def pattern_codes(p: PString | PvString, alphabet: Alphabet) -> tuple[int, ...]:
     from the same static alphabet or the encodings are not comparable.
     """
     pv = p.prev() if isinstance(p, PString) else p
-    if pv.alphabet.sigma != alphabet.sigma:
+    if pv.alphabet is not alphabet and pv.alphabet.sigma != alphabet.sigma:
         raise AlphabetError("pattern and text use different static alphabets")
     return pv.codes
 

@@ -80,7 +80,7 @@ def _trans_rtl(tree: PSTree, u: int, i: int, a: int) -> int | None:
     if a != 0:
         st = m.get(a)
         return None if st is None else _simulate(tree, st)
-    b = _zero_label(m, i)
+    b = _zero_label(m, i, tree.depth[u])
     if b is None:
         return None
     if b >= 0:

@@ -355,6 +355,19 @@ class TestCorruptIndexes:
             assert "error: " in result.output
             assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "field, value", [("sigma", [1]), ("sigma", "a"), ("pi", [None, "x"])]
+    )
+    def test_alphabet_must_list_strings(self, runner, index, field, value):
+        # a non-string name would load, and no pattern symbol could ever equal it
+        self._mangle(index, lambda o: o["alphabet"].__setitem__(field, value))
+        for args in (["query", index, "xax"], ["query", index, "xax", "--locate"], ["dot", index]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 3, (args, result.output)
+            assert "error: " in result.output
+            assert "sigma and pi must be lists of strings" in result.output
+            assert "Traceback" not in result.output
+
     def test_corruption_fuzz_never_crashes(self, runner, index):
         # Edits to labels or targets can keep every invariant and so load a
         # structure that answers wrongly; only a rebuild could tell.  What is

@@ -1,0 +1,98 @@
+"""Work counts, not timings: how many node labels the bundled-0 rule reads.
+
+`_zero_label` is the only place a transition looks at more than one label,
+so counting the labels it is handed, per text or pattern symbol, measures
+whether construction and matching stay linear.  The separation family T_k
+puts k + 1 labels on the source, where a scan would cost Θ(k) per
+parameter read there.
+"""
+
+import random
+
+import pytest
+
+import pdawg.pdawg as online
+import pdawg.rtl as rtl
+from pdawg import Alphabet, PString, build_online, p_match_query, pv_reverse
+from pdawg.verify import separation_text
+
+from helpers import random_pstring
+
+LABELS_PER_SYMBOL = 4
+N = 4000
+
+
+class _CountingLabels:
+    """Read-only view of a node's labels that counts the ones handed out."""
+
+    __slots__ = ("_labels", "_seen")
+
+    def __init__(self, labels, seen):
+        self._labels = labels
+        self._seen = seen
+
+    def __iter__(self):
+        for b in self._labels:
+            self._seen[0] += 1
+            yield b
+
+    def __contains__(self, b):
+        self._seen[0] += 1
+        return b in self._labels
+
+
+@pytest.fixture()
+def labels_read(monkeypatch):
+    """A one-element list counting the labels every `_zero_label` call reads,
+    in both the online and the right-to-left engine."""
+    seen = [0]
+    real = online._zero_label
+
+    def counted(labels, *rest):
+        return real(_CountingLabels(labels, seen), *rest)
+
+    for module in (online, rtl):
+        monkeypatch.setattr(module, "_zero_label", counted)
+    return seen
+
+
+def _assert_linear(name, labels, symbols):
+    per_symbol = labels / symbols
+    assert per_symbol <= LABELS_PER_SYMBOL, (
+        f"{name}: {labels} labels read for {symbols} symbols"
+        f" ({per_symbol:.2f} per symbol)"
+    )
+
+
+BUILD_TEXTS = {
+    "separation T_1000": lambda: separation_text(N // 4),
+    "extremal a.b^(n-2).c": lambda: PString("a" + "b" * (N - 2) + "c", Alphabet("abc", "xy")),
+    "random ab/wxyz": lambda: random_pstring(random.Random(1), Alphabet("ab", "wxyz"), N),
+}
+
+
+@pytest.mark.parametrize("name", BUILD_TEXTS)
+def test_online_build_reads_few_labels(labels_read, name):
+    pv = BUILD_TEXTS[name]().prev()
+    build_online(pv)
+    _assert_linear(f"build_online on {name}", labels_read[0], len(pv))
+
+
+def test_queries_from_the_source_read_few_labels(labels_read):
+    pv = separation_text(N // 4).prev()
+    g, _ = build_online(pv)
+    # every window opening with a parameter reads symbol 0 at the source
+    windows = [pv.window(i, i + 7) for i in range(1, len(pv) - 6) if pv.codes[i - 1] >= 0]
+    labels_read[0] = 0
+    assert all(p_match_query(g, p) for p in windows)
+    _assert_linear(
+        "p_match_query on the length-8 windows of T_1000",
+        labels_read[0],
+        8 * len(windows),
+    )
+
+
+def test_right_to_left_build_reads_few_labels(labels_read):
+    pv = pv_reverse(separation_text(100).prev())
+    rtl.build_pstree_rtl(pv)
+    _assert_linear("build_pstree_rtl on reversed T_100", labels_read[0], len(pv))
