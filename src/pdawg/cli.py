@@ -11,13 +11,12 @@ import itertools
 import json
 import random
 import sys
-from array import array
 from pathlib import Path
 
 import click
 
 from . import __version__
-from .duality import StructureError, offline_build_pdawg, suffix_link_tree_as_pstree
+from .duality import offline_build_pdawg, suffix_link_tree_as_pstree
 from .matcher import build_occurrence_index, locate, p_match_query
 from .oracles import PSTree, build_psauto
 from .pdawg import (
@@ -48,7 +47,7 @@ from .verify import (
 )
 
 INDEX_FORMAT = "pdawg-index"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 EXIT_PROPERTY = 1
 EXIT_CORRUPT = 3
@@ -119,9 +118,7 @@ def _index_json(g: Pdawg, *, pi_auto: bool, tokenize: bool) -> dict:
             "pi_auto": pi_auto,
         },
         "tokenize": tokenize,
-        "n": len(g.text_codes),
-        "text": list(g.text_codes),
-        "pdawg": to_json_dict(g),
+        **to_json_dict(g),
     }
 
 
@@ -199,18 +196,19 @@ def _load_index(path: str) -> tuple[Pdawg, dict]:
         names = (spec["sigma"], spec["pi"])
         if not all(isinstance(x, list) and all(isinstance(s, str) for s in x) for x in names):
             raise ValueError("alphabet sigma and pi must be lists of strings")
+        if not all(isinstance(f, bool) for f in (obj.get("tokenize"), spec.get("pi_auto"))):
+            raise ValueError("tokenize and pi_auto must be booleans")
         alphabet = Alphabet(*names)
-        text_codes = tuple(array("q", obj["text"]))
-        g = from_json_dict(obj["pdawg"], alphabet, text_codes)
-    except (KeyError, TypeError, ValueError, OverflowError, AlphabetError) as exc:
+        g = from_json_dict(obj, alphabet, obj["text"])
+    except (KeyError, TypeError, ValueError, AlphabetError) as exc:
         _corrupt(f"{path}: {exc}")
     return g, obj
 
 
 def _pattern_pstring(obj: dict, g: Pdawg, pattern: str) -> PString:
-    symbols = _split_symbols(pattern, bool(obj.get("tokenize")))
+    symbols = _split_symbols(pattern, obj["tokenize"])
     sigma = set(g.alphabet.sigma)
-    pi_auto = bool(obj["alphabet"].get("pi_auto"))
+    pi_auto = obj["alphabet"]["pi_auto"]
     params = set()
     for sym in symbols:
         if sym in sigma:
@@ -329,10 +327,7 @@ def cmd_dot(indexfile, structure, out):
     if structure == "pdawg":
         lines = _dot_pdawg(g)
     elif structure == "pstree":
-        try:
-            lines = _dot_pstree(suffix_link_tree_as_pstree(g))
-        except StructureError as exc:
-            _corrupt(f"{indexfile}: {exc}")
+        lines = _dot_pstree(suffix_link_tree_as_pstree(g))
     else:
         lines = _dot_psauto(g)
     payload = "\n".join(lines) + "\n"

@@ -6,9 +6,10 @@ symbol.  Because a back-reference distance can collapse to 0 when the context
 gets short, following an edge labelled 0 is position-dependent: `trans`
 resolves it by looking at how many integer labels are still compatible with
 the current context length.  No positive label exceeds its node's length
-(`build_online` writes none and `check_invariants` rejects one), so once the
-context is as long as the node only the label 0 itself can follow symbol 0,
-and the transition is one lookup instead of a scan of the node's labels.
+(no builder writes one, and every structure, a loaded index included, comes
+from a builder), so once the context is as long as the node only the label 0
+itself can follow symbol 0, and the transition is one lookup instead of a
+scan of the node's labels.
 
 `build_online` adds one symbol at a time, maintaining the suffix links, in the
 style of the classic DAWG construction: climb the suffix-link chain from the
@@ -18,10 +19,8 @@ split its class when the class is too coarse.
 
 from __future__ import annotations
 
-import operator
 from array import array
 from dataclasses import dataclass
-from itertools import islice
 
 from .pstrings import (
     Alphabet,
@@ -89,7 +88,8 @@ def _zero_label(labels: dict, i: int, length: int) -> int | None:
     label >= 0 is the unique candidate, to be followed directly, and -b means
     several bundled candidates: they all lead to one class, the suffix link
     (tree parent) of the target along b, the smallest positive candidate.
-    Relies on no positive label exceeding `length`.
+    Relies on no positive label exceeding `length`, which holds because
+    every structure comes from a builder and no builder writes one.
     """
     if i >= length:
         # no distance label exceeds the node's length, so only 0 can follow
@@ -258,7 +258,7 @@ def build_online(
 
 
 # ---------------------------------------------------------------------------
-# inspection, comparison, serialization
+# inspection, comparison, the index text codec
 
 
 def node_longest_codes(g: Pdawg) -> list[tuple[int, ...] | None]:
@@ -389,64 +389,25 @@ def check_invariants(g: Pdawg) -> None:
     _check_codes(w)
 
 
-_BODY_ARRAYS = ("lens", "slinks", "offsets", "labels", "targets", "sink_history")
-
-
 def to_json_dict(g: Pdawg) -> dict:
-    """Serialize as flat int arrays without the top node, node ids shifted
-    down by one (so the source's suffix link, the top node, becomes -1).
-
-    Node u's edges are `labels[offsets[u]:offsets[u + 1]]`, sorted by code,
-    with the matching `targets`; a label is its int code, so a static symbol
-    is the negative code the text uses.
-    """
-    offsets = [0]
-    labels: list[int] = []
-    targets: list[int] = []
-    for eu in g.edges[1:]:
-        for lbl, tgt in sorted(eu.items()):
-            labels.append(lbl)
-            targets.append(tgt - 1)
-        offsets.append(len(labels))
-    return {
-        "lens": g.lens[1:],
-        "slinks": [s - 1 for s in g.slinks[1:]],
-        "offsets": offsets,
-        "labels": labels,
-        "targets": targets,
-        "source": g.source - 1,
-        "sink_history": [h - 1 for h in g.sink_history],
-    }
+    """The index body: the prev-encoded text and its length.  The text alone
+    determines the PDAWG, so `from_json_dict` rebuilds the structure from it."""
+    return {"n": len(g.text_codes), "text": list(g.text_codes)}
 
 
-def from_json_dict(d: dict, alphabet: Alphabet, text_codes: tuple[int, ...]) -> Pdawg:
-    """Load a `to_json_dict` document; ValueError unless every array holds
-    64-bit ints, the edge offsets partition the edges, no label repeats on a
-    node, and the result passes `check_invariants`."""
+def from_json_dict(
+    d: dict, alphabet: Alphabet, text_codes: list[int] | tuple[int, ...]
+) -> Pdawg:
+    """Rebuild the PDAWG of `text_codes` with `build_online`; ValueError
+    unless the codes are 64-bit ints, `d["n"]` is their count, and they form
+    a valid prev-encoding over the static symbols of `alphabet`."""
     try:
-        lens, slinks, offsets, labels, targets, history = (
-            array("q", d[k]) for k in _BODY_ARRAYS
-        )
-        source = operator.index(d["source"])
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed index body: {exc}") from exc
-    count = len(lens)
-    if len(slinks) != count or len(offsets) != count + 1 or len(labels) != len(targets):
-        raise ValueError("index body arrays disagree in length")
-    if offsets[0] != 0 or offsets[-1] != len(labels) or sorted(offsets) != list(offsets):
-        raise ValueError("edge offsets must rise from 0 to the edge count")
-    g = Pdawg(alphabet)
-    g.text_codes = tuple(text_codes)
-    g.source = source + 1
-    # node i in the file is arena id i+1; the file's -1 is the top node
-    g.lens = [-1, *lens]
-    g.slinks = [None, *(s + 1 for s in slinks)]
-    pairs = zip(labels, [t + 1 for t in targets])
-    edges = [dict(islice(pairs, hi - lo)) for lo, hi in zip(offsets, offsets[1:])]
-    if sum(map(len, edges)) != len(labels):
-        raise ValueError("a label repeats on a node")
-    g.edges = [g.edges[TOP], *edges]
-    g.sink_history = [h + 1 for h in history]
-    check_invariants(g)
-    g.sink = g.sink_history[-1]
-    return g
+        w = tuple(array("q", text_codes))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed text: {exc}") from exc
+    if d.get("n") != len(w):
+        raise ValueError(f"n disagrees with the text length {len(w)}")
+    if w and min(w) < -len(alphabet.sigma):
+        raise ValueError("text symbol outside the static alphabet")
+    _check_codes(w)
+    return build_online(PvString._from_codes(w, alphabet))[0]

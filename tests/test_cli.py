@@ -6,9 +6,18 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from pdawg import __version__, canonical_form
-from pdawg.cli import _load_index, main
-from pdawg.pdawg import _BODY_ARRAYS
+from pdawg import (
+    Alphabet,
+    PString,
+    PvString,
+    __version__,
+    build_occurrence_index,
+    build_online,
+    canonical_form,
+    locate,
+    suffix_link_tree_as_pstree,
+)
+from pdawg.cli import _build_pdawg, _dot_pstree, main
 from pdawg.verify import separation_text
 
 
@@ -31,11 +40,6 @@ def _build(runner, tmp_path, text_file, *extra):
     )
     assert result.exit_code == 0, result.output + str(result.exception)
     return out, json.loads(result.output)
-
-
-def _load_canonical(path):
-    g, _obj = _load_index(path)
-    return canonical_form(g)
 
 
 class TestBuild:
@@ -61,14 +65,13 @@ class TestBuild:
         assert stats["nodes"] == 1
         assert stats["edges"] == 0
         obj = json.loads(open(out, encoding="utf-8").read())
-        assert obj["pdawg"] == {
-            "lens": [0],
-            "slinks": [-1],
-            "offsets": [0, 0],
-            "labels": [],
-            "targets": [],
-            "source": 0,
-            "sink_history": [0],
+        assert obj == {
+            "format": "pdawg-index",
+            "version": 3,
+            "alphabet": {"sigma": ["a"], "pi": ["x", "y"], "pi_auto": False},
+            "tokenize": False,
+            "n": 0,
+            "text": [],
         }
         result = runner.invoke(main, ["query", out, "", "--locate"])
         assert result.exit_code == 0
@@ -89,23 +92,33 @@ class TestBuild:
     def test_engines_agree(self, runner, tmp_path):
         t3 = separation_text(3)
         inputs = [
-            ("xyaxbyazxya", ["--sigma", "ab", "--pi", "xyz"]),
-            ("a" + "b" * 10 + "c", ["--sigma", "abc", "--pi", "x"]),
-            (" ".join(t3.raw), ["--sigma", " ".join(t3.alphabet.sigma),
-                                "--pi", " ".join(sorted(t3.alphabet.pi)), "--tokenize"]),
+            (PString("xyaxbyazxya", Alphabet("ab", "xyz")), ["--sigma", "ab", "--pi", "xyz"]),
+            (PString("a" + "b" * 10 + "c", Alphabet("abc", "x")), ["--sigma", "abc", "--pi", "x"]),
+            (t3, ["--sigma", " ".join(t3.alphabet.sigma),
+                  "--pi", " ".join(sorted(t3.alphabet.pi)), "--tokenize"]),
         ]
+        engines = ("online", "offline", "rtl")
         for k, (text, flags) in enumerate(inputs):
+            # a loaded index is always rebuilt online, so compare the engines'
+            # own structures in-process
+            forms = [canonical_form(_build_pdawg(text, e)[0]) for e in engines]
+            assert forms[0] == forms[1] == forms[2], text
             path = tmp_path / f"t{k}.txt"
-            path.write_text(text + "\n", "utf-8")
-            forms = []
-            for engine in ("online", "offline", "rtl"):
-                out = str(tmp_path / f"{k}-{engine}.json")
+            sep = " " if "--tokenize" in flags else ""
+            path.write_text(sep.join(text.raw) + "\n", "utf-8")
+            stats, files = [], []
+            for engine in engines:
+                out = tmp_path / f"{k}-{engine}.json"
                 result = runner.invoke(
-                    main, ["build", str(path), *flags, "--out", out, "--engine", engine]
+                    main, ["build", str(path), *flags, "--out", str(out), "--engine", engine]
                 )
                 assert result.exit_code == 0, result.output
-                forms.append(_load_canonical(out))
-            assert forms[0] == forms[1] == forms[2], text
+                stats.append(json.loads(result.output))
+                files.append(out.read_bytes())
+            for s in stats:
+                del s["build_steps"]  # only the online engine counts its steps
+            assert stats[0] == stats[1] == stats[2], text
+            assert files[0] == files[1] == files[2], text
 
     def test_overlapping_alphabets_is_a_usage_error(self, runner, text_file):
         result = runner.invoke(main, ["build", text_file, "--sigma", "ax", "--pi", "xy"])
@@ -238,63 +251,66 @@ LOCATE_AND_DOT = (
     ("query", "ya", "--locate"),
     ("dot", "--structure", "pstree"),
 )
-# each leaves the xaxay index parsable but inconsistent
+
+
+def _fresh_outputs(obj):
+    """What each of LOCATE_AND_DOT prints for an in-process build of the
+    file's text, never read from the file's own structure."""
+    alphabet = Alphabet(obj["alphabet"]["sigma"], obj["alphabet"]["pi"])
+    g, _ = build_online(PvString._from_codes(tuple(obj["text"]), alphabet))
+    idx = build_occurrence_index(g)
+    return [
+        json.dumps(list(locate(idx, PString("xax", alphabet)))) + "\n",
+        json.dumps(list(locate(idx, PString("ya", alphabet)))) + "\n",
+        "\n".join(_dot_pstree(suffix_link_tree_as_pstree(g))) + "\n",
+    ]
+
+
+# each leaves the xaxay index parsable but its text or header invalid:
+# (edit, the reason the error names)
 INCONSISTENT = {
-    "sink-history-length": lambda o: o["pdawg"]["sink_history"].__setitem__(2, 3),
-    "suffix-link-self-loop": lambda o: o["pdawg"]["slinks"].__setitem__(3, 3),
-    "edge-to-itself": lambda o: o["pdawg"]["targets"].__setitem__(2, 1),
-    "label-past-the-source": lambda o: o["pdawg"]["labels"].__setitem__(0, 7),
-    "static-label-outside-the-alphabet": lambda o: o["pdawg"]["labels"].__setitem__(0, -2),
-    "label-repeats-on-a-node": lambda o: o["pdawg"].update(
-        labels=o["pdawg"]["labels"][:1] + o["pdawg"]["labels"],
-        targets=o["pdawg"]["targets"][:1] + o["pdawg"]["targets"],
-        offsets=[0] + [k + 1 for k in o["pdawg"]["offsets"][1:]],
+    "text-points-at-a-static": (
+        lambda o: o["text"].__setitem__(2, 1), "position 3 points at a static symbol"
     ),
-    "offsets-decrease": lambda o: o["pdawg"]["offsets"].__setitem__(2, 1),
-    "arrays-disagree-in-length": lambda o: o["pdawg"]["slinks"].pop(),
-    "node-length": lambda o: o["pdawg"]["lens"].__setitem__(2, 3),
-    "text-points-at-a-static": lambda o: o["text"].__setitem__(2, 1),
-    "text-symbol-outside-the-alphabet": lambda o: o["text"].__setitem__(1, -9),
-    "node-on-no-chain": lambda o: (
-        o["pdawg"]["lens"].append(1),
-        o["pdawg"]["slinks"].append(0),
-        o["pdawg"]["offsets"].append(o["pdawg"]["offsets"][-1]),
+    "text-symbol-outside-the-alphabet": (
+        lambda o: o["text"].__setitem__(1, -9), "text symbol outside the static alphabet"
     ),
-    "text-of-another-structure": lambda o: o.update(text=[0, -1, 0, -1, 0]),
+    "text-is-a-string": (lambda o: o.update(text="0a2a0"), "malformed text"),
+    "n-missing": (lambda o: o.pop("n"), "n disagrees with the text length 5"),
 }
 
-# the xaxay body as format version 1 wrote it: one object per node
-V1_BODY = json.loads(
-    '{"nodes":[{"len":0,"edges":[[{"s":"a"},2],[{"n":0},1]],"slink":null},'
-    '{"len":1,"edges":[[{"s":"a"},2]],"slink":0},'
-    '{"len":2,"edges":[[{"n":2},3],[{"n":0},5]],"slink":0},'
-    '{"len":3,"edges":[[{"s":"a"},4]],"slink":6},'
-    '{"len":4,"edges":[[{"n":0},5]],"slink":2},'
-    '{"len":5,"edges":[],"slink":6},'
-    '{"len":2,"edges":[[{"s":"a"},4]],"slink":1}],'
-    '"source":0,"sink_history":[0,1,2,3,4,5]}'
+# the xaxay body as format version 2 wrote it, with the suffix link of node 4
+# moved from node 2 to node 3: that passed every check of the v2 loader, and
+# `query xax --locate` printed [3, 4]
+V2_BODY_WITH_A_MOVED_LINK = json.loads(
+    '{"lens":[0,1,2,3,4,5,2],"slinks":[-1,0,0,6,3,6,1],"offsets":[0,2,3,5,6,7,7,8],'
+    '"labels":[-1,0,-1,0,2,-1,0,-1],"targets":[2,1,2,5,3,4,5,4],"source":0,'
+    '"sink_history":[0,1,2,3,4,5]}'
 )
 
-
-def _holder(obj, field):
-    return obj if field == "text" else obj["pdawg"]
+# each leaves the xaxay index loadable: (edit, `query xax --locate` and
+# `query ya --locate` outputs of the edited text)
+LOADABLE = {
+    "text-of-another-structure": (lambda o: o.update(text=[0, -1, 0, -1, 0]), "[]", "[2, 4]"),
+    "stale-v2-body-with-a-moved-suffix-link": (
+        lambda o: o.update(pdawg=V2_BODY_WITH_A_MOVED_LINK), "[3]", "[2, 4]"
+    ),
+}
 
 
 def _fuzz_edits(obj):
-    """(field, index, value, must exit 3): every +-1 edit of every body array
-    entry, of the text and of the source, then, at a few positions, values
-    that no array of ints may hold."""
-    for field in (*_BODY_ARRAYS, "text"):
-        for i, x in enumerate(_holder(obj, field)[field]):
-            yield field, i, x - 1, False
-            yield field, i, x + 1, False
-    yield "source", None, -1, True
-    yield "source", None, 1, True
+    """(field, index, value, must exit 3): every +-1 edit of every text entry
+    and of n, then, at two text positions and at n, values that no text of
+    64-bit ints may hold."""
+    for i, x in enumerate(obj["text"]):
+        yield "text", i, x - 1, False
+        yield "text", i, x + 1, False
+    yield "n", None, obj["n"] - 1, True
+    yield "n", None, obj["n"] + 1, True
     for bad in ("1", 1.5, None, [1], 2**70):
-        for field in (*_BODY_ARRAYS, "text"):
-            for i in {0, len(_holder(obj, field)[field]) // 2}:
-                yield field, i, bad, True
-        yield "source", None, bad, True
+        for i in (0, len(obj["text"]) // 2):
+            yield "text", i, bad, True
+        yield "n", None, bad, True
 
 
 class TestCorruptIndexes:
@@ -323,37 +339,41 @@ class TestCorruptIndexes:
         assert runner.invoke(main, ["query", index, "ya"]).exit_code == 3
 
     def test_version_1_file_exits_3(self, runner, index):
-        self._mangle(index, lambda o: o.update(version=1, pdawg=V1_BODY))
-        for command, *args in LOCATE_AND_DOT:
-            result = runner.invoke(main, [command, index, *args])
-            assert result.exit_code == 3
-            assert "index version 1 unsupported (expected 2)" in result.output
+        # versions 1 and 2 stored the automaton; rebuild them from the text
+        for version in (1, 2):
+            self._mangle(index, lambda o: o.update(version=version))
+            for command, *args in LOCATE_AND_DOT:
+                result = runner.invoke(main, [command, index, *args])
+                assert result.exit_code == 3
+                assert f"index version {version} unsupported (expected 3)" in result.output
 
     def test_damaged_body(self, runner, index):
-        self._mangle(index, lambda o: o["pdawg"]["lens"].pop())
-        assert runner.invoke(main, ["query", index, "ya"]).exit_code == 3
-
-    def test_sink_history_out_of_range(self, runner, index):
-        self._mangle(index, lambda o: o["pdawg"]["sink_history"].__setitem__(2, 99))
-        result = runner.invoke(main, ["query", index, "xax", "--locate"])
+        self._mangle(index, lambda o: o["text"].pop())
+        result = runner.invoke(main, ["query", index, "ya"])
         assert result.exit_code == 3
-        assert "sink history entry out of range" in result.output
-
-    def test_negative_sink_history_entry(self, runner, index):
-        # a negative entry would index from the end and answer [2, 3]
-        self._mangle(index, lambda o: o["pdawg"]["sink_history"].__setitem__(2, -5))
-        result = runner.invoke(main, ["query", index, "xax", "--locate"])
-        assert result.exit_code == 3
-        assert "sink history entry out of range" in result.output
+        assert "n disagrees with the text length 4" in result.output
 
     @pytest.mark.parametrize("name", sorted(INCONSISTENT))
     def test_inconsistent_structure_exits_3(self, runner, index, name):
-        self._mangle(index, INCONSISTENT[name])
+        edit, reason = INCONSISTENT[name]
+        self._mangle(index, edit)
         for command, *args in LOCATE_AND_DOT:
             result = runner.invoke(main, [command, index, *args])
             assert result.exit_code == 3, (command, args, result.output)
             assert "error: " in result.output
+            assert reason in result.output
             assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("name", sorted(LOADABLE))
+    def test_answers_as_a_fresh_build(self, runner, index, name):
+        edit, *answers = LOADABLE[name]
+        self._mangle(index, edit)
+        wanted = _fresh_outputs(json.loads(open(index, encoding="utf-8").read()))
+        assert [w.strip() for w in wanted[:2]] == answers
+        for (command, *args), want in zip(LOCATE_AND_DOT, wanted):
+            result = runner.invoke(main, [command, index, *args])
+            assert result.exit_code == 0, (command, args, result.output)
+            assert result.stdout == want, (command, args)
 
     @pytest.mark.parametrize(
         "field, value", [("sigma", [1]), ("sigma", "a"), ("pi", [None, "x"])]
@@ -368,25 +388,47 @@ class TestCorruptIndexes:
             assert "sigma and pi must be lists of strings" in result.output
             assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "field, value", [("tokenize", "false"), ("pi_auto", "no"), ("tokenize", None), ("pi_auto", 0)]
+    )
+    def test_header_flags_must_be_booleans(self, runner, index, field, value):
+        # read as truth values, "false" would split patterns on blanks and
+        # "no" would let a strict index take any pattern symbol as a parameter
+        self._mangle(
+            index,
+            lambda o: (o if field == "tokenize" else o["alphabet"]).__setitem__(field, value),
+        )
+        for args in (["query", index, "xax"], ["query", index, "xax", "--locate"], ["dot", index]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 3, (args, result.output)
+            assert "error: " in result.output
+            assert "tokenize and pi_auto must be booleans" in result.output
+            assert "Traceback" not in result.output
+
     def test_corruption_fuzz_never_crashes(self, runner, index):
-        # Edits to labels or targets can keep every invariant and so load a
-        # structure that answers wrongly; only a rebuild could tell.  What is
-        # checked is the exit contract: answer, or exit 3 with a message.
+        # The text is the whole index, so every edit either exits 3 with a
+        # message or loads and answers exactly as a fresh build of the edited
+        # text: never a crash, and never a silently wrong answer.
         pristine = open(index, encoding="utf-8").read()
         for field, i, value, must_fail in _fuzz_edits(json.loads(pristine)):
             obj = json.loads(pristine)
             if i is None:
-                _holder(obj, field)[field] = value
+                obj[field] = value
             else:
-                _holder(obj, field)[field][i] = value
+                obj[field][i] = value
             with open(index, "w", encoding="utf-8") as f:
                 json.dump(obj, f)
-            for command, *args in LOCATE_AND_DOT:
-                result = runner.invoke(main, [command, index, *args])
-                case = (field, i, value, command, args, result.output)
-                assert result.exit_code in ((3,) if must_fail else (0, 3)), case
-                if result.exit_code == 3:
-                    assert result.output.startswith("error: "), case
+            results = [
+                runner.invoke(main, [command, index, *args])
+                for command, *args in LOCATE_AND_DOT
+            ]
+            codes = {r.exit_code for r in results}
+            case = (field, i, value, [r.output for r in results])
+            assert codes == {3} or (codes == {0} and not must_fail), case
+            if codes == {3}:
+                assert all(r.output.startswith("error: ") for r in results), case
+            else:
+                assert [r.stdout for r in results] == _fresh_outputs(obj), case
 
 
 class TestDot:

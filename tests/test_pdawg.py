@@ -208,57 +208,32 @@ class TestSerialization:
         pv = PString("xaybxayz", AB_XYZ).prev()
         g, _ = build_online(pv)
         doc = to_json_dict(g)
-        back = from_json_dict(doc, g.alphabet, g.text_codes)
+        assert doc == {"n": 8, "text": list(pv.codes)}
+        back = from_json_dict(doc, g.alphabet, doc["text"])
         assert canonical_form(back) == canonical_form(g)
         assert to_json_dict(back) == doc
-        nodes = g.node_count()
-        assert len(doc["lens"]) == len(doc["slinks"]) == nodes
-        assert len(doc["offsets"]) == nodes + 1
-        assert len(doc["labels"]) == len(doc["targets"]) == g.edge_count()
-        assert doc["slinks"][doc["source"]] == -1
-        off = doc["offsets"]
-        for u in range(nodes):
-            labels = doc["labels"][off[u] : off[u + 1]]
-            assert labels == sorted(labels)
-
-    def test_labels_serialize_as_codes(self):
-        g, _ = build_online(XAXAY.prev())
-        labels = set(to_json_dict(g)["labels"])
-        assert labels == {g.alphabet.static_code("a"), 0, 2}
 
     def test_malformed_documents_are_rejected(self):
-        pv = XAXAY.prev()
-        g, _ = build_online(pv)
+        g, _ = build_online(XAXAY.prev())
         doc = to_json_dict(g)
-        off = doc["offsets"]
+        text = doc["text"]  # 0a2a0
         broken = [
-            dict(doc, lens=[]),
-            dict(doc, sink_history=doc["sink_history"][:-1]),
-            dict(doc, source=3),
-            dict(doc, slinks=doc["slinks"][:-1]),
-            dict(doc, targets=doc["targets"][:-1]),
-            dict(doc, source="0"),
-            {k: v for k, v in doc.items() if k != "targets"},
-            [],
+            (dict(doc, n=4), text),
+            (dict(doc, n="5"), text),
+            ({}, text),
+            (doc, text[:-1]),
+            (doc, "0a2a0"),
+            (doc, None),
+            (doc, [0, -1, 2, -2, 0]),  # a second static in a one-static alphabet
+            (doc, [0, -1, 1, -1, 0]),  # points at a static
+            (doc, [1, -1, 2, -1, 0]),  # points before the string
+            (doc, [0, -1, 2, -1, 4]),  # skips the closer occurrence at 3
         ]
         for bad in ("1", 1.5, None, [1], 2**70):
-            for key in ("lens", "slinks", "offsets", "labels", "targets", "sink_history"):
-                broken.append(dict(doc, **{key: [bad] + doc[key][1:]}))
-        for bad_doc in broken:
+            broken.append((doc, [bad] + text[1:]))
+        for d, codes in broken:
             with pytest.raises(ValueError):
-                from_json_dict(bad_doc, g.alphabet, g.text_codes)
-        for offsets in ([0, 3, 2] + off[3:], off[:-1] + [off[-1] + 1], [1] + off[1:]):
-            with pytest.raises(ValueError, match="edge offsets"):
-                from_json_dict(dict(doc, offsets=offsets), g.alphabet, g.text_codes)
-        # node 0's first edge written twice: the same structure, but not a valid file
-        repeated = dict(
-            doc,
-            labels=doc["labels"][:1] + doc["labels"],
-            targets=doc["targets"][:1] + doc["targets"],
-            offsets=[0] + [k + 1 for k in off[1:]],
-        )
-        with pytest.raises(ValueError, match="label repeats"):
-            from_json_dict(repeated, g.alphabet, g.text_codes)
+                from_json_dict(d, g.alphabet, codes)
 
 
 def test_exhaustive_small_texts_match_the_definition():
