@@ -21,8 +21,8 @@ from .matcher import build_occurrence_index, locate, p_match_query
 from .oracles import PSTree, build_psauto
 from .pdawg import (
     Pdawg,
+    _checked_text,
     build_online,
-    from_json_dict,
     node_longest_codes,
     stats_summary,
     to_json_dict,
@@ -199,10 +199,10 @@ def _load_index(path: str) -> tuple[Pdawg, dict]:
         if not all(isinstance(f, bool) for f in (obj.get("tokenize"), spec.get("pi_auto"))):
             raise ValueError("tokenize and pi_auto must be booleans")
         alphabet = Alphabet(*names)
-        g = from_json_dict(obj, alphabet, obj["text"])
+        w = _checked_text(obj, alphabet, obj["text"])
     except (KeyError, TypeError, ValueError, AlphabetError) as exc:
         _corrupt(f"{path}: {exc}")
-    return g, obj
+    return build_online(PvString._from_codes(w, alphabet))[0], obj
 
 
 def _pattern_pstring(obj: dict, g: Pdawg, pattern: str) -> PString:
@@ -260,21 +260,19 @@ def _dot_pdawg(g: Pdawg) -> list[str]:
     for u in g.node_ids():
         label = "ε" if u == g.source else format_codes(names[u], g.alphabet)
         shape = " shape=doublecircle" if u == g.sink else ""
-        lines.append(f"  n{u - 1} [label={_gv_quote(label)}{shape}];")
+        lines.append(f"  n{u} [label={_gv_quote(label)}{shape}];")
     for u in g.node_ids():
         for lbl, tgt in sorted(
             g.edges[u].items(), key=lambda e: label_sort_key(e[0], g.alphabet)
         ):
             style = ' color="black:invis:black"' if g.is_primary(u, tgt) else ""
             lines.append(
-                f"  n{u - 1} -> n{tgt - 1}"
+                f"  n{u} -> n{tgt}"
                 f" [label={_gv_quote(format_codes((lbl,), g.alphabet))}{style}];"
             )
     for u in g.node_ids():
         if u != g.source:
-            lines.append(
-                f"  n{u - 1} -> n{g.slinks[u] - 1} [style=dashed constraint=false];"
-            )
+            lines.append(f"  n{u} -> n{g.slinks[u]} [style=dashed constraint=false];")
     lines.append("}")
     return lines
 

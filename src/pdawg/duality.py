@@ -23,7 +23,7 @@ from .pstrings import (
     label_sort_key,
 )
 from .oracles import PSTree
-from .pdawg import TOP, Pdawg, node_longest_codes
+from .pdawg import Pdawg, _witness_ends, node_longest_codes
 
 
 class StructureError(ValueError):
@@ -61,14 +61,7 @@ def suffix_link_tree_as_pstree(g: Pdawg) -> PSTree:
     tree = PSTree(w_s, g.alphabet)
     tree.is_suffix[0] = True
 
-    witness: list[int | None] = [None] * len(g.lens)
-    witness[g.source] = 0
-    for i in range(n, 0, -1):
-        u = g.sink_history[i]
-        while witness[u] is None:
-            witness[u] = i
-            u = g.slinks[u]  # type: ignore[assignment]
-
+    witness = _witness_ends(g)
     suffix_classes = set(g.sink_history)
     tid = {g.source: 0}
     for u in sorted(g.node_ids(), key=lambda u: (g.lens[u], u)):
@@ -133,17 +126,12 @@ def _suffix_nodes(tree: PSTree) -> list[int]:
 def _to_pdawg(tree: PSTree, sfx: list[int], links: list[dict[int, int]]) -> Pdawg:
     g = Pdawg(tree.alphabet)
     g.text_codes = _pv_reverse_codes(tree.text_codes)
-    count = tree.node_count()
-    top_edges = g.edges[TOP]
-    g.lens = [-1] + [tree.depth[v] for v in range(count)]
-    g.slinks = [None] + [
-        TOP if tree.parent[v] is None else tree.parent[v] + 1 for v in range(count)
-    ]
-    g.edges = [top_edges] + [
-        {lbl: tgt + 1 for lbl, tgt in links[v].items()} for v in range(count)
-    ]
-    g.sink_history = [v + 1 for v in sfx]
-    g.sink = g.sink_history[-1]
+    # copies: the right-to-left builder keeps growing a tree it has yielded
+    g.lens = list(tree.depth)
+    g.slinks = list(tree.parent)
+    g.edges = links
+    g.sink_history = sfx
+    g.sink = sfx[-1]
     return g
 
 

@@ -11,10 +11,14 @@ from a builder), so once the context is as long as the node only the label 0
 itself can follow symbol 0, and the transition is one lookup instead of a
 scan of the node's labels.
 
+Node ids are arena indices.  The source is node 0 with suffix link None, so
+the suffix-link tree is numbered as the suffix tree of the reversed text.
+
 `build_online` adds one symbol at a time, maintaining the suffix links, in the
 style of the classic DAWG construction: climb the suffix-link chain from the
-old sink adding edges to the new sink, find the longest repeated suffix, and
-split its class when the class is too coarse.
+old sink adding edges to the new sink, until a suffix survives or the climb
+passes the source, find the longest repeated suffix, and split its class when
+the class is too coarse.
 """
 
 from __future__ import annotations
@@ -32,9 +36,6 @@ from .pstrings import (
     _re_encode_codes,
 )
 
-TOP = 0  # auxiliary node above the source; never counted or exported
-
-
 @dataclass
 class ConstructionStats:
     """Work counters for one online construction run."""
@@ -50,27 +51,22 @@ class Pdawg:
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
         self.text_codes: tuple[int, ...] = ()
-        # arena; index 0 is the auxiliary top node
-        self.lens: list[int] = [-1, 0]
-        self.slinks: list[int | None] = [None, TOP]
-        self.edges: list[dict[int, int]] = [{}, {}]
-        self.source = 1
-        self.sink = 1
-        self.sink_history: list[int] = [1]
-        # top behaves as if every alphabet symbol led to the source
-        top = self.edges[TOP]
-        top[0] = self.source
-        for s in alphabet.sigma:
-            top[alphabet.static_code(s)] = self.source
+        # arena indexed by node id; the source is node 0, its suffix link None
+        self.lens: list[int] = [0]
+        self.slinks: list[int | None] = [None]
+        self.edges: list[dict[int, int]] = [{}]
+        self.source = 0
+        self.sink = 0
+        self.sink_history: list[int] = [0]
 
     def node_ids(self) -> range:
-        return range(1, len(self.lens))
+        return range(len(self.lens))
 
     def node_count(self) -> int:
-        return len(self.lens) - 1
+        return len(self.lens)
 
     def edge_count(self) -> int:
-        return sum(len(self.edges[u]) for u in self.node_ids())
+        return sum(map(len, self.edges))
 
     def is_primary(self, u: int, target: int) -> bool:
         return self.lens[target] == self.lens[u] + 1
@@ -132,8 +128,6 @@ def _trans(g: Pdawg, u: int, i: int, a: int) -> int | None:
     Static symbols and positive distances follow plain edges; symbol 0 is
     resolved by `_zero_label`.
     """
-    if u == TOP:
-        return g.source
     eu = g.edges[u]
     if a != 0:
         return eu.get(a)
@@ -167,21 +161,25 @@ def build_online(
     slinks = g.slinks
     edges = g.edges
 
-    def find_prelrs(u: int, a: int, sink: int) -> int:
+    def find_prelrs(u: int | None, a: int, sink: int) -> int | None:
         # climb from the old sink adding edges to the new sink until some
         # suffix one longer than the next chain node survives extension by a
-        while u != TOP:
-            j = lens[slinks[u]] + 1
+        while u is not None:
+            s = slinks[u]
+            j = 0 if s is None else lens[s] + 1
             if _trans(g, u, j, a if a < 0 or a <= j else 0) is not None:
                 break
             L = lens[u]
             edges[u][a if a < 0 or a <= L else 0] = sink
-            u = slinks[u]
+            u = s
         return u
 
-    def lrs_length(u: int, a: int, sink: int) -> tuple[int, int, int]:
+    def lrs_length(u: int | None, a: int, sink: int) -> tuple[int, int, int | None]:
         # length k of the longest repeated suffix, the node v housing it,
         # and where the split-redirection climb should start
+        if u is None:
+            # no suffix survives: the longest repeated suffix is the empty one
+            return 0, g.source, None
         L = lens[u]
         zau = a if a < 0 or a <= L else 0
         eu = edges[u]
@@ -197,7 +195,7 @@ def build_online(
         eu[zau] = sink
         return k, v, slinks[u]
 
-    def split_node(v: int, k: int, u: int, a: int) -> int:
+    def split_node(v: int, k: int, u: int | None, a: int) -> int:
         vp = len(lens)
         lens.append(k)
         slinks.append(None)
@@ -205,7 +203,7 @@ def build_online(
         stats.suffix_links_deleted += 1
         # in-edges: every suffix of the new longest repeated suffix that still
         # reaches v from the chain belongs below the split point
-        while True:
+        while u is not None:
             L = lens[u]
             key = a if a < 0 or a <= L else 0
             if edges[u].get(key) != v:
@@ -261,23 +259,28 @@ def build_online(
 # inspection, comparison, the index text codec
 
 
-def node_longest_codes(g: Pdawg) -> list[tuple[int, ...] | None]:
-    """Longest member of each node's class, indexed by node id.
-
-    Recovered by walking suffix-link chains from every prefix class, which
-    covers every node including ones with no incoming edges.
-    """
-    w = g.text_codes
-    out: list[tuple[int, ...] | None] = [None] * len(g.lens)
-    out[g.source] = ()
+def _witness_ends(g: Pdawg) -> list[int | None]:
+    """One end position of each node's class, indexed by node id, found by
+    walking the suffix-link chain from every prefix class, longest first; a
+    node on no chain (none, in a built structure) keeps None."""
+    ends: list[int | None] = [None] * len(g.lens)
+    ends[g.source] = 0
     for i in range(len(g.sink_history) - 1, 0, -1):
         u = g.sink_history[i]
-        while out[u] is None:
-            out[u] = _re_encode_codes(w[i - g.lens[u] : i])
+        while ends[u] is None:
+            ends[u] = i
             u = g.slinks[u]  # type: ignore[assignment]
-    if any(s is None for s in out[1:]):
+    return ends
+
+
+def node_longest_codes(g: Pdawg) -> list[tuple[int, ...]]:
+    """Longest member of each node's class, indexed by node id, read off the
+    text at the node's witness end position."""
+    ends = _witness_ends(g)
+    if None in ends:
         raise AssertionError("some node is on no suffix-link chain")
-    return out
+    w = g.text_codes
+    return [_re_encode_codes(w[i - L : i]) for i, L in zip(ends, g.lens)]  # type: ignore[operator]
 
 
 def canonical_form(g: Pdawg) -> dict:
@@ -293,7 +296,7 @@ def canonical_form(g: Pdawg) -> dict:
             )
         )
         sl = g.slinks[u]
-        out[name] = (g.lens[u], None if sl == TOP else names[sl], edges)
+        out[name] = (g.lens[u], None if sl is None else names[sl], edges)
     return out
 
 
@@ -338,27 +341,27 @@ def check_invariants(g: Pdawg) -> None:
     lens, slinks, edges = g.lens, g.slinks, g.edges
     count = len(lens)
     lowest = -len(g.alphabet.sigma)
-    if g.source != 1 or count < 2 or lens[1] != 0 or slinks[1] != TOP:
+    if g.source != 0 or not lens or lens[0] != 0 or slinks[0] is not None:
         raise ValueError("source must be node 0 with length 0 and no suffix link")
-    for u in range(2, count):
-        s = slinks[u]
-        if not 1 <= s < count:
-            raise ValueError(f"suffix link of node {u - 1} out of range")
-        if lens[s] >= lens[u]:
-            raise ValueError(f"suffix link of node {u - 1} is not shorter")
-    edge_count = 0
     for u in range(1, count):
+        s = slinks[u]
+        if s is None or not 0 <= s < count:
+            raise ValueError(f"suffix link of node {u} out of range")
+        if lens[s] >= lens[u]:
+            raise ValueError(f"suffix link of node {u} is not shorter")
+    edge_count = 0
+    for u in range(count):
         L = lens[u]
         eu = edges[u]
         edge_count += len(eu)
         for b, t in eu.items():
-            if not 1 <= t < count:
-                raise ValueError(f"edge target of node {u - 1} out of range")
+            if not 0 <= t < count:
+                raise ValueError(f"edge target of node {u} out of range")
             if lens[t] <= L:
-                raise ValueError(f"edge of node {u - 1} does not lead to a longer node")
+                raise ValueError(f"edge of node {u} does not lead to a longer node")
             if not lowest <= b <= L:
                 raise ValueError(
-                    f"label {b} of node {u - 1} is neither a static symbol"
+                    f"label {b} of node {u} is neither a static symbol"
                     " nor a distance within its length"
                 )
     w = g.text_codes
@@ -368,7 +371,7 @@ def check_invariants(g: Pdawg) -> None:
         raise ValueError("sink history length disagrees with the text")
     on_chain = [True] + [False] * (count - 1)
     for i, h in enumerate(history):
-        if not 1 <= h < count:
+        if not 0 <= h < count:
             raise ValueError("sink history entry out of range")
         if lens[h] != i:
             raise ValueError(f"sink history entry {i} has length {lens[h]}")
@@ -380,9 +383,9 @@ def check_invariants(g: Pdawg) -> None:
     # text symbol i leads from prefix i-1 to prefix i
     if list(map(dict.get, map(edges.__getitem__, history[:-1]), w)) != history[1:]:
         raise ValueError("the primary spine does not spell the text")
-    if n >= 3 and (count - 1 > 2 * n - 1 or edge_count > 3 * n - 4):
+    if n >= 3 and (count > 2 * n - 1 or edge_count > 3 * n - 4):
         raise ValueError(
-            f"{count - 1} nodes / {edge_count} edges exceed 2n-1 / 3n-4 at n={n}"
+            f"{count} nodes / {edge_count} edges exceed 2n-1 / 3n-4 at n={n}"
         )
     if n and min(w) < lowest:
         raise ValueError("text symbol outside the static alphabet")
@@ -395,19 +398,32 @@ def to_json_dict(g: Pdawg) -> dict:
     return {"n": len(g.text_codes), "text": list(g.text_codes)}
 
 
-def from_json_dict(
+def _checked_text(
     d: dict, alphabet: Alphabet, text_codes: list[int] | tuple[int, ...]
-) -> Pdawg:
-    """Rebuild the PDAWG of `text_codes` with `build_online`; ValueError
-    unless the codes are 64-bit ints, `d["n"]` is their count, and they form
-    a valid prev-encoding over the static symbols of `alphabet`."""
+) -> tuple[int, ...]:
+    """`text_codes` as a tuple; ValueError unless they are 64-bit ints (not
+    booleans), `d["n"]` is their count, and they form a valid prev-encoding
+    over the static symbols of `alphabet`."""
     try:
+        # JSON true and false would pass as 1 and 0
+        if bool in set(map(type, text_codes)):
+            raise TypeError("a text symbol is a boolean")
         w = tuple(array("q", text_codes))
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed text: {exc}") from exc
-    if d.get("n") != len(w):
-        raise ValueError(f"n disagrees with the text length {len(w)}")
+    n = d.get("n")
+    if type(n) is not int or n != len(w):
+        raise ValueError(f"n disagrees with the text length {len(w)}: {n!r}")
     if w and min(w) < -len(alphabet.sigma):
         raise ValueError("text symbol outside the static alphabet")
     _check_codes(w)
+    return w
+
+
+def from_json_dict(
+    d: dict, alphabet: Alphabet, text_codes: list[int] | tuple[int, ...]
+) -> Pdawg:
+    """Rebuild the PDAWG of `text_codes` with `build_online`, after the
+    checks of `_checked_text`, which raise ValueError."""
+    w = _checked_text(d, alphabet, text_codes)
     return build_online(PvString._from_codes(w, alphabet))[0]

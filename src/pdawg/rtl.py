@@ -1,9 +1,11 @@
 """Right-to-left online construction of the parameterized suffix tree.
 
 Prepending a symbol to the text corresponds, through the reversal duality, to
-one online PDAWG step: tree nodes play PDAWG classes (parent = suffix link,
-depth = class length) and PDAWG edges are kept as *upward* Weiner links
-stored at their source node.  A link is stored as (label, to) when it ends
+one online PDAWG step: tree nodes play PDAWG classes under the same ids
+(parent = suffix link, depth = class length; the root is the PDAWG source,
+node 0 with parent None, and a step's climb stops at None just as the online
+climb does past the source).  PDAWG edges are kept as *upward* Weiner links
+stored at the node they leave.  A link is stored as (label, to) when it ends
 exactly at node `to`, or as (label, b, to) when its real endpoint is the
 child of `to` along first symbol b — that child may be subdivided later, and
 the indirect form keeps the link pointing at the right place without ever
@@ -23,8 +25,6 @@ from .pstrings import PString, PvString, _pv_reverse_codes, _z
 from .oracles import PSTree
 from .duality import StructureError, links_to_pdawg
 from .pdawg import Pdawg, _lrs_bound, _zero_label
-
-TOP = -1  # virtual ancestor above the root, mirroring the PDAWG's top node
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,7 @@ def upward_links(tree: PSTree) -> list[UpwardWeinerLink]:
 
 
 def _trans_rtl(tree: PSTree, u: int, i: int, a: int) -> int | None:
-    """The PDAWG transition evaluated over upward links (u may be TOP)."""
-    if u == TOP:
-        return tree.root
+    """The PDAWG transition evaluated over upward links."""
     m = tree.uplinks[u]
     if a != 0:
         st = m.get(a)
@@ -111,12 +109,6 @@ def rtl_steps(s: PString | PvString) -> Iterator[tuple[int, PSTree, RtlCounters]
     # its endpoint; consulted when an edge cut must decide which links follow
     inlinks: list[set[tuple[int, int]]] = [set()]
 
-    def label_from_witness(v: int, from_depth: int) -> tuple[int, ...]:
-        s0 = witness[v]
-        return tuple(
-            _z(w_s[s0 + q - 1], q - 1) for q in range(from_depth + 1, depth[v] + 1)
-        )
-
     sink = tree.root
     for i in range(1, n + 1):
         a = t_codes[i - 1]
@@ -127,8 +119,8 @@ def rtl_steps(s: PString | PvString) -> Iterator[tuple[int, PSTree, RtlCounters]
 
         # climb from the old sink giving each visited suffix class its edge to
         # the new sink, until a suffix survives the extension
-        u: int = sink
-        while u != TOP:
+        u: int | None = sink
+        while u is not None:
             pu = parent[u]
             j = 0 if pu is None else depth[pu] + 1
             counters.climb_visits += 1
@@ -139,10 +131,10 @@ def rtl_steps(s: PString | PvString) -> Iterator[tuple[int, PSTree, RtlCounters]
             uplinks[u][lbl] = (None, leaf)
             fresh.append((u, lbl))
             counters.new_links += 1
-            u = TOP if pu is None else pu
+            u = pu
 
         # locate the longest repeated suffix: its length k and its class v
-        if u == TOP:
+        if u is None:
             k = 0
             v = tree.root
         else:
@@ -161,7 +153,6 @@ def rtl_steps(s: PString | PvString) -> Iterator[tuple[int, PSTree, RtlCounters]
                 uplinks[u][zau] = (None, leaf)
                 fresh.append((u, zau))
                 counters.new_links += 1
-                u = TOP if parent[u] is None else parent[u]  # type: ignore[assignment]
 
         step_redirects = 0
         if depth[v] == k:

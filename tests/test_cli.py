@@ -307,7 +307,7 @@ def _fuzz_edits(obj):
         yield "text", i, x + 1, False
     yield "n", None, obj["n"] - 1, True
     yield "n", None, obj["n"] + 1, True
-    for bad in ("1", 1.5, None, [1], 2**70):
+    for bad in ("1", 1.5, None, [1], 2**70, True, False):
         for i in (0, len(obj["text"]) // 2):
             yield "text", i, bad, True
         yield "n", None, bad, True
@@ -404,6 +404,17 @@ class TestCorruptIndexes:
             assert "error: " in result.output
             assert "tokenize and pi_auto must be booleans" in result.output
             assert "Traceback" not in result.output
+
+    def test_builder_fault_is_not_reported_as_a_corrupt_file(self, runner, index, monkeypatch):
+        # exit 3 means the file is at fault; a fault of the builder must surface
+        def broken(*args, **kwargs):
+            raise TypeError("builder fault")
+
+        monkeypatch.setattr("pdawg.cli.build_online", broken)
+        monkeypatch.setattr("pdawg.pdawg.build_online", broken)
+        result = runner.invoke(main, ["query", index, "ya"])
+        assert isinstance(result.exception, TypeError), result.output
+        assert result.exit_code != 3
 
     def test_corruption_fuzz_never_crashes(self, runner, index):
         # The text is the whole index, so every edit either exits 3 with a

@@ -122,6 +122,8 @@ class TestOfflineBuild:
         g = offline_build_pdawg(tree)
         online, _ = build_online(FORWARD.prev())
         assert canonical_form(g) == canonical_form(online)
+        # tree node v is automaton node v
+        assert (g.lens, g.slinks) == (tree.depth, tree.parent)
 
     def test_static_only_text(self):
         alpha = Alphabet("abc", "")

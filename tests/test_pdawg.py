@@ -2,6 +2,8 @@
 builder, size accounting, and serialization."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from pdawg import (
     trans,
 )
 from pdawg import Static
-from pdawg.verify import check_pdawg
+from pdawg.verify import check_pdawg, separation_text
 
 from helpers import A_XY, AB_XYZ, all_pstrings, distinct_by_prev, random_pstring
 
@@ -29,7 +31,7 @@ XAXAY = PString("xaxay", A_XY)
 
 
 def _node_of(g):
-    return {codes: u for u, codes in enumerate(node_longest_codes(g)) if codes is not None}
+    return {codes: u for u, codes in enumerate(node_longest_codes(g))}
 
 
 class TestTrans:
@@ -144,6 +146,13 @@ class TestSizes:
         assert s["primary"] + s["secondary"] == s["edges"] == 8
         assert s["nodes"] == 7
 
+    @pytest.mark.parametrize("text", [XAXAY, separation_text(50)], ids=["xaxay", "T_50"])
+    def test_every_arena_slot_is_a_node(self, text):
+        g, _ = build_online(text.prev())
+        assert len(g.lens) == len(g.slinks) == len(g.edges) == g.node_count()
+        assert sum(map(len, g.edges)) == g.edge_count()
+        assert (g.source, g.slinks[g.source], g.lens[g.source]) == (0, None, 0)
+
     def test_bounds_hold_on_random_texts(self):
         rng = random.Random(23)
         for _ in range(40):
@@ -229,8 +238,10 @@ class TestSerialization:
             (doc, [1, -1, 2, -1, 0]),  # points before the string
             (doc, [0, -1, 2, -1, 4]),  # skips the closer occurrence at 3
         ]
-        for bad in ("1", 1.5, None, [1], 2**70):
+        for bad in ("1", 1.5, None, [1], 2**70, True, False):
             broken.append((doc, [bad] + text[1:]))
+        # JSON booleans equal 1 and 0 but are not symbol codes
+        broken += [(dict(doc, n=True), [0]), (doc, [0, False, 2, -1, 0])]
         for d, codes in broken:
             with pytest.raises(ValueError):
                 from_json_dict(d, g.alphabet, codes)
@@ -249,3 +260,20 @@ def test_exhaustive_small_texts_match_the_definition():
 @settings(max_examples=120)
 def test_random_texts_match_the_definition(t):
     assert check_pdawg(t.prev()) is None
+
+
+def test_readme_quick_start_prints_its_commented_values(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+    block = readme.split("## Library quick start", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    # each print line is commented with its output, then optional prose
+    # after two blanks
+    commented = [
+        re.split(r"\s{2,}", line.split("# ", 1)[1])[0]
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    assert commented == ["0a2a0", "7 8", "True", "(3,)"]
+    assert printed == commented

@@ -95,6 +95,8 @@ class TestLinksAsPdawg:
         g = upward_links_to_pdawg(tree)
         online, _ = build_online(pv_reverse(BACKWARD.prev()))
         assert canonical_form(g) == canonical_form(online)
+        # tree node v is automaton node v
+        assert (g.lens, g.slinks) == (tree.depth, tree.parent)
 
     def test_single_symbol(self):
         tree, _ = build_pstree_rtl(PString("x", A_XY).prev())
@@ -109,6 +111,7 @@ class TestLinksAsPdawg:
             g = upward_links_to_pdawg(tree)
             online, _ = build_online(pv_reverse(pv))
             assert canonical_form(g) == canonical_form(online), str(t)
+            assert (g.lens, g.slinks) == (tree.depth, tree.parent), str(t)
 
     def test_random_texts(self):
         rng = random.Random(53)
