@@ -12,7 +12,6 @@ fast path for verification.
 """
 
 from .duality import (
-    DualityReport,
     StructureError,
     links_to_pdawg,
     offline_build_pdawg,
@@ -69,11 +68,8 @@ from .pstrings import (
 )
 from .rtl import (
     RtlCounters,
-    UpwardWeinerLink,
     build_pstree_rtl,
     rtl_steps,
-    simulate_weiner,
-    upward_links,
     upward_links_to_pdawg,
 )
 
@@ -83,7 +79,6 @@ __all__ = [
     "Alphabet",
     "AlphabetError",
     "ConstructionStats",
-    "DualityReport",
     "InvalidPvString",
     "Num",
     "OccurrenceIndex",
@@ -97,7 +92,6 @@ __all__ = [
     "RtlCounters",
     "Static",
     "StructureError",
-    "UpwardWeinerLink",
     "build_occurrence_index",
     "build_online",
     "build_oracle_pdawg",
@@ -127,13 +121,11 @@ __all__ = [
     "rpos",
     "rtl_steps",
     "scan_occurrences",
-    "simulate_weiner",
     "stats_summary",
     "suffix_link_tree_as_pstree",
     "to_json_dict",
     "trans",
     "tree_equal",
-    "upward_links",
     "upward_links_to_pdawg",
     "verify_duality",
     "weiner_links",

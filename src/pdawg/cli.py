@@ -12,6 +12,7 @@ import json
 import random
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import click
 
@@ -22,8 +23,8 @@ from .oracles import PSTree, build_psauto
 from .pdawg import (
     Pdawg,
     _checked_text,
+    _witness_ends,
     build_online,
-    node_longest_codes,
     stats_summary,
     to_json_dict,
 )
@@ -32,6 +33,7 @@ from .pstrings import (
     AlphabetError,
     PString,
     PvString,
+    _re_encode_codes,
     format_codes,
     label_sort_key,
     pv_reverse,
@@ -254,60 +256,59 @@ def cmd_query(indexfile, pattern, do_locate, begin_positions):
 # dot export
 
 
-def _dot_pdawg(g: Pdawg) -> list[str]:
-    names = node_longest_codes(g)
-    lines = ["digraph pdawg {", "  rankdir=LR;", "  node [shape=circle fontsize=10];"]
+def _dot_pdawg(g: Pdawg) -> Iterator[str]:
+    ends = _witness_ends(g)
+    w = g.text_codes
+    yield from ("digraph pdawg {", "  rankdir=LR;", "  node [shape=circle fontsize=10];")
     for u in g.node_ids():
-        label = "ε" if u == g.source else format_codes(names[u], g.alphabet)
+        if u == g.source:
+            label = "ε"
+        else:
+            # the class's longest string ends at its witness end position
+            e = ends[u]
+            label = format_codes(_re_encode_codes(w[e - g.lens[u] : e]), g.alphabet)
         shape = " shape=doublecircle" if u == g.sink else ""
-        lines.append(f"  n{u} [label={_gv_quote(label)}{shape}];")
+        yield f"  n{u} [label={_gv_quote(label)}{shape}];"
     for u in g.node_ids():
         for lbl, tgt in sorted(
             g.edges[u].items(), key=lambda e: label_sort_key(e[0], g.alphabet)
         ):
             style = ' color="black:invis:black"' if g.is_primary(u, tgt) else ""
-            lines.append(
+            yield (
                 f"  n{u} -> n{tgt}"
                 f" [label={_gv_quote(format_codes((lbl,), g.alphabet))}{style}];"
             )
     for u in g.node_ids():
         if u != g.source:
-            lines.append(f"  n{u} -> n{g.slinks[u]} [style=dashed constraint=false];")
-    lines.append("}")
-    return lines
+            yield f"  n{u} -> n{g.slinks[u]} [style=dashed constraint=false];"
+    yield "}"
 
 
-def _dot_pstree(tree: PSTree) -> list[str]:
+def _dot_pstree(tree: PSTree) -> Iterator[str]:
     strings = tree.node_strings()
-    lines = ["digraph pstree {", "  node [shape=circle fontsize=10];"]
+    yield from ("digraph pstree {", "  node [shape=circle fontsize=10];")
     for v in range(tree.node_count()):
         label = "ε" if v == tree.root else format_codes(strings[v], tree.alphabet)
         shape = " shape=doublecircle" if tree.is_suffix[v] else ""
-        lines.append(f"  t{v} [label={_gv_quote(label)}{shape}];")
+        yield f"  t{v} [label={_gv_quote(label)}{shape}];"
     for v in range(tree.node_count()):
         for lab, child in tree.sorted_children(v):
-            lines.append(
-                f"  t{v} -> t{child} [label={_gv_quote(format_codes(lab, tree.alphabet))}];"
-            )
-    lines.append("}")
-    return lines
+            yield f"  t{v} -> t{child} [label={_gv_quote(format_codes(lab, tree.alphabet))}];"
+    yield "}"
 
 
-def _dot_psauto(g: Pdawg) -> list[str]:
+def _dot_psauto(g: Pdawg) -> Iterator[str]:
     aut = build_psauto(PvString._from_codes(g.text_codes, g.alphabet))
-    lines = ["digraph psauto {", "  rankdir=LR;", "  node [shape=circle fontsize=10];"]
+    yield from ("digraph psauto {", "  rankdir=LR;", "  node [shape=circle fontsize=10];")
     for q in range(aut.state_count()):
         shape = "doublecircle" if aut.accepting[q] else "circle"
-        lines.append(f"  s{q} [shape={shape}];")
+        yield f"  s{q} [shape={shape}];"
     for q in range(aut.state_count()):
         for lbl, r in sorted(
             aut.transitions[q].items(), key=lambda e: label_sort_key(e[0], g.alphabet)
         ):
-            lines.append(
-                f"  s{q} -> s{r} [label={_gv_quote(format_codes((lbl,), g.alphabet))}];"
-            )
-    lines.append("}")
-    return lines
+            yield f"  s{q} -> s{r} [label={_gv_quote(format_codes((lbl,), g.alphabet))}];"
+    yield "}"
 
 
 @main.command("dot")
@@ -328,11 +329,14 @@ def cmd_dot(indexfile, structure, out):
         lines = _dot_pstree(suffix_link_tree_as_pstree(g))
     else:
         lines = _dot_psauto(g)
-    payload = "\n".join(lines) + "\n"
-    if out is not None:
-        Path(out).write_text(payload, "utf-8")
+    # each line is written as it is made, so no whole rendering is held
+    if out is None:
+        for line in lines:
+            click.echo(line)
     else:
-        click.echo(payload, nl=False)
+        with open(out, "w", encoding="utf-8") as f:
+            for line in lines:
+                f.write(line + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +380,7 @@ SUITES = ("encodings", "pdawg", "matching", "duality", "rtl", "bounds")
 
 
 @main.command("selftest")
-@click.option("--max-len", default=6, show_default=True, help="Exhaustive-case length budget.")
+@click.option("--max-len", default=6, show_default=True, type=click.IntRange(min=1), help="Exhaustive-case length budget.")
 @click.option("--seed", default=0, show_default=True, help="Random generator seed.")
 @click.option("--suites", default=",".join(SUITES), show_default=True, help="Comma-separated suite names.")
 def cmd_selftest(max_len, seed, suites):
@@ -385,6 +389,8 @@ def cmd_selftest(max_len, seed, suites):
     Exits 1 with a minimized witness on the first property failure.
     """
     chosen = [s.strip() for s in suites.split(",") if s.strip()]
+    if not chosen:
+        raise click.UsageError("no suite selected")
     unknown = [s for s in chosen if s not in SUITES]
     if unknown:
         raise click.UsageError(f"unknown suites: {unknown}")

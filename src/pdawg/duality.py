@@ -14,7 +14,7 @@ correspondence point by point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 
 from .pstrings import (
     _pv_reverse_codes,
@@ -131,7 +131,6 @@ def _to_pdawg(tree: PSTree, sfx: list[int], links: list[dict[int, int]]) -> Pdaw
     g.slinks = list(tree.parent)
     g.edges = links
     g.sink_history = sfx
-    g.sink = sfx[-1]
     return g
 
 
@@ -174,69 +173,61 @@ def offline_build_pdawg(tree: PSTree) -> Pdawg:
     return _to_pdawg(tree, sfx, links)
 
 
-@dataclass
-class DualityReport:
-    items: dict[str, dict]
-
-    def all_pass(self) -> bool:
-        return all(item["pass"] for item in self.items.values())
-
-    def to_json_dict(self) -> dict:
-        return {
-            name: {"pass": item["pass"], **({"witness": item["witness"]} if not item["pass"] else {})}
-            for name, item in self.items.items()
-        }
+def _first_unmatched(a: Counter, b: Counter):
+    """The smallest element whose multiplicity differs in a and b, or None."""
+    diff = (a - b) + (b - a)
+    return min(diff) if diff else None
 
 
-def verify_duality(g: Pdawg, tree: PSTree) -> DualityReport:
+def verify_duality(g: Pdawg, tree: PSTree) -> str | None:
     """Check the four-point correspondence between g and the tree of reverse(text).
 
     Items: (1) node strings are mutual reversals, (2) primary edges are
     exactly the explicit Weiner links, (3) secondary edges are exactly the
-    implicit ones, (4) suffix links mirror the tree edges.
+    implicit ones, (4) suffix links mirror the tree edges.  Each item
+    compares multisets, so (2) and (3) also equate the explicit and implicit
+    link counts with the primary and secondary edge counts.  Returns None
+    when all four hold, or a description of the first unmatched element of
+    the first failing item.
     """
     links = weiner_links(tree)
     names = node_longest_codes(g)
-    rev = {u: _pv_reverse_codes(names[u]) for u in g.node_ids()}
+    rev = [_pv_reverse_codes(name) for name in names]
     strs = tree.node_strings()
 
     def fmt(codes: tuple[int, ...]) -> str:
         return format_codes(codes, tree.alphabet) or "(empty)"
 
-    items: dict[str, dict] = {}
+    odd = _first_unmatched(Counter(rev), Counter(strs))
+    if odd is not None:
+        return f"duality item1 fails: unmatched node string {fmt(odd)}"
 
-    a_nodes = {rev[u] for u in g.node_ids()}
-    b_nodes = set(strs)
-    diff = a_nodes.symmetric_difference(b_nodes)
-    items["item1"] = {
-        "pass": not diff,
-        "witness": None if not diff else f"unmatched node string {fmt(sorted(diff)[0])}",
-    }
-
-    pd_edges = {True: set(), False: set()}
+    pd_edges: dict[bool, Counter] = {True: Counter(), False: Counter()}
     for u in g.node_ids():
         for lbl, tgt in g.edges[u].items():
-            pd_edges[g.lens[tgt] == g.lens[u] + 1].add((rev[u], lbl, rev[tgt]))
-    tw_links = {True: set(), False: set()}
+            pd_edges[g.lens[tgt] == g.lens[u] + 1][rev[u], lbl, rev[tgt]] += 1
+    tw_links: dict[bool, Counter] = {True: Counter(), False: Counter()}
     for v in range(tree.node_count()):
         for lbl, tgt in links[v].items():
-            tw_links[tree.depth[tgt] == tree.depth[v] + 1].add((strs[v], lbl, strs[tgt]))
+            tw_links[tree.depth[tgt] == tree.depth[v] + 1][strs[v], lbl, strs[tgt]] += 1
     for name, flag in (("item2", True), ("item3", False)):
-        diff = pd_edges[flag].symmetric_difference(tw_links[flag])
-        witness = None
-        if diff:
-            s, lbl, t = sorted(diff)[0]
+        odd = _first_unmatched(pd_edges[flag], tw_links[flag])
+        if odd is not None:
+            s, lbl, t = odd
             kind = "primary/explicit" if flag else "secondary/implicit"
-            witness = f"unmatched {kind}: {fmt(s)} -[{fmt((lbl,))}]-> {fmt(t)}"
-        items[name] = {"pass": not diff, "witness": witness}
+            return (
+                f"duality {name} fails: unmatched {kind}:"
+                f" {fmt(s)} -[{fmt((lbl,))}]-> {fmt(t)}"
+            )
 
-    a_sl = {(rev[g.slinks[u]], rev[u]) for u in g.node_ids() if u != g.source}
-    b_sl = {(strs[tree.parent[v]], strs[v]) for v in range(1, tree.node_count())}
-    diff = a_sl.symmetric_difference(b_sl)
-    witness = None
-    if diff:
-        s, t = sorted(diff)[0]
-        witness = f"unmatched suffix link / tree edge: {fmt(s)} -> {fmt(t)}"
-    items["item4"] = {"pass": not diff, "witness": witness}
-
-    return DualityReport(items=items)
+    odd = _first_unmatched(
+        Counter((rev[g.slinks[u]], rev[u]) for u in g.node_ids() if u != g.source),
+        Counter((strs[tree.parent[v]], strs[v]) for v in range(1, tree.node_count())),
+    )
+    if odd is not None:
+        s, t = odd
+        return (
+            "duality item4 fails: unmatched suffix link / tree edge:"
+            f" {fmt(s)} -> {fmt(t)}"
+        )
+    return None

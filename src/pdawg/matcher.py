@@ -9,8 +9,6 @@ every node into a contiguous block of a position array.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from .pstrings import PString, PvString, pattern_codes
 from .pdawg import Pdawg, _trans
 
@@ -33,10 +31,10 @@ def p_match_query(g: Pdawg, p: PString | PvString) -> bool:
 
 
 class OccurrenceIndex:
-    """Euler-tour intervals over the suffix-link tree, plus the text prefixes
-    sorted by where their class enters the tour."""
+    """The text prefixes listed in Euler-tour order of the suffix-link tree:
+    the prefixes in the subtree of node u are `positions[enter[u]:leave[u]]`."""
 
-    __slots__ = ("g", "enter", "leave", "positions", "position_keys")
+    __slots__ = ("g", "enter", "leave", "positions")
 
     def __init__(self, g: Pdawg):
         self.g = g
@@ -51,29 +49,26 @@ class OccurrenceIndex:
         # tour enters its class lists every prefix in tour order
         prefix = list(range(len(history)))
         positions: list[int] = []
-        keys: list[int] = []
-        clock = 0
+        k = 0  # len(positions)
         stack = [(g.source, False)]
         while stack:
             u, done = stack.pop()
             if done:
-                leave[u] = clock
+                leave[u] = k
                 continue
-            enter[u] = clock
+            enter[u] = k
             i = lens[u]
             if history[i] == u:
                 # not i itself: `locate` sorts slices of positions, and ints
                 # made in one run sort faster than those the build scattered
                 positions.append(prefix[i])
-                keys.append(clock)
-            clock += 1
+                k += 1
             stack.append((u, True))
             for ch in reversed(order[u]):
                 stack.append((ch, False))
         self.enter = enter
         self.leave = leave
         self.positions = positions
-        self.position_keys = keys
 
 
 def build_occurrence_index(g: Pdawg) -> OccurrenceIndex:
@@ -96,6 +91,4 @@ def locate(idx: OccurrenceIndex, p: PString | PvString) -> tuple[int, ...]:
     u = _walk(g, codes)
     if u is None:
         return ()
-    lo = bisect_left(idx.position_keys, idx.enter[u])
-    hi = bisect_left(idx.position_keys, idx.leave[u])
-    return tuple(sorted(idx.positions[lo:hi]))
+    return tuple(sorted(idx.positions[idx.enter[u] : idx.leave[u]]))

@@ -46,7 +46,7 @@ class ConstructionStats:
 
 
 class Pdawg:
-    __slots__ = ("alphabet", "text_codes", "lens", "slinks", "edges", "source", "sink", "sink_history")
+    __slots__ = ("alphabet", "text_codes", "lens", "slinks", "edges", "source", "sink_history")
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
@@ -56,8 +56,12 @@ class Pdawg:
         self.slinks: list[int | None] = [None]
         self.edges: list[dict[int, int]] = [{}]
         self.source = 0
-        self.sink = 0
         self.sink_history: list[int] = [0]
+
+    @property
+    def sink(self) -> int:
+        """The class of the whole text: the last entry of `sink_history`."""
+        return self.sink_history[-1]
 
     def node_ids(self) -> range:
         return range(len(self.lens))
@@ -70,9 +74,6 @@ class Pdawg:
 
     def is_primary(self, u: int, target: int) -> bool:
         return self.lens[target] == self.lens[u] + 1
-
-    def length_of(self, u: int) -> int:
-        return self.lens[u]
 
 
 def _zero_label(labels: dict, i: int, length: int) -> int | None:
@@ -160,6 +161,7 @@ def build_online(
     lens = g.lens
     slinks = g.slinks
     edges = g.edges
+    history = g.sink_history
 
     def find_prelrs(u: int | None, a: int, sink: int) -> int | None:
         # climb from the old sink adding edges to the new sink until some
@@ -230,7 +232,7 @@ def build_online(
         edges.append({})
         before = stats.redirected_secondary_edges
 
-        u = find_prelrs(g.sink, a, sink)
+        u = find_prelrs(history[-1], a, sink)
         k, v, u = lrs_length(u, a, sink)
         if lens[v] == k:
             slinks[sink] = v
@@ -239,8 +241,7 @@ def build_online(
             slinks[sink] = split_node(v, k, u, a)
             split = True
 
-        g.sink = sink
-        g.sink_history.append(sink)
+        history.append(sink)
         if stats.trace is not None:
             stats.trace.append(
                 {

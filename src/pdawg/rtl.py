@@ -5,11 +5,12 @@ one online PDAWG step: tree nodes play PDAWG classes under the same ids
 (parent = suffix link, depth = class length; the root is the PDAWG source,
 node 0 with parent None, and a step's climb stops at None just as the online
 climb does past the source).  PDAWG edges are kept as *upward* Weiner links
-stored at the node they leave.  A link is stored as (label, to) when it ends
-exactly at node `to`, or as (label, b, to) when its real endpoint is the
-child of `to` along first symbol b — that child may be subdivided later, and
-the indirect form keeps the link pointing at the right place without ever
-revisiting it.
+stored at the node they leave: `tree.uplinks[v]` maps each label to a pair
+(first, to).  The link ends exactly at node `to` when first is None, or at
+the child of `to` along first symbol `first` — that child may be subdivided
+later, and the indirect form keeps the link pointing at the right place
+without ever revisiting it.  `_simulate` resolves a pair to its endpoint, and
+`upward_links_to_pdawg` resolves them all.
 
 The payoff is that a class split is a single edge subdivision: all indirect
 links through the cut edge follow automatically, and at most one link (the
@@ -18,7 +19,7 @@ one that lands exactly on the new node and must become direct) is rewritten.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .pstrings import PString, PvString, _pv_reverse_codes, _z
@@ -27,26 +28,13 @@ from .duality import StructureError, links_to_pdawg
 from .pdawg import Pdawg, _lrs_bound, _zero_label
 
 
-@dataclass(frozen=True)
-class UpwardWeinerLink:
-    """A PDAWG edge in tree form: from `source`, labelled `label`, ending at
-    `to` (first=None) or at the child of `to` along first symbol `first`."""
-
-    source: int
-    label: int
-    first: int | None
-    to: int
-
-
 @dataclass
 class RtlCounters:
     """Work counters for one right-to-left construction run."""
 
     redirections: int = 0
-    repinned: int = 0
     climb_visits: int = 0
     new_links: int = 0
-    per_step_redirections: list[int] = field(default_factory=list)
 
 
 def _simulate(tree: PSTree, stored: tuple[int | None, int]) -> int:
@@ -57,19 +45,6 @@ def _simulate(tree: PSTree, stored: tuple[int | None, int]) -> int:
     if ent is None:
         raise StructureError("upward link points through a missing child")
     return ent[1]
-
-
-def simulate_weiner(tree: PSTree, link: UpwardWeinerLink) -> int:
-    """Resolve an upward link to its actual endpoint node."""
-    return _simulate(tree, (link.first, link.to))
-
-
-def upward_links(tree: PSTree) -> list[UpwardWeinerLink]:
-    return [
-        UpwardWeinerLink(v, lbl, b, to)
-        for v in range(tree.node_count())
-        for lbl, (b, to) in tree.uplinks[v].items()
-    ]
 
 
 def _trans_rtl(tree: PSTree, u: int, i: int, a: int) -> int | None:
@@ -154,7 +129,6 @@ def rtl_steps(s: PString | PvString) -> Iterator[tuple[int, PSTree, RtlCounters]
                 fresh.append((u, zau))
                 counters.new_links += 1
 
-        step_redirects = 0
         if depth[v] == k:
             host = v
         else:
@@ -186,11 +160,9 @@ def rtl_steps(s: PString | PvString) -> Iterator[tuple[int, PSTree, RtlCounters]
                 elif spell == k:
                     inlinks[v].discard((src, lbl))
                     uplinks[src][lbl] = (None, vp)
-                    step_redirects += 1
                     counters.redirections += 1
                 else:
                     uplinks[src][lbl] = (lab_full[cut], vp)
-                    counters.repinned += 1
 
             # links of the split-off shallow class: labels still meaningful at
             # depth k keep their endpoints, plus the bundled 0-link
@@ -228,7 +200,6 @@ def rtl_steps(s: PString | PvString) -> Iterator[tuple[int, PSTree, RtlCounters]
                 inlinks[leaf].add((src, lbl))
 
         sink = leaf
-        counters.per_step_redirections.append(step_redirects)
         yield i, tree, counters
 
 

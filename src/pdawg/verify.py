@@ -13,7 +13,6 @@ from .duality import (
     offline_build_pdawg,
     suffix_link_tree_as_pstree,
     verify_duality,
-    weiner_links,
 )
 from .matcher import build_occurrence_index, locate, p_match_query
 from .oracles import (
@@ -24,7 +23,7 @@ from .oracles import (
     rpos,
     tree_equal,
 )
-from .pdawg import Pdawg, build_online, canonical_form, check_invariants, stats_summary
+from .pdawg import Pdawg, build_online, canonical_form, check_invariants
 from .pstrings import Alphabet, PString, PvString, prev_decode, pv_reverse, re_encode
 from .rtl import rtl_steps, upward_links_to_pdawg
 
@@ -113,28 +112,16 @@ def check_offline(pv: PvString) -> str | None:
 def check_duality(pv: PvString) -> str | None:
     """The automaton against the oracle tree of the reversed text.
 
-    The four-point correspondence holds, explicit and implicit Weiner links
-    are as many as primary and secondary edges, the suffix-link tree is the
-    oracle tree, and `check_offline` holds, so all three engines agree.
+    The four-point correspondence of `verify_duality` holds (so explicit and
+    implicit Weiner links are as many as primary and secondary edges), the
+    suffix-link tree is the oracle tree, and `check_offline` holds, so all
+    three engines agree.
     """
     g, _stats = build_online(pv)
     tree = build_pstree_naive(pv_reverse(pv))
-    report = verify_duality(g, tree)
-    for name, item in report.items.items():
-        if not item["pass"]:
-            return f"duality {name} fails: {item['witness']}"
-    links = weiner_links(tree)
-    depth = tree.depth
-    explicit = sum(
-        depth[tgt] == depth[v] + 1 for v, out in enumerate(links) for tgt in out.values()
-    )
-    implicit = sum(map(len, links)) - explicit
-    s = stats_summary(g)
-    if (explicit, implicit) != (s["primary"], s["secondary"]):
-        return (
-            f"{explicit}/{implicit} explicit/implicit links against"
-            f" {s['primary']}/{s['secondary']} primary/secondary edges"
-        )
+    detail = verify_duality(g, tree)
+    if detail is not None:
+        return detail
     if not tree_equal(suffix_link_tree_as_pstree(g), tree):
         return "suffix-link tree differs from the oracle tree of the reversed text"
     return _offline_mismatch(g, tree)
@@ -146,11 +133,14 @@ def check_rtl(pv: PvString) -> str | None:
     the reversed text."""
     n = len(pv)
     tree = None
+    before = 0
     for i, tree, counters in rtl_steps(pv):
         if not tree_equal(tree, build_pstree_naive(pv.window(n - i + 1, n))):
             return f"tree after {i} prepended symbols differs from the oracle"
-        if counters.per_step_redirections[-1] > 1:
-            return f"step {i} redirected {counters.per_step_redirections[-1]} links"
+        step = counters.redirections - before
+        if step > 1:
+            return f"step {i} redirected {step} links"
+        before = counters.redirections
     if tree is None:
         return None
     ref, _stats = build_online(pv_reverse(pv))

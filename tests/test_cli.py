@@ -493,6 +493,15 @@ class TestSelftest:
     def test_unknown_suite_rejected(self, runner):
         assert runner.invoke(main, ["selftest", "--suites", "nope"]).exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--max-len", "0"], ["--max-len", "-2"], ["--suites", ""], ["--suites", " , "]],
+    )
+    def test_empty_budget_or_selection_is_a_usage_error(self, runner, args):
+        result = runner.invoke(main, ["selftest", *args])
+        assert result.exit_code == 2, result.output
+        assert "passed" not in result.output
+
 
 def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])

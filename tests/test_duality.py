@@ -87,19 +87,11 @@ class TestWeinerLinks:
 class TestVerifyDuality:
     def test_reference_pair_passes_all_four_items(self):
         g, tree = _pair(FORWARD)
-        report = verify_duality(g, tree)
-        assert report.all_pass(), report.to_json_dict()
-        assert set(report.items) == {"item1", "item2", "item3", "item4"}
-        assert report.to_json_dict() == {
-            "item1": {"pass": True},
-            "item2": {"pass": True},
-            "item3": {"pass": True},
-            "item4": {"pass": True},
-        }
+        assert verify_duality(g, tree) is None
 
     def test_single_symbol_text(self):
         g, tree = _pair(PString("x", A_XY))
-        assert verify_duality(g, tree).all_pass()
+        assert verify_duality(g, tree) is None
 
     def test_five_hundred_random_texts(self):
         rng = random.Random(31)
@@ -110,10 +102,22 @@ class TestVerifyDuality:
     def test_mismatched_pair_reports_a_witness(self):
         g, _ = build_online(FORWARD.prev())
         wrong_tree = build_pstree_naive(PString("bataxay", Alphabet("abt", "xy")))
-        report = verify_duality(g, wrong_tree)
-        assert not report.all_pass()
-        failed = [item for item in report.items.values() if not item["pass"]]
-        assert failed and all(item["witness"] for item in failed)
+        detail = verify_duality(g, wrong_tree)
+        assert detail is not None
+        assert detail.startswith("duality item1 fails: unmatched node string ")
+
+    def test_a_missing_secondary_edge_fails_item3(self):
+        g, tree = _pair(FORWARD)
+        u, lbl = next(
+            (u, lbl)
+            for u in g.node_ids()
+            for lbl, tgt in g.edges[u].items()
+            if not g.is_primary(u, tgt)
+        )
+        del g.edges[u][lbl]
+        assert verify_duality(g, tree) == (
+            "duality item3 fails: unmatched secondary/implicit: (empty) -[a]-> a0"
+        )
 
 
 class TestOfflineBuild:

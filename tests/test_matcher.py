@@ -107,10 +107,17 @@ class TestOccurrenceIndex:
         for _ in range(40):
             g, _ = build_online(random_pstring(rng, AB_XYZ, rng.randint(0, 120)).prev())
             idx = build_occurrence_index(g)
-            enter, history = idx.enter, g.sink_history
+            enter, leave, history = idx.enter, idx.leave, g.sink_history
             positions = sorted(range(len(history)), key=lambda i: (enter[history[i]], i))
             assert idx.positions == positions
-            assert idx.position_keys == [enter[history[i]] for i in positions]
+            # each prefix sits at the offset where the tour enters its class
+            assert [enter[history[i]] for i in positions] == list(range(len(positions)))
+            # a node's block holds its own prefix, if any, and its children's blocks
+            size = [leave[u] - enter[u] for u in g.node_ids()]
+            for u in g.node_ids():
+                if u != g.source:
+                    size[g.slinks[u]] -= leave[u] - enter[u]
+            assert size == [int(history[g.lens[u]] == u) for u in g.node_ids()]
 
 
 def test_exhaustive_tiny_corpus_matches_the_scan():

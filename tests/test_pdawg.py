@@ -3,12 +3,14 @@ builder, size accounting, and serialization."""
 
 import random
 import re
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pdawg
 from pdawg import (
     Alphabet,
     Num,
@@ -167,14 +169,14 @@ class TestStructuralInvariants:
         for t in (XAXAY, PString("zzaybxz", AB_XYZ)):
             g, _ = build_online(t.prev())
             for i, u in enumerate(g.sink_history):
-                assert g.length_of(u) == i
+                assert g.lens[u] == i
 
     def test_suffix_links_shorten_and_chain_to_the_source(self):
         g, _ = build_online(PString("xybazxy", AB_XYZ).prev())
         for u in g.node_ids():
             if u == g.source:
                 continue
-            assert g.length_of(g.slinks[u]) < g.length_of(u)
+            assert g.lens[g.slinks[u]] < g.lens[u]
             steps = 0
             v = u
             while v != g.source:
@@ -277,3 +279,15 @@ def test_readme_quick_start_prints_its_commented_values(capsys):
     ]
     assert commented == ["0a2a0", "7 8", "True", "(3,)"]
     assert printed == commented
+
+
+def test_export_list_is_exactly_the_public_names():
+    public = {
+        name
+        for name, value in vars(pdawg).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(pdawg.__all__) == sorted(public)
+    namespace = {}
+    exec("from pdawg import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(pdawg.__all__)

@@ -12,12 +12,11 @@ from pdawg import (
     canonical_form,
     pv_reverse,
     rtl_steps,
-    simulate_weiner,
     tree_equal,
-    upward_links,
     upward_links_to_pdawg,
     weiner_links,
 )
+from pdawg.rtl import _simulate
 from pdawg.verify import check_rtl
 
 from helpers import A_XY, AB_XYZ, all_pstrings, distinct_by_prev, random_pstring
@@ -28,57 +27,63 @@ AB_XY = Alphabet("ab", "xy")
 BACKWARD = PString("baxayay", AB_XY)
 
 
+def _assert_stored_links_are_the_weiner_links(tree):
+    """Every stored (first, to) pair resolves to its definitional Weiner-link
+    target, and is stored direct (first None) iff the link is explicit."""
+    defined = weiner_links(tree)
+    for v in range(tree.node_count()):
+        assert set(tree.uplinks[v]) == set(defined[v])
+        for lbl, (first, to) in tree.uplinks[v].items():
+            target = defined[v][lbl]
+            assert _simulate(tree, (first, to)) == target
+            assert (first is None) == (tree.depth[target] == tree.depth[v] + 1)
+
+
 class TestSimulateWeiner:
     def test_every_stored_link_resolves_to_its_definitional_target(self):
         tree, _ = build_pstree_rtl(BACKWARD.prev())
-        links = upward_links(tree)
-        defined = weiner_links(tree)
-        stored = {(l.source, l.label) for l in links}
-        assert stored == {
-            (v, lbl) for v in range(tree.node_count()) for lbl in defined[v]
-        }
-        for link in links:
-            target = defined[link.source][link.label]
-            explicit = tree.depth[target] == tree.depth[link.source] + 1
-            assert simulate_weiner(tree, link) == target
-            assert (link.first is None) == explicit
+        _assert_stored_links_are_the_weiner_links(tree)
 
     def test_agreement_on_random_texts(self):
         rng = random.Random(41)
         for _ in range(25):
             t = random_pstring(rng, AB_XYZ, rng.randint(0, 30))
             tree, _ = build_pstree_rtl(t.prev())
-            links = upward_links(tree)
-            defined = weiner_links(tree)
-            assert {(l.source, l.label) for l in links} == {
-                (v, lbl) for v in range(tree.node_count()) for lbl in defined[v]
-            }
-            for link in links:
-                assert simulate_weiner(tree, link) == defined[link.source][link.label]
+            _assert_stored_links_are_the_weiner_links(tree)
+
+
+def _step_redirections(pv):
+    """Redirections of each right-to-left step: the change of the running
+    total between two yields."""
+    out = []
+    before = 0
+    for _i, _tree, counters in rtl_steps(pv):
+        out.append(counters.redirections - before)
+        before = counters.redirections
+    return out
 
 
 class TestStepwiseConstruction:
     def test_each_step_matches_a_fresh_build_of_the_suffix(self):
         pv = BACKWARD.prev()
         n = len(pv)
-        for i, tree, counters in rtl_steps(pv):
+        for i, tree, _counters in rtl_steps(pv):
             assert tree_equal(tree, build_pstree_naive(pv.window(n - i + 1, n)))
-            assert all(r <= 1 for r in counters.per_step_redirections)
+        assert all(r <= 1 for r in _step_redirections(pv))
 
     def test_at_most_one_redirection_per_step_on_random_texts(self):
         rng = random.Random(43)
         for _ in range(30):
-            t = random_pstring(rng, AB_XYZ, rng.randint(0, 60))
-            _, counters = build_pstree_rtl(t.prev())
-            assert all(r <= 1 for r in counters.per_step_redirections)
-            assert counters.redirections == sum(counters.per_step_redirections)
+            pv = random_pstring(rng, AB_XYZ, rng.randint(0, 60)).prev()
+            steps = _step_redirections(pv)
+            assert all(r <= 1 for r in steps)
+            assert build_pstree_rtl(pv)[1].redirections == sum(steps)
 
     def test_empty_text(self):
         tree, counters = build_pstree_rtl(PString("", A_XY).prev())
         assert tree.node_count() == 1
         assert counters.redirections == 0
         assert counters.new_links == 0
-        assert counters.per_step_redirections == []
 
     def test_climbing_work_is_amortized_by_the_link_count(self):
         rng = random.Random(47)
