@@ -57,14 +57,10 @@ from .pstrings import (
     label_sort_key,
     p_match,
     pattern_codes,
-    prec_less,
-    prec_max,
-    prec_min,
     prev_decode,
     prev_encode,
     pv_reverse,
     re_encode,
-    z_adjust,
 )
 from .rtl import (
     RtlCounters,
@@ -111,9 +107,6 @@ __all__ = [
     "p_match",
     "p_match_query",
     "pattern_codes",
-    "prec_less",
-    "prec_max",
-    "prec_min",
     "prev_decode",
     "prev_encode",
     "pv_reverse",
@@ -129,5 +122,4 @@ __all__ = [
     "upward_links_to_pdawg",
     "verify_duality",
     "weiner_links",
-    "z_adjust",
 ]

@@ -12,7 +12,7 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, NoReturn
 
 import click
 
@@ -52,24 +52,40 @@ INDEX_FORMAT = "pdawg-index"
 INDEX_VERSION = 3
 
 EXIT_PROPERTY = 1
+EXIT_USAGE = 2
 EXIT_CORRUPT = 3
 
 
-def _corrupt(message: str) -> None:
+def _fail(message: str, code: int = EXIT_CORRUPT) -> NoReturn:
     click.echo(f"error: {message}", err=True)
-    sys.exit(EXIT_CORRUPT)
+    sys.exit(code)
 
 
 def _split_symbols(value: str, tokenize: bool) -> list[str]:
     return value.split() if tokenize else list(value)
 
 
-def _read_text(path: str, tokenize: bool) -> list[str]:
-    data = Path(path).read_bytes()
+def _read_utf8(path: str) -> str:
     try:
-        text = data.decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise click.UsageError(f"{path}: not valid UTF-8: {exc}") from exc
+
+
+def _write_out(path: str, lines: Iterable[str]) -> None:
+    """Write the lines to `path` as they are made, so no whole output is
+    held; a path that cannot be opened is a usage error."""
+    try:
+        f = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        _fail(f"{path}: cannot write: {exc.strerror}", EXIT_USAGE)
+    with f:
+        for line in lines:
+            f.write(line + "\n")
+
+
+def _read_text(path: str, tokenize: bool) -> list[str]:
+    text = _read_utf8(path)
     if tokenize:
         return text.split()
     if text.endswith("\r\n"):
@@ -145,7 +161,7 @@ def cmd_build(textfile, sigma_chars, sigma_file, pi_chars, pi_auto, tokenize, ou
         raise click.UsageError("give exactly one of --pi or --pi-auto")
     symbols = _read_text(textfile, tokenize)
     if sigma_file is not None:
-        sigma = [line.strip() for line in Path(sigma_file).read_text("utf-8").splitlines() if line.strip()]
+        sigma = [line.strip() for line in _read_utf8(sigma_file).splitlines() if line.strip()]
     else:
         sigma = _split_symbols(sigma_chars, tokenize)
     try:
@@ -161,7 +177,7 @@ def cmd_build(textfile, sigma_chars, sigma_file, pi_chars, pi_auto, tokenize, ou
     if out is not None:
         index = _index_json(g, pi_auto=pi_auto, tokenize=tokenize)
         # compact separators keep the dump in the C encoder; indent= would not
-        Path(out).write_text(json.dumps(index, separators=(",", ":")) + "\n", "utf-8")
+        _write_out(out, [json.dumps(index, separators=(",", ":"))])
     summary = stats_summary(g)
     stats = {
         "n": summary["n"],
@@ -185,11 +201,11 @@ def _load_index(path: str) -> tuple[Pdawg, dict]:
     try:
         obj = json.loads(Path(path).read_text("utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        _corrupt(f"{path}: cannot parse index: {exc}")
+        _fail(f"{path}: cannot parse index: {exc}")
     if not isinstance(obj, dict) or obj.get("format") != INDEX_FORMAT:
-        _corrupt(f"{path}: not a {INDEX_FORMAT} file")
+        _fail(f"{path}: not a {INDEX_FORMAT} file")
     if obj.get("version") != INDEX_VERSION:
-        _corrupt(
+        _fail(
             f"{path}: index version {obj.get('version')!r} unsupported"
             f" (expected {INDEX_VERSION})"
         )
@@ -203,7 +219,7 @@ def _load_index(path: str) -> tuple[Pdawg, dict]:
         alphabet = Alphabet(*names)
         w = _checked_text(obj, alphabet, obj["text"])
     except (KeyError, TypeError, ValueError, AlphabetError) as exc:
-        _corrupt(f"{path}: {exc}")
+        _fail(f"{path}: {exc}")
     return build_online(PvString._from_codes(w, alphabet))[0], obj
 
 
@@ -271,7 +287,7 @@ def _dot_pdawg(g: Pdawg) -> Iterator[str]:
         yield f"  n{u} [label={_gv_quote(label)}{shape}];"
     for u in g.node_ids():
         for lbl, tgt in sorted(
-            g.edges[u].items(), key=lambda e: label_sort_key(e[0], g.alphabet)
+            g.edges[u].items(), key=lambda e: label_sort_key(e[0])
         ):
             style = ' color="black:invis:black"' if g.is_primary(u, tgt) else ""
             yield (
@@ -305,7 +321,7 @@ def _dot_psauto(g: Pdawg) -> Iterator[str]:
         yield f"  s{q} [shape={shape}];"
     for q in range(aut.state_count()):
         for lbl, r in sorted(
-            aut.transitions[q].items(), key=lambda e: label_sort_key(e[0], g.alphabet)
+            aut.transitions[q].items(), key=lambda e: label_sort_key(e[0])
         ):
             yield f"  s{q} -> s{r} [label={_gv_quote(format_codes((lbl,), g.alphabet))}];"
     yield "}"
@@ -329,14 +345,11 @@ def cmd_dot(indexfile, structure, out):
         lines = _dot_pstree(suffix_link_tree_as_pstree(g))
     else:
         lines = _dot_psauto(g)
-    # each line is written as it is made, so no whole rendering is held
     if out is None:
         for line in lines:
             click.echo(line)
     else:
-        with open(out, "w", encoding="utf-8") as f:
-            for line in lines:
-                f.write(line + "\n")
+        _write_out(out, lines)
 
 
 # ---------------------------------------------------------------------------

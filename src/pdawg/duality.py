@@ -154,10 +154,10 @@ def offline_build_pdawg(tree: PSTree) -> Pdawg:
     links: list[dict[int, int]] = [dict() for _ in range(tree.node_count())]
     parent, depth = tree.parent, tree.depth
     seeds = [(sfx[l - 1], t_codes[l - 1], sfx[l]) for l in range(1, len(sfx))]
-    seeds.sort(key=lambda s: label_sort_key(s[1], tree.alphabet))
+    seeds.sort(key=lambda s: label_sort_key(s[1]))
     for v, k, u in seeds:
         while True:
-            lbl = k if k < 0 or depth[v] >= k else 0
+            lbl = _z(k, depth[v])
             existing = links[v].get(lbl)
             if existing is not None:
                 if existing != u:

@@ -13,16 +13,12 @@ from .pstrings import (
     Alphabet,
     PString,
     PvString,
+    _pv,
     _re_encode_codes,
     _z,
     label_sort_key,
     pattern_codes,
 )
-
-
-def _text_codes(t: PString | PvString) -> tuple[tuple[int, ...], Alphabet]:
-    pv = t.prev() if isinstance(t, PString) else t
-    return pv.codes, pv.alphabet
 
 
 def rpos(w: PvString, x: PString | PvString) -> tuple[int, ...]:
@@ -45,7 +41,7 @@ def rpos(w: PvString, x: PString | PvString) -> tuple[int, ...]:
 
 def scan_occurrences(t: PString | PvString, p: PString | PvString) -> tuple[int, ...]:
     """End positions of parameterized occurrences of p in t, by direct scan."""
-    pv = t.prev() if isinstance(t, PString) else t
+    pv = _pv(t)
     if not pattern_codes(p, pv.alphabet):
         raise ValueError("scan_occurrences requires a nonempty pattern")
     return rpos(pv, p)
@@ -99,8 +95,9 @@ class PSTrie:
 
 
 def build_pstrie(t: PString | PvString) -> PSTrie:
-    w, alphabet = _text_codes(t)
-    trie = PSTrie(w, alphabet)
+    pv = _pv(t)
+    w = pv.codes
+    trie = PSTrie(w, pv.alphabet)
     n = len(w)
     for s0 in range(n + 1):
         u = trie.root
@@ -238,7 +235,8 @@ class OraclePdawg:
 
 
 def build_oracle_pdawg(t: PString | PvString) -> OraclePdawg:
-    w, alphabet = _text_codes(t)
+    pv = _pv(t)
+    w = pv.codes
     n = len(w)
 
     # end-position sets of every distinct re-encoded factor
@@ -280,7 +278,7 @@ def build_oracle_pdawg(t: PString | PvString) -> OraclePdawg:
         source=class_of[()],
         sink=class_of[w],
         text_codes=w,
-        alphabet=alphabet,
+        alphabet=pv.alphabet,
     )
 
 
@@ -381,16 +379,12 @@ class PSTree:
         return out
 
     def sorted_children(self, v: int) -> list[tuple[tuple[int, ...], int]]:
-        return [
-            self.children[v][c]
-            for c in sorted(self.children[v], key=lambda c: label_sort_key(c, self.alphabet))
-        ]
+        return [self.children[v][c] for c in sorted(self.children[v], key=label_sort_key)]
 
 
 def build_pstree_naive(t: PString | PvString) -> PSTree:
     trie = build_pstrie(t)
-    w, alphabet = trie.text_codes, trie.alphabet
-    tree = PSTree(w, alphabet)
+    tree = PSTree(trie.text_codes, trie.alphabet)
     tree.is_suffix[0] = trie.is_suffix[0]
 
     def kept(u: int) -> bool:
@@ -398,7 +392,7 @@ def build_pstree_naive(t: PString | PvString) -> PSTree:
 
     # DFS from the trie root, accumulating labels between kept nodes
     stack: list[tuple[int, int, list[int]]] = []
-    for c in sorted(trie.children[0], key=lambda c: label_sort_key(c, alphabet), reverse=True):
+    for c in sorted(trie.children[0], key=label_sort_key, reverse=True):
         stack.append((trie.children[0][c], 0, [c]))
     while stack:
         u, parent, label = stack.pop()
@@ -406,9 +400,7 @@ def build_pstree_naive(t: PString | PvString) -> PSTree:
             v = tree.new_node(tree.depth[parent] + len(label), trie.is_suffix[u])
             tree.attach(parent, tuple(label), v)
             parent, label = v, []
-        for c in sorted(
-            trie.children[u], key=lambda c: label_sort_key(c, alphabet), reverse=True
-        ):
+        for c in sorted(trie.children[u], key=label_sort_key, reverse=True):
             stack.append((trie.children[u][c], parent, label + [c]))
     return tree
 

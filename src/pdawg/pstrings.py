@@ -280,6 +280,11 @@ def _check_codes(codes: Sequence[int]) -> None:
             )
 
 
+def _pv(t: PString | PvString) -> PvString:
+    """The prev-encoding of a p-string; a pv-string is returned as it is."""
+    return t.prev() if isinstance(t, PString) else t
+
+
 def prev_encode(s: PString) -> PvString:
     """The prev-encoding of a p-string (parameters become back-distances)."""
     return s.prev()
@@ -341,22 +346,13 @@ def is_valid_pv(codes: Sequence[int]) -> bool:
 
 
 def _z(code: int, j: int) -> int:
-    """Internal z_adjust on int codes: zero out back-references past j."""
+    """The context cut-off: a back-reference past a length-j context becomes 0;
+    static symbols and distances <= j pass through."""
     return 0 if code > j else code
 
 
-def z_adjust(a: PvSymbol, j: int) -> PvSymbol:
-    """Replace a back-distance that escapes a length-j context by 0.
-
-    Static symbols and distances <= j pass through unchanged.
-    """
-    if isinstance(a, Num) and a.value > j:
-        return Num(0)
-    return a
-
-
 def _re_encode_codes(codes: Sequence[int]) -> tuple[int, ...]:
-    return tuple(0 if c > j else c for j, c in enumerate(codes))
+    return tuple(map(_z, codes, range(len(codes))))
 
 
 def re_encode(
@@ -408,37 +404,6 @@ def pv_reverse(x: PvString) -> PvString:
     return out
 
 
-def prec_less(a: int, b: int) -> bool:
-    """Strict label order on distances: 1 < 2 < 3 < ... < 0 (0 is greatest)."""
-    if a < 0 or b < 0:
-        raise ValueError("prec_less compares non-negative distances only")
-    if a == b:
-        return False
-    return b == 0 or (a != 0 and a < b)
-
-
-def prec_min(values: Iterable[int]) -> int:
-    """Least distance under prec_less; raises ValueError on an empty set."""
-    best: int | None = None
-    for v in values:
-        if best is None or prec_less(v, best):
-            best = v
-    if best is None:
-        raise ValueError("prec_min of an empty set")
-    return best
-
-
-def prec_max(values: Iterable[int]) -> int:
-    """Greatest distance under prec_less; raises ValueError on an empty set."""
-    best: int | None = None
-    for v in values:
-        if best is None or prec_less(best, v):
-            best = v
-    if best is None:
-        raise ValueError("prec_max of an empty set")
-    return best
-
-
 def p_match(s1: PString, s2: PString) -> bool:
     """True iff the two p-strings are equal up to renaming parameters."""
     if s1.alphabet != s2.alphabet:
@@ -452,14 +417,14 @@ def pattern_codes(p: PString | PvString, alphabet: Alphabet) -> tuple[int, ...]:
     The pattern may use its own parameter names, but static symbols must come
     from the same static alphabet or the encodings are not comparable.
     """
-    pv = p.prev() if isinstance(p, PString) else p
+    pv = _pv(p)
     if pv.alphabet is not alphabet and pv.alphabet.sigma != alphabet.sigma:
         raise AlphabetError("pattern and text use different static alphabets")
     return pv.codes
 
 
-def label_sort_key(code: int, alphabet: Alphabet):
-    """Deterministic edge-label order: statics by symbol, then 1,2,..., then 0."""
-    if code < 0:
-        return (0, alphabet.static_symbol(code), 0)
-    return (1, "", (1, 0) if code == 0 else (0, code))
+def label_sort_key(code: int) -> tuple[bool, bool, int]:
+    """The label order: statics first (in `Alphabet.sigma` order, as codes
+    -1, -2, ... number it), then the distances 1 < 2 < ... < 0, so 0 is
+    greatest."""
+    return (code >= 0, code == 0, abs(code))

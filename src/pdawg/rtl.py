@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .pstrings import PString, PvString, _pv_reverse_codes, _z
+from .pstrings import PString, PvString, _pv, _pv_reverse_codes, _z
 from .oracles import PSTree
 from .duality import StructureError, links_to_pdawg
 from .pdawg import Pdawg, _lrs_bound, _zero_label
@@ -65,12 +65,13 @@ def _trans_rtl(tree: PSTree, u: int, i: int, a: int) -> int | None:
 
 
 def rtl_steps(s: PString | PvString) -> Iterator[tuple[int, PSTree, RtlCounters]]:
-    """Yield (symbols_prepended, live tree, counters) after every step.
+    """Yield (symbols_prepended, live tree, counters) after every step,
+    step 0 (the lone root) included.
 
     After step i the tree is the suffix tree of the last i symbols of s.  The
     yielded tree is the one under construction: inspect, do not mutate.
     """
-    pv = s.prev() if isinstance(s, PString) else s
+    pv = _pv(s)
     w_s = pv.codes
     n = len(w_s)
     t_codes = _pv_reverse_codes(w_s)
@@ -85,6 +86,7 @@ def rtl_steps(s: PString | PvString) -> Iterator[tuple[int, PSTree, RtlCounters]
     inlinks: list[set[tuple[int, int]]] = [set()]
 
     sink = tree.root
+    yield 0, tree, counters
     for i in range(1, n + 1):
         a = t_codes[i - 1]
         leaf = tree.new_node(i, True)
@@ -99,10 +101,10 @@ def rtl_steps(s: PString | PvString) -> Iterator[tuple[int, PSTree, RtlCounters]
             pu = parent[u]
             j = 0 if pu is None else depth[pu] + 1
             counters.climb_visits += 1
-            if _trans_rtl(tree, u, j, a if a < 0 or a <= j else 0) is not None:
+            if _trans_rtl(tree, u, j, _z(a, j)) is not None:
                 break
             d = depth[u]
-            lbl = a if a < 0 or a <= d else 0
+            lbl = _z(a, d)
             uplinks[u][lbl] = (None, leaf)
             fresh.append((u, lbl))
             counters.new_links += 1
@@ -114,7 +116,7 @@ def rtl_steps(s: PString | PvString) -> Iterator[tuple[int, PSTree, RtlCounters]
             v = tree.root
         else:
             d = depth[u]
-            zau = a if a < 0 or a <= d else 0
+            zau = _z(a, d)
             m = uplinks[u]
             if zau in m:
                 k = d + 1
@@ -205,11 +207,7 @@ def rtl_steps(s: PString | PvString) -> Iterator[tuple[int, PSTree, RtlCounters]
 
 def build_pstree_rtl(s: PString | PvString) -> tuple[PSTree, RtlCounters]:
     """Build the suffix tree of s by prepending symbols one at a time."""
-    pv = s.prev() if isinstance(s, PString) else s
-    tree = PSTree(pv.codes, pv.alphabet)
-    tree.is_suffix[0] = True
-    counters = RtlCounters()
-    for _i, tree, counters in rtl_steps(pv):
+    for _i, tree, counters in rtl_steps(s):
         pass
     return tree, counters
 

@@ -16,7 +16,6 @@ from .duality import (
 )
 from .matcher import build_occurrence_index, locate, p_match_query
 from .oracles import (
-    PSTree,
     build_oracle_pdawg,
     build_psauto,
     build_pstree_naive,
@@ -25,7 +24,7 @@ from .oracles import (
 )
 from .pdawg import Pdawg, build_online, canonical_form, check_invariants
 from .pstrings import Alphabet, PString, PvString, prev_decode, pv_reverse, re_encode
-from .rtl import rtl_steps, upward_links_to_pdawg
+from .rtl import build_pstree_rtl, rtl_steps, upward_links_to_pdawg
 
 
 def separation_text(k: int) -> PString:
@@ -96,17 +95,21 @@ def check_matching(pv: PvString, patterns: Iterable[PvString] | None = None) -> 
     return None
 
 
-def _offline_mismatch(g: Pdawg, tree: PSTree) -> str | None:
-    if canonical_form(offline_build_pdawg(tree)) != canonical_form(g):
-        return "offline build from the reversed-text tree differs from online"
-    return None
+def _arrays(g: Pdawg) -> tuple[list, ...]:
+    """The arrays that fix a PDAWG and its node numbering; engines that agree
+    build equal arrays, not only equal canonical forms."""
+    return g.lens, g.slinks, g.edges, g.sink_history
 
 
 def check_offline(pv: PvString) -> str | None:
-    """Building bottom-up from the oracle tree of the reversed text gives the
-    online automaton."""
+    """Building bottom-up from the right-to-left tree of the reversed text,
+    as `--engine offline` does, gives the online automaton, node numbering
+    included."""
     g, _stats = build_online(pv)
-    return _offline_mismatch(g, build_pstree_naive(pv_reverse(pv)))
+    tree, _counters = build_pstree_rtl(pv_reverse(pv))
+    if _arrays(offline_build_pdawg(tree)) != _arrays(g):
+        return "offline build from the reversed-text tree differs from online"
+    return None
 
 
 def check_duality(pv: PvString) -> str | None:
@@ -124,7 +127,7 @@ def check_duality(pv: PvString) -> str | None:
         return detail
     if not tree_equal(suffix_link_tree_as_pstree(g), tree):
         return "suffix-link tree differs from the oracle tree of the reversed text"
-    return _offline_mismatch(g, tree)
+    return check_offline(pv)
 
 
 def check_rtl(pv: PvString) -> str | None:
@@ -132,7 +135,6 @@ def check_rtl(pv: PvString) -> str | None:
     most one redirection, and the final links spell the online automaton of
     the reversed text."""
     n = len(pv)
-    tree = None
     before = 0
     for i, tree, counters in rtl_steps(pv):
         if not tree_equal(tree, build_pstree_naive(pv.window(n - i + 1, n))):
@@ -141,10 +143,8 @@ def check_rtl(pv: PvString) -> str | None:
         if step > 1:
             return f"step {i} redirected {step} links"
         before = counters.redirections
-    if tree is None:
-        return None
     ref, _stats = build_online(pv_reverse(pv))
-    if canonical_form(upward_links_to_pdawg(tree)) != canonical_form(ref):
+    if _arrays(upward_links_to_pdawg(tree)) != _arrays(ref):
         return "stored links do not spell the online automaton"
     return None
 

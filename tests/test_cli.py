@@ -2,6 +2,7 @@
 self-verification suites, and the exit-code contract."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -13,12 +14,13 @@ from pdawg import (
     __version__,
     build_occurrence_index,
     build_online,
-    canonical_form,
     locate,
     suffix_link_tree_as_pstree,
 )
 from pdawg.cli import _build_pdawg, _dot_pstree, main
-from pdawg.verify import separation_text
+from pdawg.verify import _arrays, separation_text
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -100,9 +102,9 @@ class TestBuild:
         engines = ("online", "offline", "rtl")
         for k, (text, flags) in enumerate(inputs):
             # a loaded index is always rebuilt online, so compare the engines'
-            # own structures in-process
-            forms = [canonical_form(_build_pdawg(text, e)[0]) for e in engines]
-            assert forms[0] == forms[1] == forms[2], text
+            # own structures in-process, node numbering included
+            arrays = [_arrays(_build_pdawg(text, e)[0]) for e in engines]
+            assert arrays[0] == arrays[1] == arrays[2], text
             path = tmp_path / f"t{k}.txt"
             sep = " " if "--tokenize" in flags else ""
             path.write_text(sep.join(text.raw) + "\n", "utf-8")
@@ -141,6 +143,27 @@ class TestBuild:
             ["build", str(tmp_path / "absent.txt"), "--sigma", "a", "--pi", "x"],
         )
         assert result.exit_code == 2
+
+    def test_sigma_file_that_is_not_utf8_is_a_usage_error(self, runner, text_file, tmp_path):
+        sigma = tmp_path / "sigma.txt"
+        sigma.write_bytes(b"a\n\xff\xfe\n")
+        result = runner.invoke(
+            main, ["build", text_file, "--sigma-file", str(sigma), "--pi", "xy"]
+        )
+        assert result.exit_code == 2
+        assert "not valid UTF-8" in result.output
+        assert not isinstance(result.exception, UnicodeDecodeError)
+
+    def test_out_in_a_missing_directory_is_a_usage_error(self, runner, text_file, tmp_path):
+        out = tmp_path / "absent" / "index.json"
+        result = runner.invoke(
+            main, ["build", text_file, "--sigma", "a", "--pi", "xy", "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            f"error: {out}: cannot write: No such file or directory"
+        ]
 
     def test_unknown_engine_rejected(self, runner, text_file):
         result = runner.invoke(
@@ -468,6 +491,36 @@ class TestDot:
         )
         assert auto.exit_code == 0
         assert target.read_text("utf-8").startswith("digraph psauto {")
+
+    @pytest.mark.parametrize("structure", ["pdawg", "pstree", "psauto"])
+    def test_output_is_byte_exact(self, runner, tmp_path, structure):
+        # two statics given out of sorted order, distances up to 4: the
+        # statics come first in sigma order, then 1 < 2 < ... < 0
+        text = tmp_path / "text.txt"
+        text.write_text("xbyaxbyxa\n", "utf-8")
+        index = str(tmp_path / "index.json")
+        built = runner.invoke(
+            main, ["build", str(text), "--sigma", "ba", "--pi", "xy", "--out", index]
+        )
+        assert built.exit_code == 0
+        golden = (GOLDEN / f"xbyaxbyxa.{structure}.dot").read_bytes()
+        result = runner.invoke(main, ["dot", index, "--structure", structure])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == golden
+        target = tmp_path / "out.dot"
+        result = runner.invoke(
+            main, ["dot", index, "--structure", structure, "--out", str(target)]
+        )
+        assert result.exit_code == 0
+        assert target.read_bytes() == golden
+
+    def test_out_in_a_missing_directory_is_a_usage_error(self, runner, index, tmp_path):
+        out = tmp_path / "absent" / "graph.dot"
+        result = runner.invoke(main, ["dot", index, "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            f"error: {out}: cannot write: No such file or directory"
+        ]
 
     def test_unknown_structure_rejected(self, runner, index):
         assert (

@@ -16,15 +16,12 @@ from pdawg import (
     label_sort_key,
     p_match,
     pattern_codes,
-    prec_less,
-    prec_max,
-    prec_min,
     prev_decode,
     prev_encode,
     pv_reverse,
     re_encode,
-    z_adjust,
 )
+from pdawg.pstrings import _z
 
 from helpers import A_XY, AB_XYZ
 
@@ -121,11 +118,11 @@ class TestPvStringValidation:
 
 
 def test_z_adjust_zeroes_escaping_distances_only():
-    assert z_adjust(Num(3), 2) == Num(0)
-    assert z_adjust(Num(3), 5) == Num(3)
-    assert z_adjust(Num(3), 3) == Num(3)
-    assert z_adjust(Num(0), 7) == Num(0)
-    assert z_adjust(Static("a"), 0) == Static("a")
+    assert _z(3, 2) == 0
+    assert _z(3, 5) == 3
+    assert _z(3, 3) == 3
+    assert _z(0, 7) == 0
+    assert _z(-1, 0) == -1  # a static symbol
 
 
 class TestReEncode:
@@ -162,41 +159,48 @@ class TestPvReverse:
         assert pv_reverse(PString("", A_XY).prev()).codes == ()
 
 
+def _prec(a, b):
+    """a precedes b in the label order."""
+    return label_sort_key(a) < label_sort_key(b)
+
+
 def test_prec_order_examples():
-    assert prec_less(3, 0)
-    assert not prec_less(0, 3)
-    assert not prec_less(2, 2)
-    assert prec_less(1, 2)
-    assert prec_min({2, 0}) == 2
-    assert prec_max({2, 0}) == 0
-    assert prec_min({5, 3, 0}) == 3
-    assert prec_max({5, 3}) == 5
-    with pytest.raises(ValueError):
-        prec_min([])
-    with pytest.raises(ValueError):
-        prec_max([])
-    with pytest.raises(ValueError):
-        prec_less(-1, 0)
+    assert _prec(3, 0)
+    assert not _prec(0, 3)
+    assert not _prec(2, 2)
+    assert _prec(1, 2)
+    assert _prec(-1, 1)  # statics precede every distance
+    assert min({2, 0}, key=label_sort_key) == 2
+    assert max({2, 0}, key=label_sort_key) == 0
+    assert min({5, 3, 0}, key=label_sort_key) == 3
+    assert max({5, 3}, key=label_sort_key) == 5
 
 
 def test_prec_is_a_strict_total_order_with_zero_on_top():
     values = range(9)
     for a in values:
-        assert not prec_less(a, a)
+        assert not _prec(a, a)
         if a != 0:
-            assert prec_less(a, 0)
+            assert _prec(a, 0)
         for b in values:
-            assert (a == b) + prec_less(a, b) + prec_less(b, a) == 1
+            assert (a == b) + _prec(a, b) + _prec(b, a) == 1
             for c in values:
-                if prec_less(a, b) and prec_less(b, c):
-                    assert prec_less(a, c)
+                if _prec(a, b) and _prec(b, c):
+                    assert _prec(a, c)
 
 
 def test_label_sort_key_orders_statics_then_distances_then_zero():
-    alphabet = Alphabet("ab", "xy")
     codes = [0, 2, -2, 1, -1, 5]
-    ordered = sorted(codes, key=lambda c: label_sort_key(c, alphabet))
-    assert ordered == [-1, -2, 1, 2, 5, 0]
+    assert sorted(codes, key=label_sort_key) == [-1, -2, 1, 2, 5, 0]
+
+
+def test_label_sort_key_orders_statics_as_sigma():
+    # multi-character tokens: "a10" sorts before "a9" as a string
+    alphabet = Alphabet(["b", "a10", "a9", "("], ())
+    codes = [alphabet.static_code(s) for s in ["b", "a10", "a9", "("]]
+    ordered = sorted(codes, key=label_sort_key)
+    assert [alphabet.static_symbol(c) for c in ordered] == list(alphabet.sigma)
+    assert alphabet.sigma == ("(", "a10", "a9", "b")
 
 
 class TestPMatch:

@@ -87,24 +87,34 @@ def _sym(code, alphabet):
     return Num(code) if code >= 0 else Static(alphabet.static_symbol(code))
 
 
+def _online_steps(pv):
+    """(lrs_len, split) of each online step i: the length of the suffix link
+    of the sink of prefix i, and whether building prefix i deleted more
+    suffix links than building prefix i-1."""
+    out = []
+    deleted = 0
+    for i in range(1, len(pv) + 1):
+        g, stats = build_online(pv.window(1, i))
+        out.append((g.lens[g.slinks[g.sink]], stats.suffix_links_deleted > deleted))
+        deleted = stats.suffix_links_deleted
+    return out
+
+
 class TestOnlineBuild:
     def test_split_when_the_repeated_suffix_is_not_a_class_maximum(self):
         # extending 0a2a with a fresh parameter: the longest repeated suffix
         # is a0 (length 2), housed in the class whose maximum is 0a2, so the
         # step must split that class and add two nodes in total
         g4, _ = build_online(PString("xaxa", A_XY).prev())
-        g5, stats = build_online(XAXAY.prev(), collect_trace=True)
-        step = stats.trace[4]
-        assert step["i"] == 5
-        assert step["symbol"] == 0
-        assert step["lrs_len"] == 2
-        assert step["split"] is True
+        g5, _ = build_online(XAXAY.prev())
+        assert g5.text_codes[4] == 0
+        assert _online_steps(XAXAY.prev())[4] == (2, True)
         assert g5.node_count() == g4.node_count() + 2
 
     def test_no_split_while_repeated_suffixes_stay_class_maxima(self):
-        _, stats = build_online(PString("xaxa", A_XY).prev(), collect_trace=True)
-        assert [t["split"] for t in stats.trace] == [False, False, False, False]
-        assert [t["lrs_len"] for t in stats.trace] == [0, 0, 1, 2]
+        steps = _online_steps(PString("xaxa", A_XY).prev())
+        assert [split for _k, split in steps] == [False, False, False, False]
+        assert [k for k, _split in steps] == [0, 0, 1, 2]
 
     def test_stepwise_structures_match_the_definition(self):
         pv = PString("xaxaya", A_XY).prev()
