@@ -225,19 +225,16 @@ def _load_index(path: str) -> tuple[Pdawg, dict]:
 
 def _pattern_pstring(obj: dict, g: Pdawg, pattern: str) -> PString:
     symbols = _split_symbols(pattern, obj["tokenize"])
-    sigma = set(g.alphabet.sigma)
-    pi_auto = obj["alphabet"]["pi_auto"]
-    params = set()
-    for sym in symbols:
-        if sym in sigma:
-            continue
-        if pi_auto or sym in g.alphabet.pi:
-            params.add(sym)
-        else:
+    alphabet = g.alphabet
+    params = [sym for sym in symbols if not alphabet.is_static(sym)]
+    if obj["alphabet"]["pi_auto"]:
+        alphabet = alphabet._with_pi(params)
+    for sym in params:
+        if not alphabet.is_param(sym):
             raise click.UsageError(
                 f"pattern symbol {sym!r} is neither static nor a declared parameter"
             )
-    return PString(symbols, Alphabet(g.alphabet.sigma, params))
+    return PString(symbols, alphabet)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Membership is a single walk: feed the pattern's prev-encoding through `trans`,
 position by position.  Locating needs one extra observation: the end positions
 of a class are exactly the prefixes of the text whose class sits in that
-node's subtree of the (reversed) suffix-link tree, so an euler tour turns
-every node into a contiguous block of a position array.
+node's subtree of the (reversed) suffix-link tree.  Counting those prefixes
+per subtree gives every node a contiguous block of a position array, with no
+tree walk: parents are placed before their children, by length.
 """
 
 from __future__ import annotations
@@ -31,43 +32,44 @@ def p_match_query(g: Pdawg, p: PString | PvString) -> bool:
 
 
 class OccurrenceIndex:
-    """The text prefixes listed in Euler-tour order of the suffix-link tree:
-    the prefixes in the subtree of node u are `positions[enter[u]:leave[u]]`."""
+    """The text prefixes laid out by the suffix-link tree: node u's block
+    `positions[enter[u]:leave[u]]` holds its own prefix, if it has one, at
+    `enter[u]`, then one block per child, so it lists exactly the prefixes
+    in u's subtree."""
 
     __slots__ = ("g", "enter", "leave", "positions")
 
     def __init__(self, g: Pdawg):
         self.g = g
-        order: list[list[int]] = [[] for _ in range(len(g.lens))]
-        for u in g.node_ids():
-            if u != g.source:
-                order[g.slinks[u]].append(u)
-        lens, history = g.lens, g.sink_history
-        enter = [0] * len(lens)
+        lens, slinks, history = g.lens, g.slinks, g.sink_history
+        # suffix links strictly shorten, so by length every parent comes
+        # before its children; `if u` skips the source, node 0, the root
+        order = sorted(range(len(lens)), key=lens.__getitem__)
         leave = [0] * len(lens)
-        # prefix classes have distinct lengths, so listing prefix i when the
-        # tour enters its class lists every prefix in tour order
-        prefix = list(range(len(history)))
-        positions: list[int] = []
-        k = 0  # len(positions)
-        stack = [(g.source, False)]
-        while stack:
-            u, done = stack.pop()
-            if done:
-                leave[u] = k
-                continue
-            enter[u] = k
-            i = lens[u]
-            if history[i] == u:
-                # not i itself: `locate` sorts slices of positions, and ints
-                # made in one run sort faster than those the build scattered
-                positions.append(prefix[i])
-                k += 1
-            stack.append((u, True))
-            for ch in reversed(order[u]):
-                stack.append((ch, False))
+        for u in history:
+            leave[u] = 1  # u's own prefix
+        size = leave[:]  # prefixes in the subtree
+        for u in reversed(order):
+            if u:
+                size[slinks[u]] += size[u]
+        # every offset and position is one of these ints, made in one run:
+        # the arrays share n + 2 int objects instead of one per entry, and
+        # `locate` sorts ints made in one run faster than scattered ones
+        slot = list(range(len(history) + 1))
+        # once u is placed, leave[u] is the next free slot of its block, and
+        # once its children are placed too, the end of the block
+        enter = [0] * len(lens)
+        for u in order:
+            if u:
+                p = slinks[u]
+                e = enter[u] = leave[p]
+                leave[p] = slot[e + size[u]]
+                leave[u] = slot[leave[u] + e]
         self.enter = enter
         self.leave = leave
+        positions = [0] * len(history)
+        for i, u in zip(slot, history):
+            positions[enter[u]] = i
         self.positions = positions
 
 

@@ -295,20 +295,12 @@ def stats_summary(g: Pdawg) -> dict:
         if g.lens[tgt] == g.lens[u] + 1
     )
     edges = g.edge_count()
-    depth = [0] * len(g.lens)
-    best = 0
-    for u in sorted(g.node_ids(), key=lambda u: g.lens[u]):
-        sl = g.slinks[u]
-        if u != g.source:
-            depth[u] = depth[sl] + 1
-            best = max(best, depth[u])
     return {
         "n": len(g.text_codes),
         "nodes": g.node_count(),
         "edges": edges,
         "primary": primary,
         "secondary": edges - primary,
-        "slink_depth": best,
     }
 
 

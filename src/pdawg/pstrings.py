@@ -86,6 +86,12 @@ class Alphabet:
     def __repr__(self) -> str:
         return f"Alphabet(sigma={''.join(self.sigma)!r}, pi={''.join(sorted(self.pi))!r})"
 
+    def _with_pi(self, pi: Iterable[str]) -> "Alphabet":
+        """These statics, Σ not re-sorted, with parameters pi (none static)."""
+        a = object.__new__(Alphabet)
+        a.sigma, a.pi, a._codes = self.sigma, frozenset(pi), self._codes
+        return a
+
     def is_static(self, sym: str) -> bool:
         return sym in self._codes
 

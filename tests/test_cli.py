@@ -246,6 +246,7 @@ class TestQuery:
         # unless the index was built --pi-auto
         result = runner.invoke(main, ["query", out, "a?"])
         assert result.exit_code == 2
+        assert "'?' is neither static nor a declared parameter" in result.output
 
     def test_pi_auto_index_classifies_anything(self, runner, tmp_path, text_file):
         out = str(tmp_path / "auto.json")
@@ -254,6 +255,11 @@ class TestQuery:
         )
         assert result.exit_code == 0
         assert runner.invoke(main, ["query", out, "?a"]).output.strip() == "true"
+        # parameter names the text never uses are encoded against its statics
+        for pattern, ends in (("qaqa", [4]), ("ra", [2, 4]), ("a?", [3, 5]), ("qarb", [])):
+            result = runner.invoke(main, ["query", out, pattern, "--locate"])
+            assert result.exit_code == 0
+            assert json.loads(result.output) == ends, pattern
 
     def test_locate_without_stored_arrays_still_works(self, runner, tmp_path, text_file):
         out, _ = _build(runner, tmp_path, text_file)

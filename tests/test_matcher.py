@@ -13,7 +13,7 @@ from pdawg import (
     p_match_query,
     rpos,
 )
-from pdawg.verify import check_matching
+from pdawg.verify import check_matching, separation_text
 
 from helpers import A_XY, AB_XYZ, all_pstrings, random_pstring
 
@@ -22,6 +22,12 @@ XAXAY = PString("xaxay", A_XY)
 
 def _p(raw):
     return PString(raw, A_XY)
+
+
+def _many_parameters(n):
+    rng = random.Random(5)
+    params = [f"p{i}" for i in range(30)]
+    return PString([rng.choice(params + ["a", "b"]) for _ in range(n)], Alphabet("ab", params))
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +124,31 @@ class TestOccurrenceIndex:
                 if u != g.source:
                     size[g.slinks[u]] -= leave[u] - enter[u]
             assert size == [int(history[g.lens[u]] == u) for u in g.node_ids()]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            PString("a" + "b" * 79, Alphabet("abc", "xy")),
+            PString("a" + "b" * 78 + "c", Alphabet("abc", "xy")),
+            separation_text(20),
+            _many_parameters(120),
+        ],
+        ids=["a.b^(n-1)", "a.b^(n-2).c", "T_20", "many-parameters"],
+    )
+    def test_each_block_holds_exactly_its_subtree_prefixes(self, text):
+        g, _ = build_online(text.prev())
+        idx = build_occurrence_index(g)
+        history = g.sink_history
+        assert sorted(idx.positions) == list(range(len(history)))
+        below: list[set[int]] = [set() for _ in g.node_ids()]
+        for i, u in enumerate(history):
+            while u is not None:
+                below[u].add(i)
+                u = g.slinks[u]
+        for u in g.node_ids():
+            assert set(idx.positions[idx.enter[u] : idx.leave[u]]) == below[u]
+            if history[g.lens[u]] == u:
+                assert idx.positions[idx.enter[u]] == g.lens[u]
 
 
 def test_exhaustive_tiny_corpus_matches_the_scan():
