@@ -17,9 +17,8 @@ from typing import Iterable, Iterator, NoReturn
 import click
 
 from . import __version__
-from .duality import offline_build_pdawg, suffix_link_tree_as_pstree
+from .duality import _tree_strings, offline_build_pdawg
 from .matcher import build_occurrence_index, locate, p_match_query
-from .oracles import PSTree, build_psauto
 from .pdawg import (
     Pdawg,
     _checked_text,
@@ -297,51 +296,42 @@ def _dot_pdawg(g: Pdawg) -> Iterator[str]:
     yield "}"
 
 
-def _dot_pstree(tree: PSTree) -> Iterator[str]:
-    strings = tree.node_strings()
+def _dot_pstree(g: Pdawg) -> Iterator[str]:
+    """The suffix-link tree of g as the suffix tree of reverse(text); each
+    string is made for the line that prints it and then dropped."""
+    order, string = _tree_strings(g)
+    first = [0] * len(order)  # first symbol of the edge into tree node t
+    kids: list[list[int]] = [[] for _ in order]  # by class, the children's t
+    suffix_classes = set(g.sink_history)
     yield from ("digraph pstree {", "  node [shape=circle fontsize=10];")
-    for v in range(tree.node_count()):
-        label = "ε" if v == tree.root else format_codes(strings[v], tree.alphabet)
-        shape = " shape=doublecircle" if tree.is_suffix[v] else ""
-        yield f"  t{v} [label={_gv_quote(label)}{shape}];"
-    for v in range(tree.node_count()):
-        for lab, child in tree.sorted_children(v):
-            yield f"  t{v} -> t{child} [label={_gv_quote(format_codes(lab, tree.alphabet))}];"
-    yield "}"
-
-
-def _dot_psauto(g: Pdawg) -> Iterator[str]:
-    aut = build_psauto(PvString._from_codes(g.text_codes, g.alphabet))
-    yield from ("digraph psauto {", "  rankdir=LR;", "  node [shape=circle fontsize=10];")
-    for q in range(aut.state_count()):
-        shape = "doublecircle" if aut.accepting[q] else "circle"
-        yield f"  s{q} [shape={shape}];"
-    for q in range(aut.state_count()):
-        for lbl, r in sorted(
-            aut.transitions[q].items(), key=lambda e: label_sort_key(e[0])
-        ):
-            yield f"  s{q} -> s{r} [label={_gv_quote(format_codes((lbl,), g.alphabet))}];"
+    for t, u in enumerate(order):
+        s = string(u, 0)
+        if t:
+            first[t] = s[g.lens[g.slinks[u]]]
+            kids[g.slinks[u]].append(t)
+        label = _gv_quote(format_codes(s, g.alphabet) if t else "ε")
+        shape = " shape=doublecircle" if u in suffix_classes else ""
+        yield f"  t{t} [label={label}{shape}];"
+    for t, u in enumerate(order):
+        for c in sorted(kids[u], key=lambda c: label_sort_key(first[c])):
+            label = _gv_quote(format_codes(string(order[c], g.lens[u]), g.alphabet))
+            yield f"  t{t} -> t{c} [label={label}];"
     yield "}"
 
 
 @main.command("dot")
 @click.argument("indexfile", type=click.Path(exists=True, dir_okay=False, readable=True))
-@click.option("--structure", type=click.Choice(["pdawg", "pstree", "psauto"]), default="pdawg", show_default=True, help="Which structure to render.")
+@click.option("--structure", type=click.Choice(["pdawg", "pstree"]), default="pdawg", show_default=True, help="The automaton itself, or its suffix-link tree as the suffix tree of the reversed text.")
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None, help="Write DOT here instead of stdout.")
 def cmd_dot(indexfile, structure, out):
-    """Render the index (or a derived structure) as deterministic Graphviz.
+    """Render the index (or its suffix-link tree) as deterministic Graphviz.
 
     Primary edges are drawn doubled, secondary edges solid, suffix links
-    dashed.  The pstree view shows the suffix tree of the reversed text;
-    psauto rebuilds the minimized factor automaton from the stored text.
+    dashed.  The pstree view shows the suffix tree of the reversed text.
+    Both views are drawn from the automaton as they are printed.
     """
     g, _obj = _load_index(indexfile)
-    if structure == "pdawg":
-        lines = _dot_pdawg(g)
-    elif structure == "pstree":
-        lines = _dot_pstree(suffix_link_tree_as_pstree(g))
-    else:
-        lines = _dot_psauto(g)
+    lines = _dot_pdawg(g) if structure == "pdawg" else _dot_pstree(g)
     if out is None:
         for line in lines:
             click.echo(line)

@@ -15,6 +15,7 @@ correspondence point by point.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 
 from .pstrings import (
     _pv_reverse_codes,
@@ -48,33 +49,40 @@ def _validate_tree(tree: PSTree) -> None:
             raise StructureError(f"node {v} is disconnected")
 
 
-def suffix_link_tree_as_pstree(g: Pdawg) -> PSTree:
-    """The suffix-link tree of g, labelled as the suffix tree of reverse(text).
-
-    Node strings are recovered through witness end positions (one occurrence
-    per class, found by walking suffix-link chains from the prefix classes),
-    so no per-node string is ever materialized beyond the edge labels.
-    """
-    w_t = g.text_codes
-    n = len(w_t)
-    w_s = _pv_reverse_codes(w_t)
-    tree = PSTree(w_s, g.alphabet)
-    tree.is_suffix[0] = True
-
+def _tree_strings(g: Pdawg) -> tuple[list[int], Callable[[int, int], tuple[int, ...]]]:
+    """The classes of g in node order of the suffix tree of reverse(text),
+    by (length, id), and `string(u, d)`: class u's string in that tree from
+    depth d on, read at its witness end position and cut off by `_z`."""
+    w_s = _pv_reverse_codes(g.text_codes)
+    n = len(w_s)
+    lens = g.lens
     witness = _witness_ends(g)
+    if None in witness:
+        raise StructureError("node unreachable along suffix-link chains")
+
+    def string(u: int, d: int) -> tuple[int, ...]:
+        s0 = n - witness[u]  # start of the witness occurrence, seen from S
+        piece = w_s[s0 + d : s0 + lens[u]]
+        if max(piece, default=0) <= d:
+            return piece  # no code exceeds its depth, so _z would cut nothing
+        return tuple(map(_z, piece, range(d, lens[u])))
+
+    # sorted is stable, so equal lengths stay in id order
+    return sorted(g.node_ids(), key=lens.__getitem__), string
+
+
+def suffix_link_tree_as_pstree(g: Pdawg) -> PSTree:
+    """The suffix-link tree of g, labelled as the suffix tree of reverse(text):
+    tree node t is the t-th class of `_tree_strings`, and each edge label is
+    the child's string from its parent's depth on."""
+    order, string = _tree_strings(g)
+    tree = PSTree(_pv_reverse_codes(g.text_codes), g.alphabet)
+    tree.is_suffix[0] = True
     suffix_classes = set(g.sink_history)
     tid = {g.source: 0}
-    for u in sorted(g.node_ids(), key=lambda u: (g.lens[u], u)):
-        if u == g.source:
-            continue
-        if witness[u] is None:
-            raise StructureError("node unreachable along suffix-link chains")
+    for u in order[1:]:
         parent = g.slinks[u]
-        s0 = n - witness[u]  # start of the witness occurrence, seen from S
-        label = tuple(
-            _z(w_s[s0 + q - 1], q - 1)
-            for q in range(g.lens[parent] + 1, g.lens[u] + 1)
-        )
+        label = string(u, g.lens[parent])
         t = tree.new_node(g.lens[u], u in suffix_classes)
         if label[0] in tree.children[tid[parent]]:
             raise StructureError("suffix-link tree branches on equal first symbols")

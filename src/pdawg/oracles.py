@@ -378,9 +378,6 @@ class PSTree:
             out[strs[v]] = (self.depth[v], self.is_suffix[v], kids)
         return out
 
-    def sorted_children(self, v: int) -> list[tuple[tuple[int, ...], int]]:
-        return [self.children[v][c] for c in sorted(self.children[v], key=label_sort_key)]
-
 
 def build_pstree_naive(t: PString | PvString) -> PSTree:
     trie = build_pstrie(t)

@@ -90,6 +90,10 @@ def _zero_label(labels: dict, i: int, length: int) -> int | None:
     positive labels.
     Relies on no positive label exceeding `length`, which holds because
     every structure comes from a builder and no builder writes one.
+    A node has at most as many positive labels as its longest string has
+    distinct parameters (each reaches back to the last occurrence of one),
+    so at most |Pi|; the scan also reads the node's static labels, which
+    that bound does not cover.
     """
     if i >= length:
         # no distance label exceeds the node's length, so only 0 can follow

@@ -2,6 +2,8 @@
 self-verification suites, and the exit-code contract."""
 
 import json
+import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,8 +19,11 @@ from pdawg import (
     locate,
     suffix_link_tree_as_pstree,
 )
-from pdawg.cli import _build_pdawg, _dot_pstree, main
+from pdawg.cli import _build_pdawg, _dot_pstree, _gv_quote, main
+from pdawg.pstrings import format_codes, label_sort_key
 from pdawg.verify import _arrays, separation_text
+
+from helpers import A_XY, AB_XYZ, all_pstrings, random_pstring
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -291,7 +296,7 @@ def _fresh_outputs(obj):
     return [
         json.dumps(list(locate(idx, PString("xax", alphabet)))) + "\n",
         json.dumps(list(locate(idx, PString("ya", alphabet)))) + "\n",
-        "\n".join(_dot_pstree(suffix_link_tree_as_pstree(g))) + "\n",
+        "\n".join(_dot_pstree(g)) + "\n",
     ]
 
 
@@ -471,6 +476,31 @@ class TestCorruptIndexes:
                 assert [r.stdout for r in results] == _fresh_outputs(obj), case
 
 
+def _dot_pstree_from_tree(tree):
+    """The pstree view rendered from a whole `PSTree`, every node string and
+    edge label held at once: the reference for the streamed `_dot_pstree`."""
+    strings = tree.node_strings()
+    yield from ("digraph pstree {", "  node [shape=circle fontsize=10];")
+    for v in range(tree.node_count()):
+        label = "ε" if v == tree.root else format_codes(strings[v], tree.alphabet)
+        shape = " shape=doublecircle" if tree.is_suffix[v] else ""
+        yield f"  t{v} [label={_gv_quote(label)}{shape}];"
+    for v in range(tree.node_count()):
+        for first in sorted(tree.children[v], key=label_sort_key):
+            lab, child = tree.children[v][first]
+            yield f"  t{v} -> t{child} [label={_gv_quote(format_codes(lab, tree.alphabet))}];"
+    yield "}"
+
+
+def _dot_texts():
+    yield from all_pstrings(A_XY, 6)
+    yield separation_text(3)
+    yield separation_text(5)
+    rng = random.Random(13)
+    for _ in range(100):
+        yield random_pstring(rng, AB_XYZ, rng.randint(1, 60))
+
+
 class TestDot:
     @pytest.fixture()
     def index(self, runner, tmp_path, text_file):
@@ -487,18 +517,12 @@ class TestDot:
         assert "style=dashed" in out  # suffix links
         assert runner.invoke(main, ["dot", index]).output == out
 
-    def test_tree_and_automaton_variants(self, runner, index, tmp_path):
+    def test_tree_variant(self, runner, index):
         tree = runner.invoke(main, ["dot", index, "--structure", "pstree"])
         assert tree.exit_code == 0
         assert tree.output.startswith("digraph pstree {")
-        target = tmp_path / "auto.dot"
-        auto = runner.invoke(
-            main, ["dot", index, "--structure", "psauto", "--out", str(target)]
-        )
-        assert auto.exit_code == 0
-        assert target.read_text("utf-8").startswith("digraph psauto {")
 
-    @pytest.mark.parametrize("structure", ["pdawg", "pstree", "psauto"])
+    @pytest.mark.parametrize("structure", ["pdawg", "pstree"])
     def test_output_is_byte_exact(self, runner, tmp_path, structure):
         # two statics given out of sorted order, distances up to 4: the
         # statics come first in sigma order, then 1 < 2 < ... < 0
@@ -520,6 +544,25 @@ class TestDot:
         assert result.exit_code == 0
         assert target.read_bytes() == golden
 
+    def test_streamed_tree_matches_the_whole_tree(self):
+        for text in _dot_texts():
+            g, _ = build_online(text)
+            want = list(_dot_pstree_from_tree(suffix_link_tree_as_pstree(g)))
+            assert list(_dot_pstree(g)) == want, text
+
+    def test_streamed_tree_holds_no_whole_tree(self):
+        # a whole PSTree with every node string peaks at about 8 MB here
+        text = random_pstring(random.Random(1), Alphabet("ab", "wxyz"), 1000)
+        g, _ = build_online(text)
+        tracemalloc.start()
+        try:
+            for _line in _dot_pstree(g):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+
     def test_out_in_a_missing_directory_is_a_usage_error(self, runner, index, tmp_path):
         out = tmp_path / "absent" / "graph.dot"
         result = runner.invoke(main, ["dot", index, "--out", str(out)])
@@ -529,9 +572,10 @@ class TestDot:
         ]
 
     def test_unknown_structure_rejected(self, runner, index):
-        assert (
-            runner.invoke(main, ["dot", index, "--structure", "galaxy"]).exit_code == 2
-        )
+        # the minimal automaton (psauto) is only an oracle, not a view
+        for structure in ("galaxy", "psauto"):
+            result = runner.invoke(main, ["dot", index, "--structure", structure])
+            assert result.exit_code == 2, structure
 
 
 class TestSelftest:

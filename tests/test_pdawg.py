@@ -165,6 +165,23 @@ class TestSizes:
         assert sum(map(len, g.edges)) == g.edge_count()
         assert (g.source, g.slinks[g.source], g.lens[g.source]) == (0, None, 0)
 
+    def test_positive_labels_are_at_most_the_distinct_parameters(self):
+        # each positive label reaches back to the last occurrence of one
+        # distinct parameter of the node's longest string, where that
+        # string's re-encoding holds one 0 per distinct parameter
+        rng = random.Random(29)
+        many = Alphabet("ab", [f"p{i}" for i in range(40)])
+        texts = [
+            *all_pstrings(A_XY, 7),
+            *(separation_text(k) for k in (3, 10, 40)),
+            *(random_pstring(rng, many, rng.randint(1, 400)) for _ in range(50)),
+        ]
+        for t in texts:
+            g, _ = build_online(t)
+            for u, name in enumerate(node_longest_codes(g)):
+                positive = sum(b > 0 for b in g.edges[u])
+                assert positive <= name.count(0) <= len(t.alphabet.pi), (str(t), u)
+
     def test_bounds_hold_on_random_texts(self):
         rng = random.Random(23)
         for _ in range(40):
