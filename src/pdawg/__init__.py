@@ -49,16 +49,12 @@ from .pstrings import (
     Alphabet,
     AlphabetError,
     InvalidPvString,
-    Num,
     PString,
     PvString,
-    Static,
-    is_valid_pv,
     label_sort_key,
     p_match,
     pattern_codes,
     prev_decode,
-    prev_encode,
     pv_reverse,
     re_encode,
 )
@@ -76,7 +72,6 @@ __all__ = [
     "AlphabetError",
     "ConstructionStats",
     "InvalidPvString",
-    "Num",
     "OccurrenceIndex",
     "OraclePdawg",
     "PSAuto",
@@ -86,7 +81,6 @@ __all__ = [
     "Pdawg",
     "PvString",
     "RtlCounters",
-    "Static",
     "StructureError",
     "build_occurrence_index",
     "build_online",
@@ -98,7 +92,6 @@ __all__ = [
     "canonical_form",
     "check_invariants",
     "from_json_dict",
-    "is_valid_pv",
     "label_sort_key",
     "links_to_pdawg",
     "locate",
@@ -108,7 +101,6 @@ __all__ = [
     "p_match_query",
     "pattern_codes",
     "prev_decode",
-    "prev_encode",
     "pv_reverse",
     "re_encode",
     "rpos",

@@ -203,7 +203,8 @@ def _load_index(path: str) -> tuple[Pdawg, dict]:
         _fail(f"{path}: cannot parse index: {exc}")
     if not isinstance(obj, dict) or obj.get("format") != INDEX_FORMAT:
         _fail(f"{path}: not a {INDEX_FORMAT} file")
-    if obj.get("version") != INDEX_VERSION:
+    # 3.0 == 3, but the version must be the JSON integer 3
+    if type(obj.get("version")) is not int or obj["version"] != INDEX_VERSION:
         _fail(
             f"{path}: index version {obj.get('version')!r} unsupported"
             f" (expected {INDEX_VERSION})"
@@ -216,10 +217,10 @@ def _load_index(path: str) -> tuple[Pdawg, dict]:
         if not all(isinstance(f, bool) for f in (obj.get("tokenize"), spec.get("pi_auto"))):
             raise ValueError("tokenize and pi_auto must be booleans")
         alphabet = Alphabet(*names)
-        w = _checked_text(obj, alphabet, obj["text"])
+        pv = _checked_text(obj, alphabet, obj["text"])
     except (KeyError, TypeError, ValueError, AlphabetError) as exc:
         _fail(f"{path}: {exc}")
-    return build_online(PvString._from_codes(w, alphabet))[0], obj
+    return build_online(pv)[0], obj
 
 
 def _pattern_pstring(obj: dict, g: Pdawg, pattern: str) -> PString:

@@ -11,13 +11,13 @@ tree walk: parents are placed before their children, by length.
 from __future__ import annotations
 
 from .pstrings import PString, PvString, pattern_codes
-from .pdawg import Pdawg, _trans
+from .pdawg import Pdawg, trans
 
 
 def _walk(g: Pdawg, codes: tuple[int, ...]) -> int | None:
     u = g.source
     for i, a in enumerate(codes):
-        u = _trans(g, u, i, a)
+        u = trans(g, u, i, a)
         if u is None:
             return None
     return u

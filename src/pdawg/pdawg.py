@@ -30,9 +30,6 @@ from .pstrings import (
     Alphabet,
     PString,
     PvString,
-    PvSymbol,
-    _check_codes,
-    _code_of_symbol,
     _pv,
     _re_encode_codes,
     label_sort_key,
@@ -128,10 +125,10 @@ def _lrs_bound(labels: dict, a: int) -> int:
     return min(a, m, key=label_sort_key)
 
 
-def _trans(g: Pdawg, u: int, i: int, a: int) -> int | None:
-    """Transition from u reading symbol `a` after having read i symbols.
+def trans(g: Pdawg, u: int, i: int, a: int) -> int | None:
+    """Transition from u reading the code `a` after having read i symbols.
 
-    Static symbols and positive distances follow plain edges; symbol 0 is
+    A static code or a positive distance follows a plain edge; code 0 is
     resolved by `_zero_label`.
     """
     eu = g.edges[u]
@@ -146,11 +143,6 @@ def _trans(g: Pdawg, u: int, i: int, a: int) -> int | None:
     if out is None:
         raise AssertionError("trans consulted an unset suffix link")
     return out
-
-
-def trans(g: Pdawg, u: int, i: int, a: PvSymbol) -> int | None:
-    """Public transition; `a` is a symbol, `i` the number of symbols read so far."""
-    return _trans(g, u, i, _code_of_symbol(a, g.alphabet))
 
 
 def build_online(t: PString | PvString) -> tuple[Pdawg, ConstructionStats]:
@@ -176,7 +168,7 @@ def build_online(t: PString | PvString) -> tuple[Pdawg, ConstructionStats]:
         while u is not None:
             s = slinks[u]
             j = 0 if s is None else lens[s] + 1
-            if _trans(g, u, j, 0 if a > j else a) is not None:
+            if trans(g, u, j, 0 if a > j else a) is not None:
                 break
             L = lens[u]
             edges[u][0 if a > L else a] = sink
@@ -198,7 +190,7 @@ def build_online(t: PString | PvString) -> tuple[Pdawg, ConstructionStats]:
         # only reachable for integer a: the surviving extension went through
         # a bundled 0-edge, so the repeated suffix is shorter than len(u)+1
         k = _lrs_bound(eu, a)
-        v = _trans(g, u, k - 1, 0)
+        v = trans(g, u, k - 1, 0)
         if v is None:
             raise AssertionError("longest repeated suffix has no class")
         eu[zau] = sink
@@ -225,7 +217,7 @@ def build_online(t: PString | PvString) -> tuple[Pdawg, ConstructionStats]:
         for b, tgt in edges[v].items():
             if b < 0 or 0 < b <= k:
                 evp[b] = tgt
-        t0 = _trans(g, v, k, 0)
+        t0 = trans(g, v, k, 0)
         if t0 is not None:
             evp[0] = t0
         slinks[vp] = slinks[v]
@@ -370,9 +362,7 @@ def check_invariants(g: Pdawg) -> None:
         raise ValueError(
             f"{count} nodes / {edge_count} edges exceed 2n-1 / 3n-4 at n={n}"
         )
-    if n and min(w) < lowest:
-        raise ValueError("text symbol outside the static alphabet")
-    _check_codes(w)
+    PvString(w, g.alphabet)  # raises unless w is a prev-encoding over Σ
 
 
 def to_json_dict(g: Pdawg) -> dict:
@@ -383,10 +373,10 @@ def to_json_dict(g: Pdawg) -> dict:
 
 def _checked_text(
     d: dict, alphabet: Alphabet, text_codes: list[int] | tuple[int, ...]
-) -> tuple[int, ...]:
-    """`text_codes` as a tuple; ValueError unless they are 64-bit ints (not
-    booleans), `d["n"]` is their count, and they form a valid prev-encoding
-    over the static symbols of `alphabet`."""
+) -> PvString:
+    """`text_codes` as a checked `PvString`; ValueError unless they are 64-bit
+    ints (not booleans), `d["n"]` is their count, and the `PvString`
+    constructor accepts them over `alphabet`."""
     try:
         # JSON true and false would pass as 1 and 0
         if bool in set(map(type, text_codes)):
@@ -397,10 +387,7 @@ def _checked_text(
     n = d.get("n")
     if type(n) is not int or n != len(w):
         raise ValueError(f"n disagrees with the text length {len(w)}: {n!r}")
-    if w and min(w) < -len(alphabet.sigma):
-        raise ValueError("text symbol outside the static alphabet")
-    _check_codes(w)
-    return w
+    return PvString(w, alphabet)
 
 
 def from_json_dict(
@@ -408,5 +395,4 @@ def from_json_dict(
 ) -> Pdawg:
     """Rebuild the PDAWG of `text_codes` with `build_online`, after the
     checks of `_checked_text`, which raise ValueError."""
-    w = _checked_text(d, alphabet, text_codes)
-    return build_online(PvString._from_codes(w, alphabet))[0]
+    return build_online(_checked_text(d, alphabet, text_codes))[0]

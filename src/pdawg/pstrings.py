@@ -6,10 +6,15 @@ consistent renaming.  The prev-encoding replaces every parameter occurrence by
 the distance to its previous occurrence (0 for the first one) and leaves static
 symbols alone; two p-strings match iff their prev-encodings are equal.
 
-Internally a prev-encoded string ("pv-string") is a tuple of ints:
+A prev-encoded symbol has one form, an int code:
 
-* a parameter distance v >= 0 is stored as the int v itself,
-* a static symbol is stored as a negative id assigned by the Alphabet.
+* a parameter distance v >= 0 is the int v itself,
+* a static symbol is a negative code assigned by the Alphabet (-1, -2, ...
+  in `Alphabet.sigma` order).
+
+A prev-encoded string ("pv-string") is a `PvString`: a tuple of codes with
+its alphabet.  `PvString(codes, alphabet)` is the one checked way to make one
+from outside codes; `PString.prev()` makes one from raw symbols.
 
 All positions reported by this package are 1-based, matching the usual
 convention for string indexing in the matching literature.
@@ -17,8 +22,7 @@ convention for string indexing in the matching literature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 
 class AlphabetError(ValueError):
@@ -33,33 +37,10 @@ class InvalidPvString(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Static:
-    """A static symbol; matches only itself."""
-
-    symbol: str
-
-    def __str__(self) -> str:
-        return self.symbol
-
-
-@dataclass(frozen=True)
-class Num:
-    """A parameter back-reference distance (0 = first occurrence)."""
-
-    value: int
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-PvSymbol = Union[Static, Num]
-
-
 class Alphabet:
     """A static/parameter partition of the input symbols.
 
-    Static symbols are interned to negative int codes in sorted symbol order,
+    The static symbols are interned to negative int codes in sorted order,
     so equal alphabets always produce identical encodings.
     """
 
@@ -134,30 +115,21 @@ class Alphabet:
         return cls(sig, {s for s in raw if s not in sig})
 
 
-def _symbol_of_code(code: int, alphabet: Alphabet) -> PvSymbol:
-    return Num(code) if code >= 0 else Static(alphabet.static_symbol(code))
-
-
-def _code_of_symbol(sym: PvSymbol, alphabet: Alphabet) -> int:
-    if isinstance(sym, Num):
-        if sym.value < 0:
-            raise InvalidPvString(f"negative distance {sym.value}")
-        return sym.value
-    return alphabet.static_code(sym.symbol)
-
-
 def _format_tokens(tokens: Sequence[str]) -> str:
-    if all(len(t) == 1 for t in tokens):
-        return "".join(tokens)
+    """Joined without spaces when every token is one character, else with
+    spaces.  Tokens that join to as many characters as there are tokens are
+    all one character long unless one of them is empty."""
+    joined = "".join(tokens)
+    if len(joined) == len(tokens) and "" not in tokens:
+        return joined
     return " ".join(tokens)
 
 
 def format_codes(codes: Sequence[int], alphabet: Alphabet) -> str:
-    """Int codes as text: statics by name, distances as numbers, joined
-    without spaces when every symbol is one character, else with spaces."""
-    return _format_tokens(
-        [str(c) if c >= 0 else alphabet.static_symbol(c) for c in codes]
-    )
+    """Int codes as text: statics by name, distances as numbers, joined as
+    `_format_tokens` joins."""
+    sigma = alphabet.sigma
+    return _format_tokens([str(c) if c >= 0 else sigma[-c - 1] for c in codes])
 
 
 class PString:
@@ -198,16 +170,18 @@ class PString:
 
 
 class PvString:
-    """A prev-encoded string over a given alphabet.
+    """A prev-encoded string over a given alphabet, as int codes.
 
-    Supports 0-based Python indexing; `factor(i, j)` gives the 1-based
-    inclusive window as plain symbols (re-encode it to get a pv-string again).
+    The constructor is the one check that outside codes are a valid
+    prev-encoding over `alphabet`; it raises InvalidPvString otherwise.
     """
 
     __slots__ = ("codes", "alphabet")
 
-    def __init__(self, symbols: Iterable[PvSymbol], alphabet: Alphabet):
-        codes = tuple(_code_of_symbol(s, alphabet) for s in symbols)
+    def __init__(self, codes: Iterable[int], alphabet: Alphabet):
+        codes = tuple(codes)
+        if codes and min(codes) < -len(alphabet.sigma):
+            raise InvalidPvString("text symbol outside the static alphabet")
         _check_codes(codes)
         self.codes = codes
         self.alphabet = alphabet
@@ -222,12 +196,6 @@ class PvString:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __iter__(self) -> Iterator[PvSymbol]:
-        return iter(self.symbols())
-
-    def __getitem__(self, i: int) -> PvSymbol:
-        return _symbol_of_code(self.codes[i], self.alphabet)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, PvString)
@@ -237,13 +205,6 @@ class PvString:
 
     def __hash__(self) -> int:
         return hash((self.codes, self.alphabet))
-
-    def symbols(self) -> tuple[PvSymbol, ...]:
-        return tuple(_symbol_of_code(c, self.alphabet) for c in self.codes)
-
-    def factor(self, i: int, j: int) -> tuple[PvSymbol, ...]:
-        """Symbols at 1-based positions i..j inclusive (not re-encoded)."""
-        return tuple(_symbol_of_code(c, self.alphabet) for c in self.codes[i - 1 : j])
 
     def window(self, i: int, j: int) -> "PvString":
         """The factor at 1-based positions i..j inclusive, re-encoded."""
@@ -289,11 +250,6 @@ def _check_codes(codes: Sequence[int]) -> None:
 def _pv(t: PString | PvString) -> PvString:
     """The prev-encoding of a p-string; a pv-string is returned as it is."""
     return t.prev() if isinstance(t, PString) else t
-
-
-def prev_encode(s: PString) -> PvString:
-    """The prev-encoding of a p-string (parameters become back-distances)."""
-    return s.prev()
 
 
 def prev_decode(x: PvString, pool: Sequence[str] | None = None) -> PString:
@@ -342,15 +298,6 @@ def prev_decode(x: PvString, pool: Sequence[str] | None = None) -> PString:
     return PString(raw, Alphabet(x.alphabet.sigma, used))
 
 
-def is_valid_pv(codes: Sequence[int]) -> bool:
-    """True iff the int codes form a well-formed prev-encoding."""
-    try:
-        _check_codes(codes)
-        return True
-    except InvalidPvString:
-        return False
-
-
 def _z(code: int, j: int) -> int:
     """The context cut-off: a back-reference past a length-j context becomes 0;
     static symbols and distances <= j pass through."""
@@ -361,29 +308,10 @@ def _re_encode_codes(codes: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(_z, codes, range(len(codes))))
 
 
-def re_encode(
-    x: PvString | Sequence[PvSymbol], alphabet: Alphabet | None = None
-) -> PvString:
-    """Re-encode a factor of a pv-string so it stands alone.
-
-    Position i keeps its symbol unless it is a distance pointing before the
-    factor, which becomes 0.  The result is itself a valid pv-string.  For a
-    plain symbol sequence, pass the source alphabet to keep static symbol
-    identities stable; otherwise one is inferred from the symbols present.
-    """
-    if isinstance(x, PvString):
-        return PvString._from_codes(_re_encode_codes(x.codes), x.alphabet)
-    symbols = tuple(x)
-    if alphabet is None:
-        alphabet = _infer_alphabet(symbols)
-    codes = _re_encode_codes(tuple(_code_of_symbol(s, alphabet) for s in symbols))
-    out = PvString._from_codes(codes, alphabet)
-    _check_codes(out.codes)
-    return out
-
-
-def _infer_alphabet(symbols: Sequence[PvSymbol]) -> Alphabet:
-    return Alphabet({s.symbol for s in symbols if isinstance(s, Static)}, ())
+def re_encode(x: PvString) -> PvString:
+    """Re-encode a pv-string so it stands alone: a distance pointing before
+    its start becomes 0.  A valid pv-string is a fixpoint."""
+    return PvString._from_codes(_re_encode_codes(x.codes), x.alphabet)
 
 
 def _pv_reverse_codes(codes: Sequence[int]) -> tuple[int, ...]:

@@ -19,7 +19,6 @@ from pdawg import (
     PString,
     build_online,
     check_invariants,
-    prev_encode,
     pv_reverse,
     rpos,
 )
@@ -88,10 +87,10 @@ def medium_corpus():
 def test_01_encoding_ground_truth(capsys):
     t0 = time.perf_counter()
     failures = []
-    got = str(prev_encode(PString("xaxay", A_XY)))
+    got = str(PString("xaxay", A_XY).prev())
     if got != "0a2a0":
         failures.append(f"prev(xaxay) = {got}")
-    got = str(prev_encode(PString("uvvauvb", Alphabet("ab", "uv"))))
+    got = str(PString("uvvauvb", Alphabet("ab", "uv")).prev())
     if got != "001a43b":
         failures.append(f"prev(uvvauvb) = {got}")
     got = str(pv_reverse(PString("xaxy", A_XY).prev()))

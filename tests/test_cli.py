@@ -291,7 +291,7 @@ def _fresh_outputs(obj):
     """What each of LOCATE_AND_DOT prints for an in-process build of the
     file's text, never read from the file's own structure."""
     alphabet = Alphabet(obj["alphabet"]["sigma"], obj["alphabet"]["pi"])
-    g, _ = build_online(PvString._from_codes(tuple(obj["text"]), alphabet))
+    g, _ = build_online(PvString(obj["text"], alphabet))
     idx = build_occurrence_index(g)
     return [
         json.dumps(list(locate(idx, PString("xax", alphabet)))) + "\n",
@@ -373,8 +373,9 @@ class TestCorruptIndexes:
         assert runner.invoke(main, ["query", index, "ya"]).exit_code == 3
 
     def test_version_1_file_exits_3(self, runner, index):
-        # versions 1 and 2 stored the automaton; rebuild them from the text
-        for version in (1, 2):
+        # versions 1 and 2 stored the automaton; rebuild them from the text.
+        # 3.0 equals 3, but the version must be the JSON integer 3
+        for version in (1, 2, 3.0):
             self._mangle(index, lambda o: o.update(version=version))
             for command, *args in LOCATE_AND_DOT:
                 result = runner.invoke(main, [command, index, *args])

@@ -8,16 +8,12 @@ from pdawg import (
     Alphabet,
     AlphabetError,
     InvalidPvString,
-    Num,
     PString,
     PvString,
-    Static,
-    is_valid_pv,
     label_sort_key,
     p_match,
     pattern_codes,
     prev_decode,
-    prev_encode,
     pv_reverse,
     re_encode,
 )
@@ -38,24 +34,24 @@ def pstrings(sigma="ab", pi="xyz", max_len=12):
 
 class TestPrevEncode:
     def test_two_parameters_one_static(self):
-        pv = prev_encode(PString("xaxay", A_XY))
+        pv = PString("xaxay", A_XY).prev()
         assert str(pv) == "0a2a0"
         assert pv.codes == (0, -1, 2, -1, 0)
 
     def test_interleaved_parameters_two_statics(self):
-        pv = prev_encode(PString("uvvauvb", AB_UV))
+        pv = PString("uvvauvb", AB_UV).prev()
         assert str(pv) == "001a43b"
         assert pv.codes == (0, 0, 1, -1, 4, 3, -2)
 
     def test_empty(self):
-        assert prev_encode(PString("", A_XY)).codes == ()
+        assert PString("", A_XY).prev().codes == ()
 
     def test_unclassifiable_symbol_names_its_position(self):
         with pytest.raises(AlphabetError, match="position 2"):
-            prev_encode(PString("aqa", A_XY))
+            PString("aqa", A_XY).prev()
 
     def test_statics_pass_through_parameters_count_back(self):
-        pv = prev_encode(PString("xyxxay", A_XY))
+        pv = PString("xyxxay", A_XY).prev()
         assert str(pv) == "0021a4"
 
 
@@ -99,22 +95,28 @@ class TestPrevDecode:
 class TestPvStringValidation:
     def test_pointer_before_string_rejected(self):
         with pytest.raises(InvalidPvString) as err:
-            PvString([Num(0), Num(3)], A_XY)
+            PvString([0, 3], A_XY)
         assert err.value.position == 2
 
     def test_pointer_at_static_rejected(self):
-        with pytest.raises(InvalidPvString):
-            PvString([Static("a"), Num(1)], A_XY)
+        with pytest.raises(InvalidPvString, match="points at a static symbol"):
+            PvString([-1, 1], A_XY)
 
     def test_pointer_skipping_closer_occurrence_rejected(self):
         # 0 1 2 would make positions 2 and 3 both name the parameter at 1,
         # yet 3 skips the closer occurrence at 2
-        with pytest.raises(InvalidPvString):
-            PvString([Num(0), Num(1), Num(2)], A_XY)
+        with pytest.raises(InvalidPvString, match="skips a closer occurrence"):
+            PvString([0, 1, 2], A_XY)
+
+    def test_static_outside_the_alphabet_rejected(self):
+        # A_XY has one static symbol, so -2 names none
+        with pytest.raises(InvalidPvString, match="outside the static alphabet"):
+            PvString([-2], A_XY)
 
     def test_valid_sequence_accepted(self):
-        pv = PvString([Num(0), Static("a"), Num(2), Static("a"), Num(0)], A_XY)
+        pv = PvString([0, -1, 2, -1, 0], A_XY)
         assert pv.codes == (0, -1, 2, -1, 0)
+        assert str(pv) == "0a2a0"
 
 
 def test_z_adjust_zeroes_escaping_distances_only():
@@ -137,10 +139,10 @@ class TestReEncode:
         w = PString("uvvauvb", AB_UV).prev()
         assert re_encode(w) == w
 
-    def test_symbol_sequence_with_explicit_alphabet(self):
+    def test_unchecked_factor_is_repaired(self):
         w = PString("xaxay", A_XY).prev()
-        out = re_encode(w.factor(3, 5), w.alphabet)
-        assert out.codes == (0, -1, 0)
+        factor = PvString._from_codes(w.codes[2:5], A_XY)  # 2a0, unchecked
+        assert re_encode(factor).codes == (0, -1, 0)
 
 
 class TestPvReverse:
@@ -264,9 +266,9 @@ def _is_prev_encoding(codes):
 
 @given(pstrings())
 def test_decode_inverts_encode(s):
-    pv = prev_encode(s)
-    assert is_valid_pv(pv.codes)
-    assert prev_encode(prev_decode(pv)).codes == pv.codes
+    pv = s.prev()
+    assert PvString(pv.codes, pv.alphabet) == pv
+    assert prev_decode(pv).prev().codes == pv.codes
 
 
 @given(pstrings(max_len=10))
@@ -277,7 +279,8 @@ def test_every_window_re_encodes_like_the_sliced_text(s):
         for j in range(i - 1, n + 1):
             sliced = PString(s.raw[i - 1 : j], s.alphabet).prev()
             assert pv.window(i, j).codes == sliced.codes
-            assert re_encode(pv.factor(i, j), pv.alphabet).codes == sliced.codes
+            factor = PvString._from_codes(pv.codes[i - 1 : j], pv.alphabet)
+            assert re_encode(factor).codes == sliced.codes
 
 
 @given(pstrings())
@@ -296,6 +299,12 @@ def test_parameter_renaming_preserves_the_encoding(s, perm):
     assert p_match(s, renamed)
 
 
-@given(st.lists(st.integers(min_value=-2, max_value=5), max_size=9))
+@given(st.lists(st.integers(min_value=-3, max_value=5), max_size=9))
 def test_validity_check_agrees_with_the_definition(codes):
-    assert is_valid_pv(codes) == _is_prev_encoding(codes)
+    # AB_XYZ has two statics, so the static codes are -1 and -2
+    try:
+        PvString(codes, AB_XYZ)
+        accepted = True
+    except InvalidPvString:
+        accepted = False
+    assert accepted == (min(codes, default=0) >= -2 and _is_prev_encoding(codes))

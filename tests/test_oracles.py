@@ -128,7 +128,7 @@ class TestOraclePdawg:
 def _pv(w, codes):
     from pdawg import PvString
 
-    return PvString._from_codes(codes, w.alphabet)
+    return PvString(codes, w.alphabet)
 
 
 class TestPSAuto:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import pdawg
 from pdawg import (
     Alphabet,
-    Num,
     PString,
     build_online,
     build_oracle_pdawg,
@@ -24,8 +23,7 @@ from pdawg import (
     to_json_dict,
     trans,
 )
-from pdawg import Static
-from pdawg.verify import check_pdawg, separation_text
+from pdawg.verify import _arrays, check_pdawg, separation_text
 
 from helpers import A_XY, AB_XYZ, all_pstrings, distinct_by_prev, random_pstring
 
@@ -42,24 +40,24 @@ class TestTrans:
         node = _node_of(g)
         u = node[(0, -1)]  # the class holding both "a" and "0a"
         assert sorted(g.edges[u]) == [0, 2]  # both labels exceed context 1
-        assert trans(g, u, 1, Num(0)) == node[(-1, 0)]
+        assert trans(g, u, 1, 0) == node[(-1, 0)]
 
     def test_static_labels_ignore_the_context_length(self):
         g, _ = build_online(XAXAY.prev())
         node = _node_of(g)
         for i in (0, 1, 5):
-            assert trans(g, g.source, i, Static("a")) == node[(0, -1)]
+            assert trans(g, g.source, i, -1) == node[(0, -1)]
 
     def test_zero_from_the_source_follows_the_plain_edge(self):
         g, _ = build_online(XAXAY.prev())
         node = _node_of(g)
-        assert trans(g, g.source, 0, Num(0)) == node[(0,)]
+        assert trans(g, g.source, 0, 0) == node[(0,)]
 
     def test_absent_extension_returns_none(self):
         g, _ = build_online(XAXAY.prev())
         node = _node_of(g)
-        assert trans(g, node[(-1, 0)], 2, Static("a")) is not None
-        assert trans(g, node[(0, -1, 2, -1, 0)], 5, Num(0)) is None
+        assert trans(g, node[(-1, 0)], 2, -1) is not None
+        assert trans(g, node[(0, -1, 2, -1, 0)], 5, 0) is None
 
     def test_agrees_with_the_definition_on_every_factor(self):
         pv = PString("xyaxya", AB_XYZ).prev()
@@ -75,16 +73,12 @@ class TestTrans:
                     if a > len(x):
                         continue
                     cls = by_member[x]
-                    got = trans(g, node[cls.longest], len(x), _sym(a, pv.alphabet))
+                    got = trans(g, node[cls.longest], len(x), a)
                     want = by_member.get(x + (a,))
                     if want is None:
                         assert got is None
                     else:
                         assert got == node[want.longest]
-
-
-def _sym(code, alphabet):
-    return Num(code) if code >= 0 else Static(alphabet.static_symbol(code))
 
 
 def _online_steps(pv):
@@ -248,7 +242,8 @@ class TestSerialization:
         doc = to_json_dict(g)
         assert doc == {"n": 8, "text": list(pv.codes)}
         back = from_json_dict(doc, g.alphabet, doc["text"])
-        assert canonical_form(back) == canonical_form(g)
+        # both come from build_online, so they share one node numbering
+        assert _arrays(back) == _arrays(g)
         assert to_json_dict(back) == doc
 
     def test_malformed_documents_are_rejected(self):
