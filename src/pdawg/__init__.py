@@ -5,10 +5,10 @@ match when a bijection on the parameters turns one into the other.  This
 package prev-encodes p-strings, builds the node-minimal matching automaton
 (the parameterized DAWG) online in one left-to-right pass, answers membership
 and locate queries, and exposes the dual parameterized suffix tree of the
-reversed text together with a right-to-left tree builder that maintains the
-very same automaton through upward links.  Brute-force reference structures
-(trie, minimal DFA, compacted tree, equivalence-class automaton) back every
-fast path for verification.
+reversed text together with a right-to-left tree builder that reads that tree
+off the online automaton of the reversed text.  Brute-force reference
+structures (trie, minimal DFA, compacted tree, equivalence-class automaton)
+back every fast path for verification.
 """
 
 from .duality import (
@@ -58,12 +58,7 @@ from .pstrings import (
     pv_reverse,
     re_encode,
 )
-from .rtl import (
-    RtlCounters,
-    build_pstree_rtl,
-    rtl_steps,
-    upward_links_to_pdawg,
-)
+from .rtl import build_pstree_rtl, rtl_steps, upward_links_to_pdawg
 
 __version__ = "0.1.0"
 
@@ -80,7 +75,6 @@ __all__ = [
     "PString",
     "Pdawg",
     "PvString",
-    "RtlCounters",
     "StructureError",
     "build_occurrence_index",
     "build_online",

@@ -131,7 +131,8 @@ def _index_json(g: Pdawg, *, pi_auto: bool, tokenize: bool) -> dict:
         "version": INDEX_VERSION,
         "alphabet": {
             "sigma": list(g.alphabet.sigma),
-            "pi": sorted(g.alphabet.pi),
+            # a --pi-auto index names no parameters: each pattern brings its own
+            "pi": [] if pi_auto else sorted(g.alphabet.pi),
             "pi_auto": pi_auto,
         },
         "tokenize": tokenize,
@@ -177,13 +178,8 @@ def cmd_build(textfile, sigma_chars, sigma_file, pi_chars, pi_auto, tokenize, ou
         index = _index_json(g, pi_auto=pi_auto, tokenize=tokenize)
         # compact separators keep the dump in the C encoder; indent= would not
         _write_out(out, [json.dumps(index, separators=(",", ":"))])
-    summary = stats_summary(g)
     stats = {
-        "n": summary["n"],
-        "nodes": summary["nodes"],
-        "edges": summary["edges"],
-        "primary": summary["primary"],
-        "secondary": summary["secondary"],
+        **stats_summary(g),
         "pi_size": len(alphabet.pi),
         "sigma_size": len(alphabet.sigma),
         "prev": str(pv),

@@ -24,7 +24,7 @@ from .pstrings import (
     label_sort_key,
 )
 from .oracles import PSTree
-from .pdawg import Pdawg, _witness_ends, node_longest_codes
+from .pdawg import Pdawg, _witness_ends, check_invariants, node_longest_codes
 
 
 class StructureError(ValueError):
@@ -144,8 +144,14 @@ def _to_pdawg(tree: PSTree, sfx: list[int], links: list[dict[int, int]]) -> Pdaw
 
 def links_to_pdawg(tree: PSTree, links: list[dict[int, int]]) -> Pdawg:
     """Interpret a link map (label -> node, per node) over the tree of S as
-    the PDAWG of reverse(S)."""
-    return _to_pdawg(tree, _suffix_nodes(tree), links)
+    the PDAWG of reverse(S); StructureError unless the result passes
+    `check_invariants`."""
+    g = _to_pdawg(tree, _suffix_nodes(tree), links)
+    try:
+        check_invariants(g)
+    except ValueError as exc:
+        raise StructureError(f"links do not form a PDAWG: {exc}") from exc
+    return g
 
 
 def offline_build_pdawg(tree: PSTree) -> Pdawg:

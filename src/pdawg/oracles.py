@@ -291,8 +291,8 @@ class PSTree:
 
     Nodes are the root, every branching inner node, and every node whose
     string is a re-encoded suffix (suffix ends stay explicit even when they
-    do not branch).  `uplinks` starts empty; the right-to-left builder keeps
-    its through-the-parent links there.
+    do not branch).  `uplinks[v]` maps each label to the node its Weiner link
+    leads to; only the right-to-left builder fills it.
     """
 
     __slots__ = (
@@ -311,8 +311,7 @@ class PSTree:
         # first symbol of edge label -> (full label, child id)
         self.children: list[dict[int, tuple[tuple[int, ...], int]]] = [{}]
         self.is_suffix: list[bool] = [False]
-        # uplinks[v]: label -> (first symbol of final edge or None, node)
-        self.uplinks: list[dict[int, tuple[int | None, int]]] = [{}]
+        self.uplinks: list[dict[int, int]] = [{}]
         self.text_codes = text_codes
         self.alphabet = alphabet
 

@@ -266,6 +266,26 @@ class TestQuery:
             assert result.exit_code == 0
             assert json.loads(result.output) == ends, pattern
 
+    def test_pi_auto_index_stores_no_parameter_names(self, runner, tmp_path, text_file):
+        out = str(tmp_path / "auto.json")
+        result = runner.invoke(
+            main, ["build", text_file, "--sigma", "a", "--pi-auto", "--out", out]
+        )
+        assert result.exit_code == 0
+        obj = json.loads(open(out, encoding="utf-8").read())
+        assert obj["alphabet"]["pi"] == []
+        # a file that lists the text's parameters, as older builds wrote,
+        # loads and answers alike
+        listed = str(tmp_path / "listed.json")
+        obj["alphabet"]["pi"] = ["x", "y"]
+        with open(listed, "w", encoding="utf-8") as f:
+            json.dump(obj, f)
+        for args in (["query", "xax", "--locate"], ["query", "qa"], ["dot"]):
+            want = runner.invoke(main, [args[0], out, *args[1:]])
+            got = runner.invoke(main, [args[0], listed, *args[1:]])
+            assert want.exit_code == got.exit_code == 0, args
+            assert got.stdout == want.stdout, args
+
     def test_locate_without_stored_arrays_still_works(self, runner, tmp_path, text_file):
         out, _ = _build(runner, tmp_path, text_file)
         result = runner.invoke(main, ["query", out, "ax", "--locate"])

@@ -13,10 +13,12 @@ from pdawg import (
     build_online,
     build_pstree_naive,
     canonical_form,
+    links_to_pdawg,
     offline_build_pdawg,
     pv_reverse,
     suffix_link_tree_as_pstree,
     tree_equal,
+    upward_links_to_pdawg,
     verify_duality,
     weiner_links,
 )
@@ -156,6 +158,16 @@ class TestOfflineBuild:
         tree.attach(tree.root, (-1, -1), child)  # depth-1 suffix never marked
         with pytest.raises(StructureError):
             offline_build_pdawg(tree)
+
+    def test_links_that_form_no_pdawg_are_rejected(self):
+        text = PString("xaxay", A_XY).prev()
+        tree = build_pstree_naive(pv_reverse(text))
+        # the naive tree holds no links, so no edge spells the text
+        with pytest.raises(StructureError, match="primary spine"):
+            upward_links_to_pdawg(tree)
+        # its definitional Weiner links are the automaton of the text
+        g = links_to_pdawg(tree, weiner_links(tree))
+        assert canonical_form(g) == canonical_form(build_online(text)[0])
 
 
 def test_node_counts_agree_between_the_two_views():

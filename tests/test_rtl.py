@@ -1,4 +1,4 @@
-"""Right-to-left tree construction with links kept in through-the-parent form."""
+"""Right-to-left tree construction, read off the online automaton of the reversed text."""
 
 import random
 
@@ -15,7 +15,6 @@ from pdawg import (
     upward_links_to_pdawg,
     weiner_links,
 )
-from pdawg.rtl import _simulate
 from pdawg.verify import _arrays, check_rtl
 
 from helpers import A_XY, AB_XYZ, all_pstrings, distinct_by_prev, random_pstring
@@ -27,15 +26,9 @@ BACKWARD = PString("baxayay", AB_XY)
 
 
 def _assert_stored_links_are_the_weiner_links(tree):
-    """Every stored (first, to) pair resolves to its definitional Weiner-link
-    target, and is stored direct (first None) iff the link is explicit."""
-    defined = weiner_links(tree)
-    for v in range(tree.node_count()):
-        assert set(tree.uplinks[v]) == set(defined[v])
-        for lbl, (first, to) in tree.uplinks[v].items():
-            target = defined[v][lbl]
-            assert _simulate(tree, (first, to)) == target
-            assert (first is None) == (tree.depth[target] == tree.depth[v] + 1)
+    """The stored links are the definitional Weiner links; whether one is
+    explicit follows from the depths."""
+    assert tree.uplinks == weiner_links(tree)
 
 
 class TestSimulateWeiner:
@@ -82,15 +75,15 @@ class TestStepwiseConstruction:
         tree, counters = build_pstree_rtl(PString("", A_XY).prev())
         assert tree.node_count() == 1
         assert counters.redirections == 0
-        assert counters.new_links == 0
+        assert sum(map(len, tree.uplinks)) == 0
 
     def test_climbing_work_is_amortized_by_the_link_count(self):
         rng = random.Random(47)
         for _ in range(20):
             n = rng.randint(1, 200)
             t = random_pstring(rng, AB_XYZ, n)
-            _, counters = build_pstree_rtl(t.prev())
-            assert counters.climb_visits <= 2 * counters.new_links + n
+            tree, counters = build_pstree_rtl(t.prev())
+            assert counters.climb_visits <= 2 * sum(map(len, tree.uplinks)) + n
 
 
 class TestLinksAsPdawg:
@@ -126,6 +119,27 @@ class TestLinksAsPdawg:
             assert _arrays(upward_links_to_pdawg(tree)) == _arrays(
                 build_online(pv_reverse(pv))[0]
             ), str(t)
+
+
+PINNED_STEP_COUNTERS = {
+    # (redirections, climb_visits) of each step, step 0 included
+    "baxayay": [(0, 0), (0, 1), (0, 2), (0, 2), (0, 2), (0, 2), (1, 2), (0, 4)],
+    "aaxx": [(0, 0), (0, 1), (0, 2), (0, 3), (1, 2)],
+    "axaaxx": [(0, 0), (0, 1), (0, 2), (0, 3), (1, 2), (0, 3), (1, 2)],
+    "xxaxy": [(0, 0), (0, 1), (0, 2), (0, 3), (0, 2), (0, 3)],
+    "yayaxab": [(0, 0), (0, 1), (0, 2), (0, 2), (1, 2), (1, 2), (1, 2), (0, 3)],
+}
+
+
+@pytest.mark.parametrize("raw", PINNED_STEP_COUNTERS)
+def test_step_counters_are_pinned(raw):
+    got = []
+    before = (0, 0)
+    for _i, _tree, counters in rtl_steps(PString(raw, AB_XY).prev()):
+        now = (counters.redirections, counters.climb_visits)
+        got.append((now[0] - before[0], now[1] - before[1]))
+        before = now
+    assert got == PINNED_STEP_COUNTERS[raw]
 
 
 @pytest.mark.parametrize("raw", ["aaxx", "axaaxx", "xxaxy", "yayaxab"])
