@@ -1,11 +1,13 @@
 """Parameterized pattern matching and occurrence location on a PDAWG.
 
-Membership is a single walk: feed the pattern's prev-encoding through `trans`,
-position by position.  Locating needs one extra observation: the end positions
-of a class are exactly the prefixes of the text whose class sits in that
-node's subtree of the (reversed) suffix-link tree.  Counting those prefixes
-per subtree gives every node a contiguous block of a position array, with no
-tree walk: parents are placed before their children, by length.
+Membership is a single walk from the source, one transition per pattern
+symbol.  A static code or a distance takes a plain edge lookup; only code 0
+calls `trans`, which holds the one bundled-0 rule.  Locating needs one extra
+observation: the end positions of a class are exactly the prefixes of the
+text whose class sits in that node's subtree of the (reversed) suffix-link
+tree.  Counting those prefixes per subtree gives every node a contiguous
+block of a position array, with no tree walk: parents are placed before
+their children, by length.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from .pdawg import Pdawg, trans
 
 
 def _walk(g: Pdawg, codes: tuple[int, ...]) -> int | None:
+    edges = g.edges
     u = g.source
     for i, a in enumerate(codes):
-        u = trans(g, u, i, a)
+        u = edges[u].get(a) if a else trans(g, u, i, 0)
         if u is None:
             return None
     return u
@@ -93,4 +96,6 @@ def locate(idx: OccurrenceIndex, p: PString | PvString) -> tuple[int, ...]:
     u = _walk(g, codes)
     if u is None:
         return ()
-    return tuple(sorted(idx.positions[idx.enter[u] : idx.leave[u]]))
+    ends = idx.positions[idx.enter[u] : idx.leave[u]]
+    ends.sort()
+    return tuple(ends)

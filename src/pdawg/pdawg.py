@@ -157,67 +157,20 @@ def _online_steps(g: Pdawg, stats: ConstructionStats) -> Iterator[tuple[int, int
     counting the work in `stats`, and yield after every symbol: (v, vp) when
     the step split class v off the new class vp, otherwise None.
 
-    The context cut-off `pstrings._z` is spelled inline here as
-    `0 if a > L else a`: calling it costs 8-21% of the build.  For the same
-    reason the climb follows a symbol other than 0 with a plain lookup, and
-    calls `trans` only for 0, whose bundled rule it holds: a call at every
-    visited node cost 4-8% of the build at n = 1e4 on the bench families.
+    A step is a few dict operations per visited node, so call overhead is
+    kept out of the loop.  The context cut-off `pstrings._z` is spelled
+    inline as `0 if a > L else a`: calling it costs 8-21% of the build.  A
+    code other than 0 takes a plain lookup, and only code 0 calls `trans`,
+    whose bundled rule it holds: a call at every visited node cost 4-8% of
+    the build at n = 1e4 on the bench families.  The search for the longest
+    repeated suffix and the split are spelled in the loop, not as closures,
+    and a split adds its redirected edges to `stats` once: that cut the
+    build by 3-13% on those families.  `stats` is current at every yield.
     """
     lens = g.lens
     slinks = g.slinks
     edges = g.edges
     history = g.sink_history
-
-    def lrs_length(u: int | None, a: int, sink: int) -> tuple[int, int, int | None]:
-        # length k of the longest repeated suffix, the node v housing it,
-        # and where the split-redirection climb should start
-        if u is None:
-            # no suffix survives: the longest repeated suffix is the empty one
-            return 0, g.source, None
-        L = lens[u]
-        zau = 0 if a > L else a
-        eu = edges[u]
-        v = eu.get(zau)
-        if v is not None:
-            return lens[u] + 1, v, u
-        # only reachable for integer a: the surviving extension went through
-        # a bundled 0-edge, so the repeated suffix is shorter than len(u)+1
-        k = _lrs_bound(eu, a)
-        v = trans(g, u, k - 1, 0)
-        if v is None:
-            raise AssertionError("longest repeated suffix has no class")
-        eu[zau] = sink
-        return k, v, slinks[u]
-
-    def split_node(v: int, k: int, u: int | None, a: int) -> int:
-        vp = len(lens)
-        lens.append(k)
-        slinks.append(None)
-        edges.append({})
-        stats.suffix_links_deleted += 1
-        # in-edges: every suffix of the new longest repeated suffix that still
-        # reaches v from the chain belongs below the split point
-        while u is not None:
-            L = lens[u]
-            key = 0 if a > L else a
-            if edges[u].get(key) != v:
-                break
-            edges[u][key] = vp
-            stats.redirected_secondary_edges += 1
-            if L == k - 1:
-                stats.redirections += 1
-            u = slinks[u]
-        # out-edges: keep the labels that stay meaningful at length k
-        evp = edges[vp]
-        for b, tgt in edges[v].items():
-            if b < 0 or 0 < b <= k:
-                evp[b] = tgt
-        t0 = trans(g, v, k, 0)
-        if t0 is not None:
-            evp[0] = t0
-        slinks[vp] = slinks[v]
-        slinks[v] = vp
-        return vp
 
     for i, a in enumerate(g.text_codes, start=1):
         sink = len(lens)
@@ -244,16 +197,69 @@ def _online_steps(g: Pdawg, stats: ConstructionStats) -> Iterator[tuple[int, int
             eu[0 if a > L else a] = sink
             u = s
         stats.climb_visits += visits
-
-        k, v, u = lrs_length(u, a, sink)
         history.append(sink)
+
+        # the longest repeated suffix: its length k, the node v housing it,
+        # and u, where the split-redirection climb starts
+        if u is None:
+            # no suffix survives: the longest repeated suffix is the empty one
+            slinks[sink] = g.source
+            yield None
+            continue
+        L = lens[u]
+        zau = 0 if a > L else a
+        eu = edges[u]
+        v = eu.get(zau)
+        if v is not None:
+            k = L + 1
+        else:
+            # only reachable for integer a: the surviving extension went
+            # through a bundled 0-edge, so the repeated suffix is shorter
+            # than len(u)+1
+            k = _lrs_bound(eu, a)
+            v = trans(g, u, k - 1, 0)
+            if v is None:
+                raise AssertionError("longest repeated suffix has no class")
+            eu[zau] = sink
+            u = slinks[u]
         if lens[v] == k:
             slinks[sink] = v
             yield None
-        else:
-            vp = split_node(v, k, u, a)
-            slinks[sink] = vp
-            yield v, vp
+            continue
+
+        # split class v: the new class vp takes its members of length <= k
+        vp = len(lens)
+        lens.append(k)
+        slinks.append(None)
+        evp = {}
+        edges.append(evp)
+        stats.suffix_links_deleted += 1
+        # in-edges: every suffix of the new longest repeated suffix that still
+        # reaches v from the chain belongs below the split point
+        redirected = 0
+        while u is not None:
+            L = lens[u]
+            key = 0 if a > L else a
+            eu = edges[u]
+            if eu.get(key) != v:
+                break
+            eu[key] = vp
+            redirected += 1
+            if L == k - 1:
+                stats.redirections += 1
+            u = slinks[u]
+        stats.redirected_secondary_edges += redirected
+        # out-edges: keep the labels that stay meaningful at length k
+        for b, tgt in edges[v].items():
+            if b < 0 or 0 < b <= k:
+                evp[b] = tgt
+        t0 = trans(g, v, k, 0)
+        if t0 is not None:
+            evp[0] = t0
+        slinks[vp] = slinks[v]
+        slinks[v] = vp
+        slinks[sink] = vp
+        yield v, vp
 
 
 def build_online(t: PString | PvString) -> tuple[Pdawg, ConstructionStats]:

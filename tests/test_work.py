@@ -1,19 +1,30 @@
-"""Work counts, not timings: how many node labels the bundled-0 rule reads.
+"""Work counts, not timings: how many node labels the bundled-0 rule reads,
+and how often a query calls it.
 
 `_zero_label` is the only place a transition looks at more than one label,
 so counting the labels it is handed, per text or pattern symbol, measures
 whether construction and matching stay linear.  The separation family T_k
 puts k + 1 labels on the source, where a scan would cost Θ(k) per
-parameter read there.
+parameter read there.  A query follows every other code with one edge
+lookup, so it calls `trans` once per code 0 and never otherwise.
 """
 
 import random
 
 import pytest
 
+import pdawg.matcher as matcher
 import pdawg.pdawg as online
 import pdawg.rtl as rtl
-from pdawg import Alphabet, PString, build_online, p_match_query, pv_reverse
+from pdawg import (
+    Alphabet,
+    PString,
+    build_occurrence_index,
+    build_online,
+    locate,
+    p_match_query,
+    pv_reverse,
+)
 from pdawg.verify import separation_text
 
 from helpers import random_pstring
@@ -95,3 +106,32 @@ def test_right_to_left_build_reads_few_labels(labels_read):
     pv = pv_reverse(separation_text(100).prev())
     rtl.build_pstree_rtl(pv)
     _assert_linear("build_pstree_rtl on reversed T_100", labels_read[0], len(pv))
+
+
+@pytest.fixture()
+def trans_calls(monkeypatch):
+    """A one-element list counting the `trans` calls the matcher makes."""
+    calls = [0]
+    real = matcher.trans
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(matcher, "trans", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["separation T_1000", "extremal a.b^(n-2).c"])
+def test_queries_call_trans_once_per_code_0(trans_calls, name):
+    pv = BUILD_TEXTS[name]().prev()
+    g, _ = build_online(pv)
+    idx = build_occurrence_index(g)
+    windows = [pv.window(i, i + 7) for i in range(1, len(pv) - 6, 7)]
+    zeros = sum(p.codes.count(0) for p in windows)
+    trans_calls[0] = 0
+    assert all(p_match_query(g, p) for p in windows)
+    assert trans_calls[0] == zeros
+    trans_calls[0] = 0
+    assert all(locate(idx, p) for p in windows)
+    assert trans_calls[0] == zeros
