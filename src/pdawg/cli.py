@@ -7,14 +7,14 @@ incompatible index file.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
+import os
 import random
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn
-
-import click
 
 from . import __version__
 from .duality import _tree_strings, offline_build_pdawg
@@ -55,8 +55,13 @@ EXIT_USAGE = 2
 EXIT_CORRUPT = 3
 
 
+class UsageError(Exception):
+    """A bad invocation: `main` reports it with the command's usage line and
+    exits 2."""
+
+
 def _fail(message: str, code: int = EXIT_CORRUPT) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -68,19 +73,22 @@ def _read_utf8(path: str) -> str:
     try:
         return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise click.UsageError(f"{path}: not valid UTF-8: {exc}") from exc
+        raise UsageError(f"{path}: not valid UTF-8: {exc}") from exc
 
 
-def _write_out(path: str, lines: Iterable[str]) -> None:
-    """Write the lines to `path` as they are made, so no whole output is
-    held; a path that cannot be opened is a usage error."""
+def _write_out(path: str | None, lines: Iterable[str]) -> None:
+    """Write the lines to `path`, or to stdout when it is None, as they are
+    made, so no whole output is held; a path that cannot be opened is a
+    usage error."""
+    if path is None:
+        sys.stdout.writelines(line + "\n" for line in lines)
+        return
     try:
         f = open(path, "w", encoding="utf-8")
     except OSError as exc:
         _fail(f"{path}: cannot write: {exc.strerror}", EXIT_USAGE)
     with f:
-        for line in lines:
-            f.write(line + "\n")
+        f.writelines(line + "\n" for line in lines)
 
 
 def _read_text(path: str, tokenize: bool) -> list[str]:
@@ -96,12 +104,6 @@ def _read_text(path: str, tokenize: bool) -> list[str]:
 
 def _gv_quote(s: str) -> str:
     return '"{}"'.format(s.replace("\\", "\\\\").replace('"', '\\"'))
-
-
-@click.group()
-@click.version_option(version=__version__, prog_name="pdawg")
-def main() -> None:
-    """Parameterized pattern matching indexes over static/parameter texts."""
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +146,12 @@ def _dump_json(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-@main.command("build")
-@click.argument("textfile", type=click.Path(exists=True, dir_okay=False, readable=True))
-@click.option("--sigma", "sigma_chars", default=None, help="Static symbols, as characters (or whitespace-separated tokens with --tokenize).")
-@click.option("--sigma-file", type=click.Path(exists=True, dir_okay=False, readable=True), default=None, help="File listing static symbols, one per line.")
-@click.option("--pi", "pi_chars", default=None, help="Parameter symbols, same format as --sigma.")
-@click.option("--pi-auto", is_flag=True, help="Treat every non-static symbol of the text as a parameter.")
-@click.option("--tokenize", is_flag=True, help="Split the text on whitespace instead of reading characters.")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None, help="Write the index file here.")
-@click.option("--engine", type=click.Choice(["online", "offline", "rtl"]), default="online", show_default=True, help="Construction algorithm.")
 def cmd_build(textfile, sigma_chars, sigma_file, pi_chars, pi_auto, tokenize, out, engine):
     """Index TEXTFILE and print build statistics as JSON."""
     if (sigma_chars is None) == (sigma_file is None):
-        raise click.UsageError("give exactly one of --sigma or --sigma-file")
+        raise UsageError("give exactly one of --sigma or --sigma-file")
     if (pi_chars is None) == (not pi_auto):
-        raise click.UsageError("give exactly one of --pi or --pi-auto")
+        raise UsageError("give exactly one of --pi or --pi-auto")
     symbols = _read_text(textfile, tokenize)
     if sigma_file is not None:
         sigma = [line.strip() for line in _read_utf8(sigma_file).splitlines() if line.strip()]
@@ -172,7 +165,7 @@ def cmd_build(textfile, sigma_chars, sigma_file, pi_chars, pi_auto, tokenize, ou
         text = PString(symbols, alphabet)
         pv = text.prev()
     except AlphabetError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     g, steps = _build_pdawg(text, engine)
     if out is not None:
         index = _index_json(g, pi_auto=pi_auto, tokenize=tokenize)
@@ -185,7 +178,7 @@ def cmd_build(textfile, sigma_chars, sigma_file, pi_chars, pi_auto, tokenize, ou
         "prev": str(pv),
         "build_steps": steps,
     }
-    click.echo(_dump_json(stats), nl=False)
+    sys.stdout.write(_dump_json(stats))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +188,8 @@ def cmd_build(textfile, sigma_chars, sigma_file, pi_chars, pi_auto, tokenize, ou
 def _load_index(path: str) -> tuple[Pdawg, dict]:
     try:
         obj = json.loads(Path(path).read_text("utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # a deeply nested file overflows the parser's recursion limit
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         _fail(f"{path}: cannot parse index: {exc}")
     if not isinstance(obj, dict) or obj.get("format") != INDEX_FORMAT:
         _fail(f"{path}: not a {INDEX_FORMAT} file")
@@ -227,7 +221,7 @@ def _pattern_pstring(obj: dict, g: Pdawg, pattern: str) -> PString:
         alphabet = alphabet._with_pi(params)
     for sym in params:
         if not alphabet.is_param(sym):
-            raise click.UsageError(
+            raise UsageError(
                 f"pattern symbol {sym!r} is neither static nor a declared parameter"
             )
     return PString(symbols, alphabet)
@@ -237,11 +231,6 @@ def _pattern_pstring(obj: dict, g: Pdawg, pattern: str) -> PString:
 # query
 
 
-@main.command("query")
-@click.argument("indexfile", type=click.Path(exists=True, dir_okay=False, readable=True))
-@click.argument("pattern")
-@click.option("--locate", "do_locate", is_flag=True, help="Report sorted occurrence positions instead of true/false.")
-@click.option("--begin-positions", is_flag=True, help="With --locate, report 1-based begin positions instead of end positions.")
 def cmd_query(indexfile, pattern, do_locate, begin_positions):
     """Ask whether PATTERN matches a factor of the indexed text.
 
@@ -256,9 +245,9 @@ def cmd_query(indexfile, pattern, do_locate, begin_positions):
             result = [e - len(p) + 1 for e in ends]
         else:
             result = list(ends)
-        click.echo(json.dumps(result))
+        print(json.dumps(result))
     else:
-        click.echo("true" if p_match_query(g, p) else "false")
+        print("true" if p_match_query(g, p) else "false")
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +305,6 @@ def _dot_pstree(g: Pdawg) -> Iterator[str]:
     yield "}"
 
 
-@main.command("dot")
-@click.argument("indexfile", type=click.Path(exists=True, dir_okay=False, readable=True))
-@click.option("--structure", type=click.Choice(["pdawg", "pstree"]), default="pdawg", show_default=True, help="The automaton itself, or its suffix-link tree as the suffix tree of the reversed text.")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None, help="Write DOT here instead of stdout.")
 def cmd_dot(indexfile, structure, out):
     """Render the index (or its suffix-link tree) as deterministic Graphviz.
 
@@ -328,12 +313,7 @@ def cmd_dot(indexfile, structure, out):
     Both views are drawn from the automaton as they are printed.
     """
     g, _obj = _load_index(indexfile)
-    lines = _dot_pdawg(g) if structure == "pdawg" else _dot_pstree(g)
-    if out is None:
-        for line in lines:
-            click.echo(line)
-    else:
-        _write_out(out, lines)
+    _write_out(out, _dot_pdawg(g) if structure == "pdawg" else _dot_pstree(g))
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +356,6 @@ def _pstring(raw: str, sigma: str) -> PString:
 SUITES = ("encodings", "pdawg", "matching", "duality", "rtl", "bounds")
 
 
-@main.command("selftest")
-@click.option("--max-len", default=6, show_default=True, type=click.IntRange(min=1), help="Exhaustive-case length budget.")
-@click.option("--seed", default=0, show_default=True, help="Random generator seed.")
-@click.option("--suites", default=",".join(SUITES), show_default=True, help="Comma-separated suite names.")
 def cmd_selftest(max_len, seed, suites):
     """Cross-check the fast structures against brute-force oracles.
 
@@ -387,10 +363,10 @@ def cmd_selftest(max_len, seed, suites):
     """
     chosen = [s.strip() for s in suites.split(",") if s.strip()]
     if not chosen:
-        raise click.UsageError("no suite selected")
+        raise UsageError("no suite selected")
     unknown = [s for s in chosen if s not in SUITES]
     if unknown:
-        raise click.UsageError(f"unknown suites: {unknown}")
+        raise UsageError(f"unknown suites: {unknown}")
 
     def run_texts(name: str, texts, check) -> int:
         def detail_of(raw: str) -> str | None:
@@ -402,7 +378,7 @@ def cmd_selftest(max_len, seed, suites):
             detail = detail_of(raw)
             if detail is not None:
                 witness = _minimize(raw, lambda r: detail_of(r) is not None)
-                click.echo(
+                print(
                     json.dumps(
                         {
                             "suite": name,
@@ -433,16 +409,143 @@ def cmd_selftest(max_len, seed, suites):
         if name == "bounds":
             detail = check_bounds(max_k=6, max_n=max(12, 4 * max_len))
             if detail is not None:
-                click.echo(json.dumps({"suite": name, "witness": None, "detail": detail}))
+                print(json.dumps({"suite": name, "witness": None, "detail": detail}))
                 sys.exit(EXIT_PROPERTY)
-            click.echo("suite=bounds ok")
+            print("suite=bounds ok")
             continue
         exhaustive_len = max_len if name in ("encodings", "pdawg") else min(max_len, 5)
         texts = list(_exhaustive_texts("a", "xy", exhaustive_len))
         texts += list(_random_texts(rng, "ab", "xyz", 40, 3 * max_len))
         count = run_texts(name, texts, checks[name])
-        click.echo(f"suite={name} ok ({count} texts)")
-    click.echo("all selected suites passed")
+        print(f"suite={name} ok ({count} texts)")
+    print("all selected suites passed")
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+
+
+# argparse (3.10, 3.11) drops a "--" from the values of every positional, not
+# only the separator, so `_prepare_args` hides a literal "--" after the
+# separator as this, and the positionals' types turn it back
+_DASHES = "\0--"
+
+
+def _positional(value: str) -> str:
+    return "--" if value == _DASHES else value
+
+
+def _readable_file(path: str) -> str:
+    path = _positional(path)
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    if not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"file {path!r} is not readable")
+    return path
+
+
+def _positive_int(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is below 1")
+    return n
+
+
+VALUE_OPTIONS = frozenset(
+    ("--sigma", "--sigma-file", "--pi", "--out", "--engine", "--structure",
+     "--max-len", "--seed", "--suites")
+)
+
+
+def _prepare_args(argv: list[str]) -> list[str]:
+    """Join each value option to the argument after it, so that a value
+    starting with "-" (`--sigma -+`) is read as the value, not as an option,
+    and after the "--" separator hide each literal "--" as `_DASHES`."""
+    args = list(argv)
+    i = 0
+    while i < len(args) and args[i] != "--":
+        if args[i] in VALUE_OPTIONS and i + 1 < len(args):
+            args[i : i + 2] = [f"{args[i]}={args[i + 1]}"]
+        i += 1
+    return args[: i + 1] + [_DASHES if a == "--" else a for a in args[i + 1 :]]
+
+
+def _parser() -> argparse.ArgumentParser:
+    def help_option(parser: argparse.ArgumentParser) -> None:
+        parser.add_argument("--help", action="help", help="Show this message and exit.")
+
+    parser = argparse.ArgumentParser(
+        prog="pdawg", description=main.__doc__, add_help=False, allow_abbrev=False
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"pdawg, version {__version__}",
+        help="Show the version and exit.",
+    )
+    help_option(parser)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name: str, run) -> argparse.ArgumentParser:
+        sub = commands.add_parser(
+            name, help=run.__doc__.splitlines()[0], description=run.__doc__,
+            add_help=False, allow_abbrev=False,
+        )
+        help_option(sub)
+        sub.set_defaults(run=run, parser=sub)
+        return sub
+
+    build = command("build", cmd_build)
+    build.add_argument("textfile", metavar="TEXTFILE", type=_readable_file)
+    build.add_argument("--sigma", dest="sigma_chars", metavar="SYMBOLS", help="Static symbols, as characters (or whitespace-separated tokens with --tokenize).")
+    build.add_argument("--sigma-file", metavar="FILE", type=_readable_file, help="File listing static symbols, one per line.")
+    build.add_argument("--pi", dest="pi_chars", metavar="SYMBOLS", help="Parameter symbols, same format as --sigma.")
+    build.add_argument("--pi-auto", action="store_true", help="Treat every non-static symbol of the text as a parameter.")
+    build.add_argument("--tokenize", action="store_true", help="Split the text on whitespace instead of reading characters.")
+    build.add_argument("--out", metavar="FILE", help="Write the index file here.")
+    build.add_argument("--engine", choices=("online", "offline", "rtl"), default="online", help="Construction algorithm (default: online).")
+
+    query = command("query", cmd_query)
+    query.add_argument("indexfile", metavar="INDEXFILE", type=_readable_file)
+    query.add_argument("pattern", metavar="PATTERN", type=_positional)
+    query.add_argument("--locate", dest="do_locate", action="store_true", help="Report sorted occurrence positions instead of true/false.")
+    query.add_argument("--begin-positions", action="store_true", help="With --locate, report 1-based begin positions instead of end positions.")
+
+    dot = command("dot", cmd_dot)
+    dot.add_argument("indexfile", metavar="INDEXFILE", type=_readable_file)
+    dot.add_argument("--structure", choices=("pdawg", "pstree"), default="pdawg", help="The automaton itself, or its suffix-link tree as the suffix tree of the reversed text (default: pdawg).")
+    dot.add_argument("--out", metavar="FILE", help="Write DOT here instead of stdout.")
+
+    selftest = command("selftest", cmd_selftest)
+    selftest.add_argument("--max-len", metavar="N", type=_positive_int, default=6, help="Exhaustive-case length budget (default: 6).")
+    selftest.add_argument("--seed", metavar="S", type=int, default=0, help="Random generator seed (default: 0).")
+    selftest.add_argument("--suites", metavar="NAMES", default=",".join(SUITES), help=f"Comma-separated suite names (default: {','.join(SUITES)}).")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Parameterized pattern matching indexes over static/parameter texts."""
+    namespace, extra = _parser().parse_known_args(
+        _prepare_args(sys.argv[1:] if argv is None else argv)
+    )
+    args = vars(namespace)
+    run, parser = args.pop("run"), args.pop("parser")
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    try:
+        run(**args)
+        sys.stdout.flush()
+    except UsageError as exc:
+        parser.error(str(exc))
+    except BrokenPipeError:
+        # the reader stopped early, as `pdawg dot INDEX | head` does: exit 1
+        # without a traceback, and without a second error when the rest of
+        # stdout is flushed at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,6 @@ two on exhaustive small inputs.  All of them work on the prev-encoded text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .pstrings import (
     Alphabet,
     PString,
@@ -183,14 +181,14 @@ def build_psauto(t: PString | PvString) -> PSAuto:
 # definitional PDAWG: right-position equivalence classes
 
 
-@dataclass
 class OracleClass:
     """One equivalence class of factors sharing the same end-position set."""
 
-    members: tuple[tuple[int, ...], ...]  # sorted by length; last is the longest
-    positions: tuple[int, ...]
-    edges: dict[int, int] = field(default_factory=dict)
-    slink: int | None = None
+    def __init__(self, members: tuple[tuple[int, ...], ...], positions: tuple[int, ...]):
+        self.members = members  # sorted by length; last is the longest
+        self.positions = positions
+        self.edges: dict[int, int] = {}
+        self.slink: int | None = None
 
     @property
     def longest(self) -> tuple[int, ...]:
@@ -201,13 +199,20 @@ class OracleClass:
         return self.members[0]
 
 
-@dataclass
 class OraclePdawg:
-    classes: list[OracleClass]
-    source: int
-    sink: int
-    text_codes: tuple[int, ...]
-    alphabet: Alphabet
+    def __init__(
+        self,
+        classes: list[OracleClass],
+        source: int,
+        sink: int,
+        text_codes: tuple[int, ...],
+        alphabet: Alphabet,
+    ):
+        self.classes = classes
+        self.source = source
+        self.sink = sink
+        self.text_codes = text_codes
+        self.alphabet = alphabet
 
     def node_count(self) -> int:
         return len(self.classes)

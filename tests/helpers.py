@@ -1,6 +1,11 @@
-"""Shared text generators for the test suite."""
+"""Shared text generators for the test suite, and helpers to run the CLI."""
 
+import contextlib
+import io
 import itertools
+import os
+from pathlib import Path
+from types import SimpleNamespace
 
 from pdawg import Alphabet, PString
 
@@ -32,3 +37,46 @@ def random_pstring(rng, alphabet, n):
     symbols = sorted(alphabet.sigma) + sorted(alphabet.pi)
     return PString([rng.choice(symbols) for _ in range(n)], alphabet)
 
+
+def src_env():
+    """The environment for a child interpreter that imports this checkout's
+    `pdawg`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+class _Tee(io.StringIO):
+    """One output stream that also copies what it is given into `both`."""
+
+    def __init__(self, both):
+        super().__init__()
+        self.both = both
+
+    def write(self, s):
+        self.both.write(s)
+        return super().write(s)
+
+
+def invoke(main, argv):
+    """Run `main(argv)` in-process and capture how it ended: `exit_code`,
+    `stdout` (and `stdout_bytes`), `stderr`, `output` (both streams in the
+    order written) and `exception` (None on exit 0)."""
+    both = io.StringIO()
+    out, err = _Tee(both), _Tee(both)
+    exit_code, exception = 0, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            exit_code = exc.code or 0
+            exception = exc if exit_code else None
+        except Exception as exc:
+            exit_code, exception = 1, exc
+    return SimpleNamespace(
+        exit_code=exit_code,
+        stdout=out.getvalue(),
+        stdout_bytes=out.getvalue().encode("utf-8"),
+        stderr=err.getvalue(),
+        output=both.getvalue(),
+        exception=exception,
+    )

@@ -3,11 +3,13 @@ self-verification suites, and the exit-code contract."""
 
 import json
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 from pdawg import (
     Alphabet,
@@ -23,14 +25,15 @@ from pdawg.cli import _build_pdawg, _dot_pstree, _gv_quote, main
 from pdawg.pstrings import format_codes, label_sort_key
 from pdawg.verify import _arrays, separation_text
 
-from helpers import A_XY, AB_XYZ, all_pstrings, random_pstring
+from helpers import A_XY, AB_XYZ, all_pstrings, invoke, random_pstring, src_env
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    # call sites read `runner.invoke(main, argv)`
+    return SimpleNamespace(invoke=invoke)
 
 
 @pytest.fixture()
@@ -384,6 +387,15 @@ class TestCorruptIndexes:
             f.write("{ not json")
         assert runner.invoke(main, ["query", index, "ya"]).exit_code == 3
 
+    def test_deeply_nested_file_exits_3(self, runner, index):
+        # deeper than the JSON parser's recursion limit
+        with open(index, "w", encoding="utf-8") as f:
+            f.write("[" * 200000 + "]" * 200000)
+        for args in (["query", index, "ya"], ["dot", index]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 3, (args, result.output)
+            assert result.output.startswith(f"error: {index}: cannot parse index: ")
+
     def test_wrong_format_marker(self, runner, index):
         self._mangle(index, lambda o: o.update(format="something-else"))
         assert runner.invoke(main, ["query", index, "ya"]).exit_code == 3
@@ -592,11 +604,102 @@ class TestDot:
             f"error: {out}: cannot write: No such file or directory"
         ]
 
+    def test_a_reader_that_stops_early_ends_it_quietly(self, runner, tmp_path):
+        # as `pdawg dot INDEX | head` does, once the output outgrows the pipe
+        text = tmp_path / "long.txt"
+        text.write_text("".join(random_pstring(random.Random(2), AB_XYZ, 3000).raw) + "\n", "utf-8")
+        index = str(tmp_path / "long.json")
+        built = runner.invoke(main, ["build", str(text), "--sigma", "ab", "--pi", "xyz", "--out", index])
+        assert built.exit_code == 0, built.output
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pdawg.cli", "dot", index],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(),
+        )
+        assert proc.stdout.readline() == b"digraph pdawg {\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait() == 1
+        assert stderr == b""
+
     def test_unknown_structure_rejected(self, runner, index):
         # the minimal automaton (psauto) is only an oracle, not a view
         for structure in ("galaxy", "psauto"):
             result = runner.invoke(main, ["dot", index, "--structure", structure])
             assert result.exit_code == 2, structure
+
+
+class TestArguments:
+    """The checks made on arguments before a command runs."""
+
+    @pytest.fixture()
+    def index(self, runner, tmp_path, text_file):
+        out, _ = _build(runner, tmp_path, text_file)
+        return out
+
+    @pytest.mark.parametrize("bad", ["missing", "directory"])
+    def test_input_files_must_be_readable_files(self, runner, tmp_path, text_file, index, bad):
+        path = str(tmp_path / "absent.txt") if bad == "missing" else str(tmp_path)
+        for args in (
+            ["build", path, "--sigma", "a", "--pi", "xy"],
+            ["build", text_file, "--sigma-file", path, "--pi", "xy"],
+            ["query", path, "ya"],
+            ["query", path, "ya", "--locate"],
+            ["dot", path],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, (args, result.output)
+            assert result.stdout == "", args
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["selftest", "--max-len", "0"],
+            ["selftest", "--max-len", "two"],
+            ["selftest", "--seed", "x"],
+            ["dot", "INDEX", "--structure", "bogus"],
+            ["build", "TEXT", "--sigma", "a", "--pi", "xy", "--engine", "bogus"],
+            ["query", "INDEX", "ya", "--loc"],
+            ["build", "TEXT", "--sigma", "a", "--pi", "xy", "--tok"],
+            ["query", "INDEX"],
+            ["query", "INDEX", "ya", "extra"],
+            ["bogus"],
+            [],
+        ],
+    )
+    def test_bad_values_and_abbreviations_are_usage_errors(self, runner, text_file, index, args):
+        args = [{"INDEX": index, "TEXT": text_file}.get(a, a) for a in args]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("command", [[], ["build"], ["query"], ["dot"], ["selftest"]])
+    def test_help_exits_0(self, runner, command):
+        result = runner.invoke(main, [*command, "--help"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.startswith(f"usage: {' '.join(['pdawg', *command])} ")
+
+    def test_dashes_as_symbols(self, runner, tmp_path):
+        # statics "-" and "+": an option value and a pattern may start with "-"
+        text = tmp_path / "dashes.txt"
+        text.write_text("x--y-x+\n", "utf-8")
+        index = str(tmp_path / "dashes.json")
+        built = runner.invoke(
+            main, ["build", str(text), "--sigma", "-+", "--pi", "xy", "--out", index]
+        )
+        assert built.exit_code == 0, built.output
+        assert json.loads(built.output)["sigma_size"] == 2
+        for args, want in (
+            (["query", "--locate", "--", index, "-y"], "[4, 6]"),
+            (["query", index, "--", "-y"], "true"),
+            (["query", "--locate", "--", index, "--"], "[3]"),
+            (["query", "--locate", "--", index, "++"], "[]"),
+            (["query", "--locate", "--begin-positions", "--", index, "-"], "[2, 3, 5]"),
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, (args, result.output)
+            assert result.stdout == want + "\n", args
+        # without "--" a pattern that starts with "-" reads as an option
+        assert runner.invoke(main, ["query", index, "-y"]).exit_code == 2
 
 
 class TestSelftest:

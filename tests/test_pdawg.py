@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import pdawg
 from pdawg import (
     Alphabet,
+    ConstructionStats,
     PString,
     build_online,
     build_oracle_pdawg,
@@ -125,6 +126,18 @@ class TestOnlineBuild:
             gi, _ = build_online(pv.window(1, i))
             assert gi.text_codes == pv.codes[:i]
             assert canonical_form(gi) == build_oracle_pdawg(pv.window(1, i)).canonical_form()
+
+    def test_construction_stats_is_a_plain_record(self):
+        fields = ("redirected_secondary_edges", "suffix_links_deleted", "climb_visits", "redirections")
+        empty = ConstructionStats()
+        assert [getattr(empty, f) for f in fields] == [0, 0, 0, 0]
+        assert ConstructionStats() == ConstructionStats()
+        assert ConstructionStats(climb_visits=1) != empty
+        assert all(f"{f}=" in repr(empty) for f in fields)
+        _, stats = build_online(random_pstring(random.Random(4), AB_XYZ, 300))
+        counts = {f: getattr(stats, f) for f in fields}
+        assert all(counts.values()), counts
+        assert stats == ConstructionStats(**counts)
 
 
 class TestSizes:
