@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NoReturn
 
 from . import __version__
-from .duality import _tree_strings, offline_build_pdawg
+from .duality import offline_build_pdawg, suffix_link_tree_as_pstree
 from .matcher import build_occurrence_index, locate, p_match_query
 from .pdawg import (
     Pdawg,
@@ -283,25 +283,20 @@ def _dot_pdawg(g: Pdawg) -> Iterator[str]:
 
 
 def _dot_pstree(g: Pdawg) -> Iterator[str]:
-    """The suffix-link tree of g as the suffix tree of reverse(text); each
-    string is made for the line that prints it and then dropped."""
-    order, string = _tree_strings(g)
-    first = [0] * len(order)  # first symbol of the edge into tree node t
-    kids: list[list[int]] = [[] for _ in order]  # by class, the children's t
-    suffix_classes = set(g.sink_history)
+    """The suffix-link tree of g as the suffix tree of reverse(text); the
+    tree holds spans, and each string is read for the line that prints it
+    and then dropped."""
+    tree = suffix_link_tree_as_pstree(g)
     yield from ("digraph pstree {", "  node [shape=circle fontsize=10];")
-    for t, u in enumerate(order):
-        s = string(u, 0)
-        if t:
-            first[t] = s[g.lens[g.slinks[u]]]
-            kids[g.slinks[u]].append(t)
-        label = _gv_quote(format_codes(s, g.alphabet) if t else "ε")
-        shape = " shape=doublecircle" if u in suffix_classes else ""
-        yield f"  t{t} [label={label}{shape}];"
-    for t, u in enumerate(order):
-        for c in sorted(kids[u], key=lambda c: label_sort_key(first[c])):
-            label = _gv_quote(format_codes(string(order[c], g.lens[u]), g.alphabet))
-            yield f"  t{t} -> t{c} [label={label}];"
+    for v, span in enumerate(tree.node_spans()):
+        label = _gv_quote(format_codes(tree.label(0, span), g.alphabet) if v else "ε")
+        shape = " shape=doublecircle" if tree.is_suffix[v] else ""
+        yield f"  t{v} [label={label}{shape}];"
+    for v, kids in enumerate(tree.children):
+        for first in sorted(kids, key=label_sort_key):
+            span, child = kids[first]
+            label = _gv_quote(format_codes(tree.label(v, span), g.alphabet))
+            yield f"  t{v} -> t{child} [label={label}];"
     yield "}"
 
 

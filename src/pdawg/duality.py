@@ -9,13 +9,14 @@ is inside an edge and gets rounded down to the node below ("implicit").
 
 This module extracts the tree from a PDAWG, computes Weiner links
 definitionally, rebuilds a PDAWG from a bare tree offline, and checks the
-correspondence point by point.
+correspondence point by point.  A tree edge label is a span of the reversed
+text (`PSTree.label` reads it); the extracted tree takes each span from the
+witness occurrence of its class, so it stores no label codes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
 
 from .pstrings import (
     _pv_reverse_codes,
@@ -34,14 +35,19 @@ class StructureError(ValueError):
 def _validate_tree(tree: PSTree) -> None:
     if tree.parent[0] is not None or tree.depth[0] != 0:
         raise StructureError("node 0 must be the root at depth 0")
+    n = len(tree.text_codes)
     seen_child = set()
     for v in range(tree.node_count()):
-        for first, (label, ch) in tree.children[v].items():
-            if not label or label[0] != first:
+        for first, (span, ch) in tree.children[v].items():
+            if not (
+                isinstance(span, range) and span.step == 1 and 0 <= span.start < span.stop <= n
+            ):
+                raise StructureError(f"edge {v}->{ch} is not a nonempty span of the text")
+            if tree.label(v, span[:1])[0] != first:
                 raise StructureError(f"edge {v}->{ch} mislabeled")
             if tree.parent[ch] != v:
                 raise StructureError(f"node {ch} disagrees with its parent")
-            if tree.depth[ch] - tree.depth[v] != len(label):
+            if tree.depth[ch] - tree.depth[v] != len(span):
                 raise StructureError(f"depth inversion on edge {v}->{ch}")
             seen_child.add(ch)
     for v in range(1, tree.node_count()):
@@ -49,45 +55,28 @@ def _validate_tree(tree: PSTree) -> None:
             raise StructureError(f"node {v} is disconnected")
 
 
-def _tree_strings(g: Pdawg) -> tuple[list[int], Callable[[int, int], tuple[int, ...]]]:
-    """The classes of g in node order of the suffix tree of reverse(text),
-    by (length, id), and `string(u, d)`: class u's string in that tree from
-    depth d on, read at its witness end position and cut off by `_z`."""
-    w_s = _pv_reverse_codes(g.text_codes)
-    n = len(w_s)
-    lens = g.lens
+def suffix_link_tree_as_pstree(g: Pdawg) -> PSTree:
+    """The suffix-link tree of g, labelled as the suffix tree of reverse(text):
+    tree node t is the t-th class of g by (length, id), and the edge into it
+    spans the class's witness occurrence in the reversed text from its
+    parent's depth on."""
     witness = _witness_ends(g)
     if None in witness:
         raise StructureError("node unreachable along suffix-link chains")
-
-    def string(u: int, d: int) -> tuple[int, ...]:
-        s0 = n - witness[u]  # start of the witness occurrence, seen from S
-        piece = w_s[s0 + d : s0 + lens[u]]
-        if max(piece, default=0) <= d:
-            return piece  # no code exceeds its depth, so _z would cut nothing
-        return tuple(map(_z, piece, range(d, lens[u])))
-
-    # sorted is stable, so equal lengths stay in id order
-    return sorted(g.node_ids(), key=lens.__getitem__), string
-
-
-def suffix_link_tree_as_pstree(g: Pdawg) -> PSTree:
-    """The suffix-link tree of g, labelled as the suffix tree of reverse(text):
-    tree node t is the t-th class of `_tree_strings`, and each edge label is
-    the child's string from its parent's depth on."""
-    order, string = _tree_strings(g)
     tree = PSTree(_pv_reverse_codes(g.text_codes), g.alphabet)
+    n = len(tree.text_codes)
     tree.is_suffix[0] = True
     suffix_classes = set(g.sink_history)
     tid = {g.source: 0}
-    for u in order[1:]:
+    # sorted is stable, so equal lengths stay in id order
+    for u in sorted(g.node_ids(), key=g.lens.__getitem__)[1:]:
         parent = g.slinks[u]
-        label = string(u, g.lens[parent])
+        s0 = n - witness[u]  # start of the witness occurrence in reverse(text)
         t = tree.new_node(g.lens[u], u in suffix_classes)
-        if label[0] in tree.children[tid[parent]]:
-            raise StructureError("suffix-link tree branches on equal first symbols")
-        tree.attach(tid[parent], label, t)
+        tree.attach(tid[parent], range(s0 + g.lens[parent], s0 + g.lens[u]), t)
         tid[u] = t
+    if sum(map(len, tree.children)) < tree.node_count() - 1:
+        raise StructureError("suffix-link tree branches on equal first symbols")
     return tree
 
 

@@ -52,11 +52,12 @@ def scan_occurrences(t: PString | PvString, p: PString | PvString) -> tuple[int,
 class PSTrie:
     """Trie of the re-encoded suffixes of the text (one node per factor)."""
 
-    __slots__ = ("children", "is_suffix", "text_codes", "alphabet")
+    __slots__ = ("children", "is_suffix", "start", "text_codes", "alphabet")
 
     def __init__(self, text_codes: tuple[int, ...], alphabet: Alphabet):
         self.children: list[dict[int, int]] = [{}]
         self.is_suffix: list[bool] = [False]
+        self.start: list[int] = [0]  # 0-based start of one suffix through the node
         self.text_codes = text_codes
         self.alphabet = alphabet
 
@@ -64,9 +65,10 @@ class PSTrie:
     def root(self) -> int:
         return 0
 
-    def new_node(self) -> int:
+    def new_node(self, start: int) -> int:
         self.children.append({})
         self.is_suffix.append(False)
+        self.start.append(start)
         return len(self.children) - 1
 
     def node_count(self) -> int:
@@ -103,7 +105,7 @@ def build_pstrie(t: PString | PvString) -> PSTrie:
             c = _z(w[d], d - s0)
             nxt = trie.children[u].get(c)
             if nxt is None:
-                nxt = trie.new_node()
+                nxt = trie.new_node(s0)
                 trie.children[u][c] = nxt
             u = nxt
         trie.is_suffix[u] = True
@@ -296,8 +298,10 @@ class PSTree:
 
     Nodes are the root, every branching inner node, and every node whose
     string is a re-encoded suffix (suffix ends stay explicit even when they
-    do not branch).  `uplinks[v]` maps each label to the node its Weiner link
-    leads to; only the right-to-left builder fills it.
+    do not branch).  An edge label is a span of the text, a `range` of
+    0-based positions in `text_codes` as long as the edge, read by `label`.
+    `uplinks[v]` maps each label to the node its Weiner link leads to; only
+    the right-to-left builder fills it.
     """
 
     __slots__ = (
@@ -313,8 +317,8 @@ class PSTree:
     def __init__(self, text_codes: tuple[int, ...], alphabet: Alphabet):
         self.parent: list[int | None] = [None]
         self.depth: list[int] = [0]
-        # first symbol of edge label -> (full label, child id)
-        self.children: list[dict[int, tuple[tuple[int, ...], int]]] = [{}]
+        # first code of the edge label -> (its span of the text, child id)
+        self.children: list[dict[int, tuple[range, int]]] = [{}]
         self.is_suffix: list[bool] = [False]
         self.uplinks: list[dict[int, int]] = [{}]
         self.text_codes = text_codes
@@ -335,23 +339,29 @@ class PSTree:
         self.uplinks.append({})
         return len(self.parent) - 1
 
-    def attach(self, parent: int, label: tuple[int, ...], child: int) -> None:
-        if not label:
-            raise ValueError("tree edges carry nonempty labels")
-        self.children[parent][label[0]] = (label, child)
+    def attach(self, parent: int, span: range, child: int) -> None:
+        head = self.label(parent, span[:1])
+        if not head:
+            raise ValueError("tree edges carry nonempty spans of the text")
+        self.children[parent][head[0]] = (span, child)
         self.parent[child] = parent
 
+    def label(self, v: int, span: range) -> tuple[int, ...]:
+        """The codes of the edge label `span` below node v: the text there,
+        read after v's depth of context."""
+        return _re_encode_codes(self.text_codes[span.start : span.stop], self.depth[v])
+
+    def node_spans(self) -> list[range]:
+        """The span each node's string is read from at the root: the span of
+        the edge into the node, stretched back by the parent's depth."""
+        out = [range(0)] * self.node_count()
+        for kids in self.children:
+            for span, ch in kids.values():
+                out[ch] = range(span.stop - self.depth[ch], span.stop)
+        return out
+
     def node_strings(self) -> list[tuple[int, ...]]:
-        out: list[tuple[int, ...] | None] = [None] * self.node_count()
-        out[0] = ()
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            base = out[u]
-            for label, ch in self.children[u].values():
-                out[ch] = base + label
-                stack.append(ch)
-        return out  # type: ignore[return-value]
+        return [self.label(0, span) for span in self.node_spans()]
 
     def suffix_node_by_depth(self) -> dict[int, int]:
         return {self.depth[v]: v for v in range(self.node_count()) if self.is_suffix[v]}
@@ -366,9 +376,9 @@ class PSTree:
             ent = self.children[u].get(codes[q])
             if ent is None:
                 return None
-            label, ch = ent
-            take = min(len(label), m - q)
-            if codes[q : q + take] != label[:take]:
+            span, ch = ent
+            take = min(len(span), m - q)
+            if codes[q : q + take] != self.label(u, span[:take]):
                 return None
             q += take
             u = ch
@@ -378,7 +388,8 @@ class PSTree:
         strs = self.node_strings()
         out = {}
         for v in range(self.node_count()):
-            kids = tuple(sorted((lab, strs[ch]) for lab, ch in self.children[v].values()))
+            # a child's string fixes the label of the edge into it
+            kids = tuple(sorted(strs[ch] for _span, ch in self.children[v].values()))
             out[strs[v]] = (self.depth[v], self.is_suffix[v], kids)
         return out
 
@@ -388,21 +399,18 @@ def build_pstree_naive(t: PString | PvString) -> PSTree:
     tree = PSTree(trie.text_codes, trie.alphabet)
     tree.is_suffix[0] = trie.is_suffix[0]
 
-    def kept(u: int) -> bool:
-        return trie.is_suffix[u] or len(trie.children[u]) >= 2
-
-    # DFS from the trie root, accumulating labels between kept nodes
-    stack: list[tuple[int, int, list[int]]] = []
-    for c in sorted(trie.children[0], key=label_sort_key, reverse=True):
-        stack.append((trie.children[0][c], 0, [c]))
+    # DFS from the trie root: a kept trie node hangs below the last kept one
+    # by the span of its recorded suffix between the two depths
+    stack = [(0, 0, 0)]  # (trie node, its depth, tree node above it)
     while stack:
-        u, parent, label = stack.pop()
-        if kept(u):
-            v = tree.new_node(tree.depth[parent] + len(label), trie.is_suffix[u])
-            tree.attach(parent, tuple(label), v)
-            parent, label = v, []
+        u, d, parent = stack.pop()
+        if u and (trie.is_suffix[u] or len(trie.children[u]) >= 2):
+            v = tree.new_node(d, trie.is_suffix[u])
+            s0 = trie.start[u]
+            tree.attach(parent, range(s0 + tree.depth[parent], s0 + d), v)
+            parent = v
         for c in sorted(trie.children[u], key=label_sort_key, reverse=True):
-            stack.append((trie.children[u][c], parent, label + [c]))
+            stack.append((trie.children[u][c], d + 1, parent))
     return tree
 
 

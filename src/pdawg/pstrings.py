@@ -304,8 +304,14 @@ def _z(code: int, j: int) -> int:
     return 0 if code > j else code
 
 
-def _re_encode_codes(codes: Sequence[int]) -> tuple[int, ...]:
-    return tuple(map(_z, codes, range(len(codes))))
+def _re_encode_codes(codes: tuple[int, ...], d: int = 0) -> tuple[int, ...]:
+    """`codes` read after d symbols of context, `_z` at depths d, d + 1, ...;
+    as c > j cuts code c at depth j, only the first max(codes) - d can change."""
+    head = max(codes) - d if codes else 0
+    if head <= 0:
+        return codes
+    cut = [0 if c > j else c for c, j in zip(codes[:head], range(d, d + head))]
+    return tuple(cut) + codes[head:]
 
 
 def re_encode(x: PvString) -> PvString:

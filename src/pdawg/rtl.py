@@ -8,8 +8,10 @@ to reverse(S), so the tree is read off the online automaton of reverse(S),
 one `pdawg._online_steps` step per symbol, under the same node ids: the
 new sink is the new leaf, and a class split subdivides one tree edge.
 `tree.depth`, `tree.parent` and `tree.uplinks` are the automaton's `lens`,
-`slinks` and `edges` lists; the tree itself adds only edge labels, suffix
-flags and one witness start per node.
+`slinks` and `edges` lists; the tree itself adds only edge spans, suffix
+flags and one witness start per node.  An edge label is a span of s, so a
+step does O(1) work on the tree: a new leaf's edge spans the rest of its
+suffix, and a split cuts one span in two.
 """
 
 from __future__ import annotations
@@ -57,18 +59,17 @@ def rtl_steps(s: PString | PvString) -> Iterator[tuple[int, PSTree, Construction
             witness.append(witness[v])
             par = parent[vp]
             b0 = _z(w_s[witness[v] + depth[par]], depth[par])
-            lab_full = children[par][b0][0]
+            span = children[par][b0][0]
             cut = depth[vp] - depth[par]
-            children[par][b0] = (lab_full[:cut], vp)
-            children[vp][lab_full[cut]] = (lab_full[cut:], v)
+            children[par][b0] = (span[:cut], vp)
+            children[vp][_z(w_s[span.start + cut], depth[vp])] = (span[cut:], v)
 
         host = parent[leaf]
-        leaf_label = tuple(
-            _z(w_s[(n - i) + q - 1], q - 1) for q in range(depth[host] + 1, i + 1)
-        )
-        if leaf_label[0] in children[host]:
+        span = range(n - i + depth[host], n)
+        first = _z(w_s[span.start], depth[host])
+        if first in children[host]:
             raise AssertionError("leaf edge collides with an existing child")
-        children[host][leaf_label[0]] = (leaf_label, leaf)
+        children[host][first] = (span, leaf)
         yield i, tree, stats
 
 

@@ -13,6 +13,7 @@ from .duality import (
     offline_build_pdawg,
     suffix_link_tree_as_pstree,
     verify_duality,
+    weiner_links,
 )
 from .matcher import build_occurrence_index, locate, p_match_query
 from .oracles import (
@@ -24,7 +25,7 @@ from .oracles import (
 )
 from .pdawg import Pdawg, build_online, canonical_form, check_invariants
 from .pstrings import Alphabet, PString, PvString, prev_decode, pv_reverse, re_encode
-from .rtl import build_pstree_rtl, rtl_steps, upward_links_to_pdawg
+from .rtl import build_pstree_rtl, rtl_steps
 
 
 def separation_text(k: int) -> PString:
@@ -132,8 +133,8 @@ def check_duality(pv: PvString) -> str | None:
 
 def check_rtl(pv: PvString) -> str | None:
     """Every right-to-left step equals the oracle tree of that suffix with at
-    most one redirection, and the final links spell the online automaton of
-    the reversed text."""
+    most one redirection, and the links the final tree stores are its Weiner
+    links, computed definitionally from its labels."""
     n = len(pv)
     before = 0
     for i, tree, counters in rtl_steps(pv):
@@ -143,9 +144,8 @@ def check_rtl(pv: PvString) -> str | None:
         if step > 1:
             return f"step {i} redirected {step} links"
         before = counters.redirections
-    ref, _stats = build_online(pv_reverse(pv))
-    if _arrays(upward_links_to_pdawg(tree)) != _arrays(ref):
-        return "stored links do not spell the online automaton"
+    if tree.uplinks != weiner_links(tree):
+        return "stored links are not the Weiner links of the tree"
     return None
 
 

@@ -520,7 +520,8 @@ def _dot_pstree_from_tree(tree):
         yield f"  t{v} [label={_gv_quote(label)}{shape}];"
     for v in range(tree.node_count()):
         for first in sorted(tree.children[v], key=label_sort_key):
-            lab, child = tree.children[v][first]
+            span, child = tree.children[v][first]
+            lab = tree.label(v, span)
             yield f"  t{v} -> t{child} [label={_gv_quote(format_codes(lab, tree.alphabet))}];"
     yield "}"
 

@@ -147,7 +147,7 @@ class TestOfflineBuild:
         alpha = Alphabet("a", "x")
         tree = PSTree((-1,), alpha)
         child = tree.new_node(depth=0, is_suffix=True)  # depth does not grow
-        tree.attach(tree.root, (-1,), child)
+        tree.attach(tree.root, range(0, 1), child)
         with pytest.raises(StructureError):
             offline_build_pdawg(tree)
 
@@ -155,8 +155,26 @@ class TestOfflineBuild:
         alpha = Alphabet("a", "x")
         tree = PSTree((-1, -1), alpha)
         child = tree.new_node(depth=2, is_suffix=True)
-        tree.attach(tree.root, (-1, -1), child)  # depth-1 suffix never marked
+        tree.attach(tree.root, range(0, 2), child)  # depth-1 suffix never marked
         with pytest.raises(StructureError):
+            offline_build_pdawg(tree)
+
+    @pytest.mark.parametrize(
+        "first, span, match",
+        [
+            (-1, range(0, 0), "not a nonempty span"),
+            (-1, range(0, 4, 2), "not a nonempty span"),
+            (-2, range(1, 3), "not a nonempty span"),  # leaves the text
+            (-1, (-1, -2), "not a nonempty span"),  # codes, not a span
+            (-2, range(0, 2), "mislabeled"),  # the span opens with -1
+        ],
+    )
+    def test_malformed_span_is_rejected(self, first, span, match):
+        tree = PSTree((-1, -2), Alphabet("ab", "x"))
+        child = tree.new_node(depth=2, is_suffix=True)
+        tree.children[tree.root][first] = (span, child)
+        tree.parent[child] = tree.root
+        with pytest.raises(StructureError, match=match):
             offline_build_pdawg(tree)
 
     def test_links_that_form_no_pdawg_are_rejected(self):

@@ -178,7 +178,8 @@ class TestNaivePSTree:
             strings = tree.node_strings()
             prefixes = set()
             for v in range(tree.node_count()):
-                for lab, ch in tree.children[v].values():
+                for span, ch in tree.children[v].values():
+                    lab = tree.label(v, span)
                     base = strings[v]
                     for q in range(1, len(lab) + 1):
                         prefixes.add(base + lab[:q])

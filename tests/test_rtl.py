@@ -6,16 +6,14 @@ import pytest
 
 from pdawg import (
     PString,
-    build_online,
     build_pstree_naive,
     build_pstree_rtl,
-    pv_reverse,
     rtl_steps,
     tree_equal,
     upward_links_to_pdawg,
     weiner_links,
 )
-from pdawg.verify import _arrays, check_rtl
+from pdawg.verify import check_rtl
 
 from helpers import A_XY, AB_XYZ, all_pstrings, distinct_by_prev, random_pstring
 
@@ -87,13 +85,13 @@ class TestStepwiseConstruction:
 
 
 class TestLinksAsPdawg:
+    """The stored links are the definitional Weiner links of the tree, and
+    they pass as the PDAWG of the reversed text."""
+
     def test_reference_text(self):
         tree, _ = build_pstree_rtl(BACKWARD.prev())
-        g = upward_links_to_pdawg(tree)
-        online, _ = build_online(pv_reverse(BACKWARD.prev()))
-        assert _arrays(g) == _arrays(online)
-        # tree node v is automaton node v
-        assert (g.lens, g.slinks) == (tree.depth, tree.parent)
+        upward_links_to_pdawg(tree)
+        _assert_stored_links_are_the_weiner_links(tree)
 
     def test_single_symbol(self):
         tree, _ = build_pstree_rtl(PString("x", A_XY).prev())
@@ -103,22 +101,17 @@ class TestLinksAsPdawg:
 
     def test_exhaustive_small_texts(self):
         for t in distinct_by_prev(all_pstrings(A_XY, 6)):
-            pv = t.prev()
-            tree, _ = build_pstree_rtl(pv)
-            g = upward_links_to_pdawg(tree)
-            online, _ = build_online(pv_reverse(pv))
-            assert _arrays(g) == _arrays(online), str(t)
-            assert (g.lens, g.slinks) == (tree.depth, tree.parent), str(t)
+            tree, _ = build_pstree_rtl(t.prev())
+            upward_links_to_pdawg(tree)
+            assert tree.uplinks == weiner_links(tree), str(t)
 
     def test_random_texts(self):
         rng = random.Random(53)
         for _ in range(25):
             t = random_pstring(rng, AB_XYZ, rng.randint(0, 50))
-            pv = t.prev()
-            tree, _ = build_pstree_rtl(pv)
-            assert _arrays(upward_links_to_pdawg(tree)) == _arrays(
-                build_online(pv_reverse(pv))[0]
-            ), str(t)
+            tree, _ = build_pstree_rtl(t.prev())
+            upward_links_to_pdawg(tree)
+            assert tree.uplinks == weiner_links(tree), str(t)
 
 
 PINNED_STEP_COUNTERS = {

@@ -6,10 +6,13 @@ so counting the labels it is handed, per text or pattern symbol, measures
 whether construction and matching stay linear.  The separation family T_k
 puts k + 1 labels on the source, where a scan would cost Θ(k) per
 parameter read there.  A query follows every other code with one edge
-lookup, so it calls `trans` once per code 0 and never otherwise.
+lookup, so it calls `trans` once per code 0 and never otherwise.  The
+right-to-left tree stores its edge labels as spans of the text, so its
+memory peak stays within a constant factor of the online build's.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -30,6 +33,7 @@ from pdawg.verify import separation_text
 from helpers import random_pstring
 
 LABELS_PER_SYMBOL = 4
+PEAK_RATIO = 3
 N = 4000
 
 
@@ -106,6 +110,26 @@ def test_right_to_left_build_reads_few_labels(labels_read):
     pv = pv_reverse(separation_text(100).prev())
     rtl.build_pstree_rtl(pv)
     _assert_linear("build_pstree_rtl on reversed T_100", labels_read[0], len(pv))
+
+
+def _traced_peak(build, pv):
+    tracemalloc.start()
+    try:
+        build(pv)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["separation T_1000", "random ab/wxyz"])
+def test_right_to_left_build_peaks_near_the_online_build(name):
+    pv = BUILD_TEXTS[name]().prev()
+    online_peak = _traced_peak(build_online, pv)
+    rtl_peak = _traced_peak(rtl.build_pstree_rtl, pv)
+    assert rtl_peak <= PEAK_RATIO * online_peak, (
+        f"build_pstree_rtl on {name} peaks at {rtl_peak} B,"
+        f" {rtl_peak / online_peak:.1f} times build_online's {online_peak} B"
+    )
 
 
 @pytest.fixture()
