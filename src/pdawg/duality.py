@@ -35,7 +35,8 @@ class StructureError(ValueError):
 def _validate_tree(tree: PSTree) -> None:
     if tree.parent[0] is not None or tree.depth[0] != 0:
         raise StructureError("node 0 must be the root at depth 0")
-    n = len(tree.text_codes)
+    text, depth = tree.text_codes, tree.depth
+    n = len(text)
     seen_child = set()
     for v in range(tree.node_count()):
         for first, (span, ch) in tree.children[v].items():
@@ -43,11 +44,11 @@ def _validate_tree(tree: PSTree) -> None:
                 isinstance(span, range) and span.step == 1 and 0 <= span.start < span.stop <= n
             ):
                 raise StructureError(f"edge {v}->{ch} is not a nonempty span of the text")
-            if tree.label(v, span[:1])[0] != first:
+            if _z(text[span.start], depth[v]) != first:
                 raise StructureError(f"edge {v}->{ch} mislabeled")
             if tree.parent[ch] != v:
                 raise StructureError(f"node {ch} disagrees with its parent")
-            if tree.depth[ch] - tree.depth[v] != len(span):
+            if depth[ch] - depth[v] != len(span):
                 raise StructureError(f"depth inversion on edge {v}->{ch}")
             seen_child.add(ch)
     for v in range(1, tree.node_count()):

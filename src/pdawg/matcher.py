@@ -1,13 +1,16 @@
 """Parameterized pattern matching and occurrence location on a PDAWG.
 
 Membership is a single walk from the source, one transition per pattern
-symbol.  A static code or a distance takes a plain edge lookup; only code 0
-calls `trans`, which holds the one bundled-0 rule.  Locating needs one extra
-observation: the end positions of a class are exactly the prefixes of the
-text whose class sits in that node's subtree of the (reversed) suffix-link
-tree.  Counting those prefixes per subtree gives every node a contiguous
-block of a position array, with no tree walk: parents are placed before
-their children, by length.
+symbol.  A `PString` pattern is prev-encoded as it is walked, one symbol at
+a time, and the walk stops at the first missing transition, so a pattern
+that misses is never encoded past that point (its later symbols are only
+checked against the alphabet).  A static code or a distance takes a plain
+edge lookup; only code 0 calls `trans`, which holds the one bundled-0 rule.
+Locating needs one extra observation: the end positions of a class are
+exactly the prefixes of the text whose class sits in that node's subtree of
+the (reversed) suffix-link tree.  Counting those prefixes per subtree gives
+every node a contiguous block of a position array, with no tree walk:
+parents are placed before their children, by length.
 """
 
 from __future__ import annotations
@@ -16,22 +19,69 @@ from .pstrings import PString, PvString, pattern_codes
 from .pdawg import Pdawg, trans
 
 
-def _walk(g: Pdawg, codes: tuple[int, ...]) -> int | None:
+def _walk(g: Pdawg, p: PString | PvString) -> int | None:
+    """The node reached from the source by reading the pattern, or None if
+    a transition is missing or the pattern is longer than the text.
+
+    A non-empty `PString` over the text's statics whose encoding is not yet
+    cached is prev-encoded as it is read: a static takes its code and a
+    parameter the distance to its previous occurrence, kept in `last`.
+    Every other pattern is encoded whole by `pattern_codes`, which raises if
+    the static alphabets differ.  Either way a symbol in neither alphabet,
+    wherever it stands, raises through `Alphabet.encode_prev`.
+    """
+    n = len(g.text_codes)
+    a = g.alphabet
+    if (
+        not isinstance(p, PString)
+        or p._prev is not None
+        or not 0 < len(p.raw) <= n
+        or (p.alphabet is not a and p.alphabet.sigma != a.sigma)
+    ):
+        codes = pattern_codes(p, a)
+        if len(codes) > n:
+            return None
+        edges = g.edges
+        u = g.source
+        for i, c in enumerate(codes):
+            u = edges[u].get(c) if c else trans(g, u, i, 0)
+            if u is None:
+                return None
+        return u
+    raw, pa = p.raw, p.alphabet
+    static, pi = pa._codes, pa.pi
     edges = g.edges
+    last: dict[str, int] = {}
     u = g.source
-    for i, a in enumerate(codes):
-        u = edges[u].get(a) if a else trans(g, u, i, 0)
+    for i, s in enumerate(raw):
+        c = static.get(s)
+        if c is not None:
+            u = edges[u].get(c)
+        else:
+            j = last.get(s)
+            if j is not None:
+                u = edges[u].get(i - j)
+            elif s in pi:
+                u = trans(g, u, i, 0)
+            else:
+                pa.encode_prev(raw)  # raises, naming the symbol and its position
+            last[s] = i
         if u is None:
+            # the symbols not read must still be in one of the alphabets
+            for s in raw[i + 1 :]:
+                if s not in static and s not in pi:
+                    pa.encode_prev(raw)
             return None
     return u
 
 
 def p_match_query(g: Pdawg, p: PString | PvString) -> bool:
-    """True iff some factor of the indexed text p-matches the pattern."""
-    codes = pattern_codes(p, g.alphabet)
-    if len(codes) > len(g.text_codes):
-        return False
-    return _walk(g, codes) is not None
+    """True iff some factor of the indexed text p-matches the pattern.
+
+    A `PString` is prev-encoded as it is walked, and the walk stops at the
+    first missing transition.
+    """
+    return _walk(g, p) is not None
 
 
 class OccurrenceIndex:
@@ -84,18 +134,14 @@ def locate(idx: OccurrenceIndex, p: PString | PvString) -> tuple[int, ...]:
     """All 1-based end positions of the pattern, in increasing order.
 
     The empty pattern reports every position 0..n (it ends everywhere,
-    including before the first symbol).
+    including before the first symbol).  A `PString` is prev-encoded as it
+    is walked, and the walk stops at the first missing transition.
     """
-    g = idx.g
-    codes = pattern_codes(p, g.alphabet)
-    n = len(g.text_codes)
-    if not codes:
-        return tuple(range(n + 1))
-    if len(codes) > n:
-        return ()
-    u = _walk(g, codes)
+    u = _walk(idx.g, p)
     if u is None:
         return ()
+    if not len(p):
+        return tuple(range(len(idx.g.text_codes) + 1))
     ends = idx.positions[idx.enter[u] : idx.leave[u]]
     ends.sort()
     return tuple(ends)

@@ -73,7 +73,9 @@ def check_pdawg(pv: PvString) -> str | None:
 
 
 def check_matching(pv: PvString, patterns: Iterable[PvString] | None = None) -> str | None:
-    """Membership and `locate` agree with the window scan on every pattern.
+    """Membership and `locate` agree with the window scan on every pattern,
+    asked both as codes and in a raw form, `prev_decode(p)`, which the
+    matcher encodes as it walks.
 
     The patterns default to the empty one and every distinct factor of pv.
     """
@@ -89,10 +91,11 @@ def check_matching(pv: PvString, patterns: Iterable[PvString] | None = None) -> 
         patterns = factors.values()
     for p in patterns:
         occ = rpos(pv, p)
-        if p_match_query(g, p) != bool(occ):
-            return f"membership of {str(p)!r} should be {bool(occ)}"
-        if locate(idx, p) != occ:
-            return f"locate of {str(p)!r} disagrees with the scan"
+        for q in (p, prev_decode(p)):
+            if p_match_query(g, q) != bool(occ):
+                return f"membership of {str(q)!r} should be {bool(occ)}"
+            if locate(idx, q) != occ:
+                return f"locate of {str(q)!r} disagrees with the scan"
     return None
 
 

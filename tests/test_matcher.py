@@ -6,6 +6,7 @@ import pytest
 
 from pdawg import (
     Alphabet,
+    AlphabetError,
     PString,
     build_occurrence_index,
     build_online,
@@ -88,6 +89,61 @@ class TestLocate:
         w = XAXAY.prev()
         for p in (_p("a"), _p("xa"), _p("ax"), _p("xay"), _p("xaxay")):
             assert locate(idx, p) == rpos(w, p.prev())
+
+
+class TestRawPatterns:
+    """A `PString` is prev-encoded as the walk reads it; its answers and its
+    errors are those of its codes."""
+
+    def test_raw_and_encoded_patterns_agree(self):
+        rng = random.Random(19)
+        text_alphabet, renamed = Alphabet("ab", "wxyz"), Alphabet("ab", "pqrs")
+        for _ in range(25):
+            n = rng.randint(1, 60)
+            t = random_pstring(rng, text_alphabet, n)
+            g, _ = build_online(t.prev())
+            idx = build_occurrence_index(g)
+            patterns = []
+            for _ in range(20):
+                # a window with its parameters renamed (a hit), then a
+                # random pattern over the text's alphabet (mostly a miss)
+                m = rng.randint(1, n)
+                i = rng.randint(0, n - m)
+                rename = dict(zip("wxyz", rng.sample("pqrs", 4)))
+                patterns.append(PString([rename.get(s, s) for s in t.raw[i : i + m]], renamed))
+                patterns.append(random_pstring(rng, text_alphabet, rng.randint(1, n + 2)))
+            for p in patterns:
+                raw_answers = p_match_query(g, p), locate(idx, p)  # before p.prev() caches
+                pv = p.prev()
+                assert raw_answers == (p_match_query(g, pv), locate(idx, pv)), (str(t), str(p))
+
+    @pytest.mark.parametrize(
+        "raw, position",
+        [("aaq", 3), ("aaxqa", 4), ("xq", 2)],
+        ids=["after-the-miss", "later-after-the-miss", "before-any-miss"],
+    )
+    def test_symbol_in_neither_alphabet_raises(self, indexed, raw, position):
+        g, idx = indexed
+        match = f"'q' at position {position} is in neither alphabet"
+        with pytest.raises(AlphabetError, match=match):
+            p_match_query(g, _p(raw))
+        with pytest.raises(AlphabetError, match=match):
+            locate(idx, _p(raw))
+
+    def test_other_static_alphabet_raises(self, indexed):
+        g, idx = indexed
+        p = PString("xa", Alphabet("ab", "xy"))  # would match, over other statics
+        with pytest.raises(AlphabetError, match="different static alphabets"):
+            p_match_query(g, p)
+        with pytest.raises(AlphabetError, match="different static alphabets"):
+            locate(idx, p)
+
+    def test_over_long_pattern_with_unknown_symbol_raises(self, indexed):
+        g, idx = indexed
+        with pytest.raises(AlphabetError, match="'q' at position 6"):
+            p_match_query(g, _p("xaxayq"))
+        with pytest.raises(AlphabetError, match="'q' at position 6"):
+            locate(idx, _p("xaxayq"))
 
 
 class TestOccurrenceIndex:

@@ -6,8 +6,9 @@ so counting the labels it is handed, per text or pattern symbol, measures
 whether construction and matching stay linear.  The separation family T_k
 puts k + 1 labels on the source, where a scan would cost Θ(k) per
 parameter read there.  A query follows every other code with one edge
-lookup, so it calls `trans` once per code 0 and never otherwise.  The
-right-to-left tree stores its edge labels as spans of the text, so its
+lookup, so it calls `trans` once per code 0 and never otherwise, and it
+prev-encodes a `PString` as it walks, never through `Alphabet.encode_prev`.
+The right-to-left tree stores its edge labels as spans of the text, so its
 memory peak stays within a constant factor of the online build's.
 """
 
@@ -26,6 +27,7 @@ from pdawg import (
     build_online,
     locate,
     p_match_query,
+    prev_decode,
     pv_reverse,
 )
 from pdawg.verify import separation_text
@@ -153,9 +155,36 @@ def test_queries_call_trans_once_per_code_0(trans_calls, name):
     idx = build_occurrence_index(g)
     windows = [pv.window(i, i + 7) for i in range(1, len(pv) - 6, 7)]
     zeros = sum(p.codes.count(0) for p in windows)
-    trans_calls[0] = 0
-    assert all(p_match_query(g, p) for p in windows)
-    assert trans_calls[0] == zeros
-    trans_calls[0] = 0
-    assert all(locate(idx, p) for p in windows)
-    assert trans_calls[0] == zeros
+    # the windows as codes, then as raw symbols encoded during the walk
+    for patterns in (windows, [prev_decode(p) for p in windows]):
+        trans_calls[0] = 0
+        assert all(p_match_query(g, p) for p in patterns)
+        assert trans_calls[0] == zeros
+        trans_calls[0] = 0
+        assert all(locate(idx, p) for p in patterns)
+        assert trans_calls[0] == zeros
+
+
+def test_raw_queries_never_call_encode_prev(monkeypatch):
+    t = BUILD_TEXTS["random ab/wxyz"]()
+    g, _ = build_online(t.prev())
+    idx = build_occurrence_index(g)
+    rng = random.Random(2)
+    patterns = []  # windows, each followed by a copy with one symbol replaced
+    for i in range(0, len(t) - 40, 37):
+        w = list(t.raw[i : i + rng.randint(1, 40)])
+        patterns.append(PString(w, t.alphabet))
+        w[rng.randrange(len(w))] = rng.choice("abwxyz")
+        patterns.append(PString(w, t.alphabet))
+    calls = [0]
+    real = Alphabet.encode_prev
+
+    def counted(self, raw):
+        calls[0] += 1
+        return real(self, raw)
+
+    monkeypatch.setattr(Alphabet, "encode_prev", counted)
+    hits = [p_match_query(g, p) for p in patterns]
+    assert [bool(locate(idx, p)) for p in patterns] == hits
+    assert 0 < sum(hits) < len(patterns)
+    assert calls[0] == 0
