@@ -283,20 +283,25 @@ def _dot_pdawg(g: Pdawg) -> Iterator[str]:
 
 
 def _dot_pstree(g: Pdawg) -> Iterator[str]:
-    """The suffix-link tree of g as the suffix tree of reverse(text); the
-    tree holds spans, and each string is read for the line that prints it
-    and then dropped."""
+    """The suffix-link tree of g as the suffix tree of reverse(text), its
+    nodes numbered by (length, id); the tree holds spans, and each string is
+    read for the line that prints it and then dropped."""
     tree = suffix_link_tree_as_pstree(g)
+    # sorted is stable, so equal lengths stay in id order
+    order = sorted(g.node_ids(), key=g.lens.__getitem__)
+    rank = {v: t for t, v in enumerate(order)}
+    spans = tree.node_spans()
     yield from ("digraph pstree {", "  node [shape=circle fontsize=10];")
-    for v, span in enumerate(tree.node_spans()):
-        label = _gv_quote(format_codes(tree.label(0, span), g.alphabet) if v else "ε")
+    for t, v in enumerate(order):
+        label = _gv_quote(format_codes(tree.label(0, spans[v]), g.alphabet) if t else "ε")
         shape = " shape=doublecircle" if tree.is_suffix[v] else ""
-        yield f"  t{v} [label={label}{shape}];"
-    for v, kids in enumerate(tree.children):
+        yield f"  t{t} [label={label}{shape}];"
+    for t, v in enumerate(order):
+        kids = tree.children[v]
         for first in sorted(kids, key=label_sort_key):
             span, child = kids[first]
             label = _gv_quote(format_codes(tree.label(v, span), g.alphabet))
-            yield f"  t{v} -> t{child} [label={label}];"
+            yield f"  t{t} -> t{rank[child]} [label={label}];"
     yield "}"
 
 

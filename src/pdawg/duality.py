@@ -7,7 +7,8 @@ reverse(T), and the PDAWG's edges reappear on that tree as Weiner links
 exactly on a node ("explicit"), secondary edges to links whose landing point
 is inside an edge and gets rounded down to the node below ("implicit").
 
-This module extracts the tree from a PDAWG, computes Weiner links
+This module extracts the tree from a PDAWG (the one reader of a tree off
+an automaton; the right-to-left builder calls it too), computes Weiner links
 definitionally, rebuilds a PDAWG from a bare tree offline, and checks the
 correspondence point by point.  A tree edge label is a span of the reversed
 text (`PSTree.label` reads it); the extracted tree takes each span from the
@@ -57,26 +58,34 @@ def _validate_tree(tree: PSTree) -> None:
 
 
 def suffix_link_tree_as_pstree(g: Pdawg) -> PSTree:
-    """The suffix-link tree of g, labelled as the suffix tree of reverse(text):
-    tree node t is the t-th class of g by (length, id), and the edge into it
-    spans the class's witness occurrence in the reversed text from its
-    parent's depth on."""
+    """The suffix-link tree of g, labelled as the suffix tree of reverse(text),
+    under g's node ids: `depth`, `parent` and `uplinks` are g's `lens`,
+    `slinks` and `edges` lists, not copies, and the edge into a node spans
+    its class's witness occurrence in the reversed text from its parent's
+    depth on.  One pass over the nodes, with no sort.
+
+    Spans index the whole of reverse(text), so an online build stopped after
+    i symbols gives the suffix tree of the last i symbols of reverse(text).
+    """
     witness = _witness_ends(g)
     if None in witness:
         raise StructureError("node unreachable along suffix-link chains")
-    tree = PSTree(_pv_reverse_codes(g.text_codes), g.alphabet)
-    n = len(tree.text_codes)
-    tree.is_suffix[0] = True
-    suffix_classes = set(g.sink_history)
-    tid = {g.source: 0}
-    # sorted is stable, so equal lengths stay in id order
-    for u in sorted(g.node_ids(), key=g.lens.__getitem__)[1:]:
-        parent = g.slinks[u]
-        s0 = n - witness[u]  # start of the witness occurrence in reverse(text)
-        t = tree.new_node(g.lens[u], u in suffix_classes)
-        tree.attach(tid[parent], range(s0 + g.lens[parent], s0 + g.lens[u]), t)
-        tid[u] = t
-    if sum(map(len, tree.children)) < tree.node_count() - 1:
+    lens, slinks = g.lens, g.slinks
+    text = _pv_reverse_codes(g.text_codes)
+    n = len(text)
+    tree = PSTree(text, g.alphabet)
+    tree.depth, tree.parent, tree.uplinks = lens, slinks, g.edges
+    children: list[dict[int, tuple[range, int]]] = [{} for _ in lens]
+    is_suffix = [False] * len(lens)
+    for u in g.sink_history:
+        is_suffix[u] = True
+    for u in range(1, len(lens)):
+        p = slinks[u]
+        d = lens[p]
+        s0 = n - witness[u] + d  # where the edge into u starts in reverse(text)
+        children[p][_z(text[s0], d)] = (range(s0, s0 + lens[u] - d), u)
+    tree.children, tree.is_suffix = children, is_suffix
+    if sum(map(len, children)) < len(lens) - 1:
         raise StructureError("suffix-link tree branches on equal first symbols")
     return tree
 
@@ -124,7 +133,7 @@ def _suffix_nodes(tree: PSTree) -> list[int]:
 def _to_pdawg(tree: PSTree, sfx: list[int], links: list[dict[int, int]]) -> Pdawg:
     g = Pdawg(tree.alphabet)
     g.text_codes = _pv_reverse_codes(tree.text_codes)
-    # copies: the right-to-left builder keeps growing a tree it has yielded
+    # copies: a tree read off an automaton shares that automaton's lists
     g.lens = list(tree.depth)
     g.slinks = list(tree.parent)
     g.edges = links

@@ -300,8 +300,9 @@ class PSTree:
     string is a re-encoded suffix (suffix ends stay explicit even when they
     do not branch).  An edge label is a span of the text, a `range` of
     0-based positions in `text_codes` as long as the edge, read by `label`.
-    `uplinks[v]` maps each label to the node its Weiner link leads to; only
-    the right-to-left builder fills it.
+    `uplinks[v]` maps each label to the node its Weiner link leads to;
+    `duality.suffix_link_tree_as_pstree` fills it with the automaton's
+    edges, and the other builders leave it empty.
     """
 
     __slots__ = (

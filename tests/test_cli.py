@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import pdawg.cli as cli
 from pdawg import (
     Alphabet,
     PString,
@@ -511,18 +512,21 @@ class TestCorruptIndexes:
 
 def _dot_pstree_from_tree(tree):
     """The pstree view rendered from a whole `PSTree`, every node string and
-    edge label held at once: the reference for the streamed `_dot_pstree`."""
+    edge label held at once, its nodes numbered by (depth, id): the
+    reference for the streamed `_dot_pstree`."""
     strings = tree.node_strings()
+    order = sorted(range(tree.node_count()), key=lambda v: (tree.depth[v], v))
+    rank = {v: t for t, v in enumerate(order)}
     yield from ("digraph pstree {", "  node [shape=circle fontsize=10];")
-    for v in range(tree.node_count()):
+    for t, v in enumerate(order):
         label = "ε" if v == tree.root else format_codes(strings[v], tree.alphabet)
         shape = " shape=doublecircle" if tree.is_suffix[v] else ""
-        yield f"  t{v} [label={_gv_quote(label)}{shape}];"
-    for v in range(tree.node_count()):
+        yield f"  t{t} [label={_gv_quote(label)}{shape}];"
+    for t, v in enumerate(order):
         for first in sorted(tree.children[v], key=label_sort_key):
             span, child = tree.children[v][first]
             lab = tree.label(v, span)
-            yield f"  t{v} -> t{child} [label={_gv_quote(format_codes(lab, tree.alphabet))}];"
+            yield f"  t{t} -> t{rank[child]} [label={_gv_quote(format_codes(lab, tree.alphabet))}];"
     yield "}"
 
 
@@ -720,6 +724,33 @@ class TestSelftest:
 
     def test_unknown_suite_rejected(self, runner):
         assert runner.invoke(main, ["selftest", "--suites", "nope"]).exit_code == 2
+
+    def test_failing_check_reports_a_minimized_witness(self, runner, monkeypatch):
+        def fails_on_b(pv):
+            return f"b among {len(pv)} symbols" if "b" in str(pv) else None
+
+        monkeypatch.setattr(cli, "check_pdawg", fails_on_b)
+        result = runner.invoke(
+            main, ["selftest", "--suites", "pdawg,encodings", "--max-len", "2"]
+        )
+        assert result.exit_code == 1, result.output
+        # one JSON line, and the later suite never runs
+        lines = result.stdout.splitlines()
+        assert len(lines) == 1, result.output
+        # the detail is recomputed on the witness, which keeps only the b
+        assert json.loads(lines[0]) == {
+            "suite": "pdawg",
+            "witness": "b",
+            "detail": "b among 1 symbols",
+        }
+
+    def test_failing_bounds_check_reports_no_witness(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "check_bounds", lambda max_k, max_n: "too small")
+        result = runner.invoke(main, ["selftest", "--suites", "bounds,encodings"])
+        assert result.exit_code == 1, result.output
+        lines = result.stdout.splitlines()
+        assert len(lines) == 1, result.output
+        assert json.loads(lines[0]) == {"suite": "bounds", "witness": None, "detail": "too small"}
 
     @pytest.mark.parametrize(
         "args",

@@ -60,6 +60,35 @@ class TestSuffixLinkTree:
                 build_pstree_naive(pv_reverse(t.prev())),
             )
 
+    def test_node_on_no_suffix_link_chain_is_rejected(self):
+        g, _ = build_online(FORWARD.prev())
+        g.lens.append(1)
+        g.slinks.append(g.source)
+        g.edges.append({})
+        with pytest.raises(StructureError, match="node unreachable along suffix-link chains"):
+            suffix_link_tree_as_pstree(g)
+
+    def test_equal_first_symbols_under_one_parent_are_rejected(self):
+        g, _ = build_online(FORWARD.prev())
+        # hang u beside its own suffix link q, a prefix class that stays on a
+        # chain: both edges now open with the symbol that leads to q
+        u, q = next(
+            (u, q)
+            for u, q in enumerate(g.slinks)
+            if q and q in g.sink_history and g.slinks[q] is not None
+        )
+        g.slinks[u] = g.slinks[q]
+        with pytest.raises(StructureError, match="branches on equal first symbols"):
+            suffix_link_tree_as_pstree(g)
+
+    def test_tree_shares_the_automaton_lists_under_its_node_ids(self):
+        g, _ = build_online(FORWARD.prev())
+        tree = suffix_link_tree_as_pstree(g)
+        assert tree.depth is g.lens
+        assert tree.parent is g.slinks
+        assert tree.uplinks is g.edges
+        assert tree.is_suffix == [u in g.sink_history for u in g.node_ids()]
+
 
 class TestWeinerLinks:
     def test_root_links_cover_the_first_symbols(self):
@@ -157,6 +186,22 @@ class TestOfflineBuild:
         child = tree.new_node(depth=2, is_suffix=True)
         tree.attach(tree.root, range(0, 2), child)  # depth-1 suffix never marked
         with pytest.raises(StructureError):
+            offline_build_pdawg(tree)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda t: t.parent.__setitem__(0, 1), "node 0 must be the root at depth 0"),
+            (lambda t: t.depth.__setitem__(0, 1), "node 0 must be the root at depth 0"),
+            (lambda t: t.parent.__setitem__(3, 0), "node 3 disagrees with its parent"),
+            (lambda t: t.new_node(depth=3), "node 10 is disconnected"),
+        ],
+    )
+    def test_tree_validator_names_each_fault(self, edit, match):
+        tree = build_pstree_naive(BACKWARD.prev())
+        offline_build_pdawg(tree)
+        edit(tree)
+        with pytest.raises(StructureError, match=match):
             offline_build_pdawg(tree)
 
     @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from pdawg import (
     build_online,
     build_oracle_pdawg,
     canonical_form,
+    check_invariants,
     from_json_dict,
     node_longest_codes,
     stats_summary,
@@ -246,6 +247,89 @@ class TestStructuralInvariants:
             t = random_pstring(rng, AB_XYZ, n)
             _, stats = build_online(t.prev())
             assert stats.redirected_secondary_edges <= (len(AB_XYZ.pi) + 1) * n
+
+
+def _insert_chain_node(g):
+    """Put a node with a length in between under the first suffix link that
+    skips a length: every invariant but the node-count bound still holds."""
+    u = next(u for u in g.node_ids() if u and g.lens[u] - g.lens[g.slinks[u]] >= 2)
+    g.lens.append(g.lens[g.slinks[u]] + 1)
+    g.slinks.append(g.slinks[u])
+    g.edges.append({})
+    g.slinks[u] = g.node_count() - 1
+
+
+def _add_node_on_no_chain(g):
+    g.lens.append(1)
+    g.slinks.append(0)
+    g.edges.append({})
+
+
+def _point_text_at_a_static(g):
+    # position 4 refers back to the a at position 2, along a spine edge
+    g.text_codes = (0, -1, 2, 2, 0)
+    g.edges[3][2] = 4
+
+
+# (text, one edit of its automaton, the message check_invariants raises);
+# the xaxay automaton has lens [0, 1, 2, 3, 4, 5, 2], suffix links
+# [None, 0, 0, 6, 2, 6, 1] and sink history [0, 1, 2, 3, 4, 5]
+BROKEN_INVARIANTS = {
+    "source-link": (XAXAY, lambda g: g.slinks.__setitem__(0, 1), "source must be node 0"),
+    "source-length": (XAXAY, lambda g: g.lens.__setitem__(0, 1), "source must be node 0"),
+    "link-missing": (
+        XAXAY, lambda g: g.slinks.__setitem__(3, None), "suffix link of node 3 out of range"
+    ),
+    "link-out-of-range": (
+        XAXAY, lambda g: g.slinks.__setitem__(3, 7), "suffix link of node 3 out of range"
+    ),
+    "link-not-shorter": (
+        XAXAY, lambda g: g.slinks.__setitem__(3, 4), "suffix link of node 3 is not shorter"
+    ),
+    "edge-out-of-range": (
+        XAXAY, lambda g: g.edges[0].__setitem__(0, 7), "edge target of node 0 out of range"
+    ),
+    "edge-not-longer": (
+        XAXAY, lambda g: g.edges[5].__setitem__(0, 1), "edge of node 5 does not lead to a longer"
+    ),
+    "distance-too-long": (
+        XAXAY, lambda g: g.edges[1].__setitem__(2, 2), "label 2 of node 1 is neither a static"
+    ),
+    "unknown-static": (
+        XAXAY, lambda g: g.edges[0].__setitem__(-2, 1), "label -2 of node 0 is neither a static"
+    ),
+    "history-short": (
+        XAXAY, lambda g: g.sink_history.pop(), "sink history length disagrees with the text"
+    ),
+    "history-out-of-range": (
+        XAXAY, lambda g: g.sink_history.__setitem__(2, 7), "sink history entry out of range"
+    ),
+    "history-length": (
+        XAXAY, lambda g: g.sink_history.__setitem__(2, 1), "sink history entry 2 has length 1"
+    ),
+    "off-chain-node": (
+        XAXAY, _add_node_on_no_chain, "some node is on no suffix-link chain of a prefix"
+    ),
+    "spine": (
+        XAXAY, lambda g: g.edges[2].__setitem__(2, 4), "the primary spine does not spell the text"
+    ),
+    "node-count": (
+        PString("abbbbb", Alphabet("abc", "xy")),
+        _insert_chain_node,
+        re.escape("12 nodes / 11 edges exceed 2n-1 / 3n-4 at n=6"),
+    ),
+    "text": (XAXAY, _point_text_at_a_static, "position 4 points at a static symbol"),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_INVARIANTS)
+def test_check_invariants_names_each_broken_invariant(case):
+    text, edit, message = BROKEN_INVARIANTS[case]
+    g, _ = build_online(text.prev())
+    check_invariants(g)
+    edit(g)
+    with pytest.raises(ValueError, match=message):
+        check_invariants(g)
 
 
 class TestSerialization:
