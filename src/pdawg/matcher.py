@@ -5,7 +5,7 @@ symbol.  A `PString` pattern is prev-encoded as it is walked, one symbol at
 a time, and the walk stops at the first missing transition, so a pattern
 that misses is never encoded past that point (its later symbols are only
 checked against the alphabet).  A static code or a distance takes a plain
-edge lookup; only code 0 calls `trans`, which holds the one bundled-0 rule.
+edge lookup; code 0 takes one call to `_zero_target`, the bundled-0 rule.
 Locating needs one extra observation: the end positions of a class are
 exactly the prefixes of the text whose class sits in that node's subtree of
 the (reversed) suffix-link tree.  Counting those prefixes per subtree gives
@@ -16,7 +16,7 @@ parents are placed before their children, by length.
 from __future__ import annotations
 
 from .pstrings import PString, PvString, pattern_codes
-from .pdawg import Pdawg, trans
+from .pdawg import Pdawg, _zero_target
 
 
 def _walk(g: Pdawg, p: PString | PvString) -> int | None:
@@ -44,7 +44,7 @@ def _walk(g: Pdawg, p: PString | PvString) -> int | None:
         edges = g.edges
         u = g.source
         for i, c in enumerate(codes):
-            u = edges[u].get(c) if c else trans(g, u, i, 0)
+            u = edges[u].get(c) if c else _zero_target(edges[u], i, g.lens[u], g.slinks)
             if u is None:
                 return None
         return u
@@ -62,7 +62,7 @@ def _walk(g: Pdawg, p: PString | PvString) -> int | None:
             if j is not None:
                 u = edges[u].get(i - j)
             elif s in pi:
-                u = trans(g, u, i, 0)
+                u = _zero_target(edges[u], i, g.lens[u], g.slinks)
             else:
                 pa.encode_prev(raw)  # raises, naming the symbol and its position
             last[s] = i
@@ -96,15 +96,14 @@ class OccurrenceIndex:
         self.g = g
         lens, slinks, history = g.lens, g.slinks, g.sink_history
         # suffix links strictly shorten, so by length every parent comes
-        # before its children; `if u` skips the source, node 0, the root
-        order = sorted(range(len(lens)), key=lens.__getitem__)
+        # before its children; `order` leaves out the root, the source, node 0
+        order = sorted(range(1, len(lens)), key=lens.__getitem__)
         leave = [0] * len(lens)
         for u in history:
             leave[u] = 1  # u's own prefix
         size = leave[:]  # prefixes in the subtree
         for u in reversed(order):
-            if u:
-                size[slinks[u]] += size[u]
+            size[slinks[u]] += size[u]
         # every offset and position is one of these ints, made in one run:
         # the arrays share n + 2 int objects instead of one per entry, and
         # `locate` sorts ints made in one run faster than scattered ones
@@ -113,11 +112,10 @@ class OccurrenceIndex:
         # once its children are placed too, the end of the block
         enter = [0] * len(lens)
         for u in order:
-            if u:
-                p = slinks[u]
-                e = enter[u] = leave[p]
-                leave[p] = slot[e + size[u]]
-                leave[u] = slot[leave[u] + e]
+            p = slinks[u]
+            e = enter[u] = leave[p]
+            leave[p] = slot[e + size[u]]
+            leave[u] = slot[leave[u] + e]
         self.enter = enter
         self.leave = leave
         positions = [0] * len(history)

@@ -369,7 +369,9 @@ class PSTree:
 
     def descend(self, codes: tuple[int, ...]) -> int | None:
         """The shallowest node at or below the locus of `codes`, or None when
-        the string is not present."""
+        the string is not present.  Labels are read off the text in place,
+        after the child's key: after q symbols a code c reads as `_z(c, q)`."""
+        text = self.text_codes
         u = 0
         q = 0
         m = len(codes)
@@ -377,12 +379,15 @@ class PSTree:
             ent = self.children[u].get(codes[q])
             if ent is None:
                 return None
-            span, ch = ent
-            take = min(len(span), m - q)
-            if codes[q : q + take] != self.label(u, span[:take]):
-                return None
-            q += take
-            u = ch
+            span, u = ent
+            shift = span.start - q
+            stop = min(q + len(span), m)
+            q += 1
+            while q < stop:
+                c = text[shift + q]
+                if codes[q] != (0 if c > q else c):
+                    return None
+                q += 1
         return u
 
     def canonical_form(self) -> dict:

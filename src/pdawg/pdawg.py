@@ -3,13 +3,13 @@
 Nodes are equivalence classes of factors sharing the same set of ending
 positions in the text; edges extend the longest member of a class by one
 symbol.  Because a back-reference distance can collapse to 0 when the context
-gets short, following an edge labelled 0 is position-dependent: `trans`
-resolves it by looking at how many integer labels are still compatible with
-the current context length.  No positive label exceeds its node's length
-(no builder writes one, and every structure, a loaded index included, comes
-from a builder), so once the context is as long as the node only the label 0
-itself can follow symbol 0, and the transition is one lookup instead of a
-scan of the node's labels.
+gets short, reading symbol 0 is position-dependent: `_zero_target`, the one
+bundled-0 rule, returns the target node in one call by looking at which
+integer labels the current context length leaves compatible.  No positive
+label exceeds its node's length (no builder writes one, and every structure,
+a loaded index included, comes from a builder), so once the context is as
+long as the node only the label 0 itself can follow symbol 0, and the
+transition is one lookup instead of a scan of the node's labels.
 
 Node ids are arena indices.  The source is node 0 with suffix link None, so
 the suffix-link tree is numbered as the suffix tree of the reversed text.
@@ -25,6 +25,7 @@ text, and the right-to-left tree builder over the reversed text.
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from typing import Iterator
 
 from .pstrings import (
@@ -105,41 +106,38 @@ class Pdawg:
         return self.lens[target] == self.lens[u] + 1
 
 
-def _zero_label(labels: dict, i: int, length: int) -> int | None:
-    """Which label of `labels`, on a node of this length, symbol 0 follows
-    after i symbols were read.
+def _zero_target(labels: dict, i: int, length: int, slinks: list) -> int | None:
+    """The node symbol 0 leads to, after i symbols were read, from a node
+    with these labels and this length, or None.
 
-    Symbol 0 may be the image of any distance exceeding i, so every integer
-    label b with b = 0 or b > i is a candidate.  None means no candidate, a
-    label >= 0 is the unique candidate, to be followed directly, and -b means
-    several bundled candidates: they all lead to one class, the suffix link
-    (tree parent) of the target along b, the smallest positive candidate:
-    the plain integer minimum, which is the label order restricted to
-    positive labels.
-    Relies on no positive label exceeding `length`, which holds because
-    every structure comes from a builder and no builder writes one.
-    A node has at most as many positive labels as its longest string has
-    distinct parameters (each reaches back to the last occurrence of one),
-    so at most |Pi|; the scan also reads the node's static labels, which
-    that bound does not cover.
+    Symbol 0 may be the image of any distance exceeding i, so label 0 and
+    every distance label b > i are candidates.  A unique candidate is
+    followed; several bundled ones all lead to one class, the suffix link
+    (tree parent) of the target along the smallest positive candidate.  No
+    positive label exceeds `length` (no builder writes one), so once
+    i >= length only label 0 can follow, in one lookup.  A node has at most
+    |Pi| positive labels, one per distinct parameter of its longest string;
+    the scan also reads its static labels, which that bound does not cover.
     """
     if i >= length:
-        # no distance label exceeds the node's length, so only 0 can follow
-        return 0 if 0 in labels else None
-    only = None
+        return labels.get(0)
     count = 0
     best = None
     for b in labels:
-        if b >= 0 and (b == 0 or b > i):
+        if b > i:
             count += 1
-            only = b
-            if b != 0 and (best is None or b < best):
+            if best is None or b < best:
                 best = b
-    if count == 0:
-        return None
-    if count == 1:
-        return only
-    return -best  # type: ignore[operator]
+    # fewer than two candidates in all: follow the one there is, if any
+    if 0 in labels:
+        if not count:
+            return labels[0]
+    elif count < 2:
+        return None if best is None else labels[best]
+    out = slinks[labels[best]]
+    if out is None:
+        raise AssertionError("symbol 0 consulted an unset suffix link")
+    return out
 
 
 def _lrs_bound(labels: dict, a: int) -> int:
@@ -160,20 +158,10 @@ def trans(g: Pdawg, u: int, i: int, a: int) -> int | None:
     """Transition from u reading the code `a` after having read i symbols.
 
     A static code or a positive distance follows a plain edge; code 0 is
-    resolved by `_zero_label`.
+    resolved by `_zero_target`.
     """
     eu = g.edges[u]
-    if a != 0:
-        return eu.get(a)
-    b = _zero_label(eu, i, g.lens[u])
-    if b is None:
-        return None
-    if b >= 0:
-        return eu[b]
-    out = g.slinks[eu[-b]]
-    if out is None:
-        raise AssertionError("trans consulted an unset suffix link")
-    return out
+    return eu.get(a) if a else _zero_target(eu, i, g.lens[u], g.slinks)
 
 
 def _online_steps(g: Pdawg, stats: ConstructionStats) -> Iterator[tuple[int, int] | None]:
@@ -182,14 +170,12 @@ def _online_steps(g: Pdawg, stats: ConstructionStats) -> Iterator[tuple[int, int
     the step split class v off the new class vp, otherwise None.
 
     A step is a few dict operations per visited node, so call overhead is
-    kept out of the loop.  The context cut-off `pstrings._z` is spelled
-    inline as `0 if a > L else a`: calling it costs 8-21% of the build.  A
-    code other than 0 takes a plain lookup, and only code 0 calls `trans`,
-    whose bundled rule it holds: a call at every visited node cost 4-8% of
-    the build at n = 1e4 on the bench families.  The search for the longest
-    repeated suffix and the split are spelled in the loop, not as closures,
-    and a split adds its redirected edges to `stats` once: that cut the
-    build by 3-13% on those families.  `stats` is current at every yield.
+    kept out of the loop: the cut-off `pstrings._z` is spelled inline as
+    `0 if a > L else a`, the search for the longest repeated suffix and the
+    split are spelled in the loop, and a split adds its redirected edges to
+    `stats` once.  A static code climbs with plain lookups alone; an integer
+    code cut to 0 costs one `_zero_target` call per visited node, the
+    climb's only call.  `stats` is current at every yield.
     """
     lens = g.lens
     slinks = g.slinks
@@ -206,20 +192,29 @@ def _online_steps(g: Pdawg, stats: ConstructionStats) -> Iterator[tuple[int, int
         # suffix one longer than the next chain node survives extension by a
         u = history[-1]
         visits = 0
-        while u is not None:
-            visits += 1
-            s = slinks[u]
-            j = 0 if s is None else lens[s] + 1
-            eu = edges[u]
-            za = 0 if a > j else a
-            if za:
-                if za in eu:
+        if a < 0:
+            while u is not None:
+                visits += 1
+                eu = edges[u]
+                if a in eu:
                     break
-            elif trans(g, u, j, 0) is not None:
-                break
-            L = lens[u]
-            eu[0 if a > L else a] = sink
-            u = s
+                eu[a] = sink
+                u = slinks[u]
+        else:
+            while u is not None:
+                visits += 1
+                s = slinks[u]
+                eu = edges[u]
+                # the context j = len(s) + 1 cuts a distance a > j to 0
+                j = 0 if s is None else lens[s] + 1
+                L = lens[u]
+                if 0 < a <= j:
+                    if a in eu:
+                        break
+                elif _zero_target(eu, j, L, slinks) is not None:
+                    break
+                eu[0 if a > L else a] = sink
+                u = s
         stats.climb_visits += visits
         history.append(sink)
 
@@ -232,8 +227,7 @@ def _online_steps(g: Pdawg, stats: ConstructionStats) -> Iterator[tuple[int, int
             continue
         L = lens[u]
         zau = 0 if a > L else a
-        eu = edges[u]
-        v = eu.get(zau)
+        v = eu.get(zau)  # the climb stopped at u with eu = edges[u]
         if v is not None:
             k = L + 1
         else:
@@ -241,7 +235,7 @@ def _online_steps(g: Pdawg, stats: ConstructionStats) -> Iterator[tuple[int, int
             # through a bundled 0-edge, so the repeated suffix is shorter
             # than len(u)+1
             k = _lrs_bound(eu, a)
-            v = trans(g, u, k - 1, 0)
+            v = _zero_target(eu, k - 1, L, slinks)
             if v is None:
                 raise AssertionError("longest repeated suffix has no class")
             eu[zau] = sink
@@ -273,11 +267,13 @@ def _online_steps(g: Pdawg, stats: ConstructionStats) -> Iterator[tuple[int, int
                 stats.redirections += 1
             u = slinks[u]
         stats.redirected_secondary_edges += redirected
-        # out-edges: keep the labels that stay meaningful at length k
-        for b, tgt in edges[v].items():
-            if b < 0 or 0 < b <= k:
+        # out-edges: keep the labels that stay meaningful at length k; a label
+        # 0 is a candidate, so the 0-target at length k exists and replaces it
+        ev = edges[v]
+        for b, tgt in ev.items():
+            if b <= k:
                 evp[b] = tgt
-        t0 = trans(g, v, k, 0)
+        t0 = _zero_target(ev, k, lens[v], slinks)
         if t0 is not None:
             evp[0] = t0
         slinks[vp] = slinks[v]
@@ -293,8 +289,7 @@ def build_online(t: PString | PvString) -> tuple[Pdawg, ConstructionStats]:
     g = Pdawg(pv.alphabet)
     g.text_codes = pv.codes
     stats = ConstructionStats()
-    for _split in _online_steps(g, stats):
-        pass
+    deque(_online_steps(g, stats), maxlen=0)  # run every step
     return g, stats
 
 

@@ -211,6 +211,21 @@ class TestBuild:
         assert query.exit_code == 0
         assert query.output.strip() == "[3]"
 
+    def test_stats_are_byte_exact(self, runner, tmp_path):
+        # the golden holds the stdout of the three engines, one after another
+        text = tmp_path / "text.txt"
+        text.write_text("xbyaxbyxa\n", "utf-8")
+        out = b""
+        for engine in ("online", "offline", "rtl"):
+            built = runner.invoke(
+                main,
+                ["build", str(text), "--sigma", "ba", "--pi", "xy", "--engine", engine,
+                 "--out", str(tmp_path / f"{engine}.json")],
+            )
+            assert built.exit_code == 0
+            out += built.stdout_bytes
+        assert out == (GOLDEN / "xbyaxbyxa.build.json").read_bytes()
+
 
 class TestQuery:
     @pytest.fixture()

@@ -25,6 +25,7 @@ from pdawg import (
     to_json_dict,
     trans,
 )
+from pdawg.pdawg import _zero_target
 from pdawg.verify import _arrays, check_pdawg, separation_text
 
 from helpers import A_XY, AB_XYZ, all_pstrings, distinct_by_prev, random_pstring
@@ -81,6 +82,38 @@ class TestTrans:
                         assert got is None
                     else:
                         assert got == node[want.longest]
+
+
+class TestZeroTarget:
+    """The bundled-0 rule on hand-built label maps of a node of length 4:
+    labels map to target ids, and `SLINKS` gives each target's suffix link."""
+
+    SLINKS = [None, 0, 1, 1, 2, 3, None]
+
+    def test_full_context_follows_label_0_alone(self):
+        assert _zero_target({-1: 1, 0: 2, 3: 3}, 4, 4, self.SLINKS) == 2
+
+    def test_full_context_without_label_0_has_no_target(self):
+        assert _zero_target({-1: 1, 3: 3}, 4, 4, self.SLINKS) is None
+
+    def test_no_candidate(self):
+        # statics and distances within the context cannot read as 0
+        assert _zero_target({-2: 1, 1: 2, 2: 3}, 2, 4, self.SLINKS) is None
+
+    def test_unique_zero_is_followed(self):
+        assert _zero_target({-1: 1, 0: 4, 2: 3}, 2, 4, self.SLINKS) == 4
+
+    def test_unique_positive_label_is_followed(self):
+        assert _zero_target({-1: 1, 1: 2, 3: 5}, 2, 4, self.SLINKS) == 5
+
+    def test_bundled_candidates_take_the_smallest_positive_targets_link(self):
+        # 3 -> 4 is the smallest positive candidate; 4's suffix link is 2
+        assert _zero_target({0: 1, 4: 5, 3: 4, 1: 3}, 2, 4, self.SLINKS) == 2
+        assert _zero_target({4: 5, -1: 1, 3: 4}, 2, 4, self.SLINKS) == 2
+
+    def test_unset_suffix_link_raises(self):
+        with pytest.raises(AssertionError):
+            _zero_target({0: 1, 3: 6}, 2, 4, self.SLINKS)
 
 
 def _online_steps(pv):

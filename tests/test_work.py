@@ -1,19 +1,21 @@
 """Work counts, not timings: how many node labels the bundled-0 rule reads,
 and how often a query calls it.
 
-`_zero_label` is the only place a transition looks at more than one label,
+`_zero_target` is the only place a transition looks at more than one label,
 so counting the labels it is handed, per text or pattern symbol, measures
 whether construction and matching stay linear.  The separation family T_k
 puts k + 1 labels on the source, where a scan would cost Θ(k) per
 parameter read there.  A query follows every other code with one edge
-lookup, so it calls `trans` once per code 0 and never otherwise, and it
-prev-encodes a `PString` as it walks, never through `Alphabet.encode_prev`.
+lookup, so it calls `_zero_target` once per code 0 and never otherwise, and
+it prev-encodes a `PString` as it walks, never through `Alphabet.encode_prev`.
 The right-to-left tree stores its edge labels as spans of the text, so its
 memory peak stays within a constant factor of the online build's.
 """
 
+import importlib.util
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ import pdawg.pdawg as online
 import pdawg.rtl as rtl
 from pdawg import (
     Alphabet,
+    ConstructionStats,
     PString,
     build_occurrence_index,
     build_online,
@@ -29,6 +32,7 @@ from pdawg import (
     p_match_query,
     prev_decode,
     pv_reverse,
+    stats_summary,
 )
 from pdawg.verify import separation_text
 
@@ -57,18 +61,28 @@ class _CountingLabels:
         self._seen[0] += 1
         return b in self._labels
 
+    def get(self, b):
+        self._seen[0] += 1
+        return self._labels.get(b)
+
+    def __getitem__(self, b):
+        # follows a label the scan or a lookup has already counted
+        return self._labels[b]
+
 
 @pytest.fixture()
 def labels_read(monkeypatch):
-    """A one-element list counting the labels every `_zero_label` call reads;
-    the right-to-left engine runs the online step, so this counts both."""
+    """A one-element list counting the labels every `_zero_target` call
+    reads, from the builder or the matcher; the right-to-left engine runs
+    the online step, so this counts both engines."""
     seen = [0]
-    real = online._zero_label
+    real = online._zero_target
 
     def counted(labels, *rest):
         return real(_CountingLabels(labels, seen), *rest)
 
-    monkeypatch.setattr(online, "_zero_label", counted)
+    monkeypatch.setattr(online, "_zero_target", counted)
+    monkeypatch.setattr(matcher, "_zero_target", counted)
     return seen
 
 
@@ -136,15 +150,16 @@ def test_right_to_left_build_peaks_near_the_online_build(name):
 
 @pytest.fixture()
 def trans_calls(monkeypatch):
-    """A one-element list counting the `trans` calls the matcher makes."""
+    """A one-element list counting the `_zero_target` calls the matcher
+    makes."""
     calls = [0]
-    real = matcher.trans
+    real = matcher._zero_target
 
     def counted(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(matcher, "trans", counted)
+    monkeypatch.setattr(matcher, "_zero_target", counted)
     return calls
 
 
@@ -188,3 +203,33 @@ def test_raw_queries_never_call_encode_prev(monkeypatch):
     assert [bool(locate(idx, p)) for p in patterns] == hits
     assert 0 < sum(hits) < len(patterns)
     assert calls[0] == 0
+
+
+# (ConstructionStats counters, nodes, edges, primary edges) of the benchmark
+# families at n = 2000, seed 1: any edit to the build's hot loop that moves
+# a count fails here
+PINNED_COUNTS = {
+    "code_text": ((1772, 1350, 4870, 1315), 3351, 4411, 3321),
+    "random_text": ((1311, 1105, 5733, 1091), 3106, 4976, 3100),
+    "separation_text": ((0, 0, 4498, 0), 2001, 2999, 2000),
+    "extremal_text": ((1997, 1997, 5996, 1997), 3998, 5996, 3997),
+}
+
+
+@pytest.fixture(scope="module")
+def bench_families():
+    path = Path(__file__).resolve().parents[1] / "bench" / "families.py"
+    spec = importlib.util.spec_from_file_location("bench_families", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("family", PINNED_COUNTS)
+def test_bench_family_counts_are_pinned(bench_families, family):
+    symbols, sigma = getattr(bench_families, family)(random.Random(1), 2000)
+    g, stats = build_online(PString(symbols, Alphabet.from_text(symbols, sigma)))
+    summary = stats_summary(g)
+    counters, nodes, edges, primary = PINNED_COUNTS[family]
+    assert stats == ConstructionStats(*counters)
+    assert (summary["nodes"], summary["edges"], summary["primary"]) == (nodes, edges, primary)
