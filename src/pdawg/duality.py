@@ -18,6 +18,7 @@ witness occurrence of its class, so it stores no label codes.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping, Sequence
 
 from .pstrings import (
     _pv_reverse_codes,
@@ -26,7 +27,13 @@ from .pstrings import (
     label_sort_key,
 )
 from .oracles import PSTree
-from .pdawg import Pdawg, _witness_ends, check_invariants, node_longest_codes
+from .pdawg import (
+    _NO_LABELS,
+    Pdawg,
+    _witness_ends,
+    check_invariants,
+    node_longest_codes,
+)
 
 
 class StructureError(ValueError):
@@ -59,10 +66,11 @@ def _validate_tree(tree: PSTree) -> None:
 
 def suffix_link_tree_as_pstree(g: Pdawg) -> PSTree:
     """The suffix-link tree of g, labelled as the suffix tree of reverse(text),
-    under g's node ids: `depth`, `parent` and `uplinks` are g's `lens`,
-    `slinks` and `edges` lists, not copies, and the edge into a node spans
-    its class's witness occurrence in the reversed text from its parent's
-    depth on.  One pass over the nodes, with no sort.
+    under g's node ids: `depth` and `parent` are g's `lens` and `slinks`
+    lists, not copies, `uplinks` is g's `edges` view of its live label maps,
+    and the edge into a node spans its class's witness occurrence in the
+    reversed text from its parent's depth on.  One pass over the nodes, with
+    no sort.
 
     Spans index the whole of reverse(text), so an online build stopped after
     i symbols gives the suffix tree of the last i symbols of reverse(text).
@@ -130,22 +138,37 @@ def _suffix_nodes(tree: PSTree) -> list[int]:
     return [sfx[d] for d in range(n + 1)]
 
 
-def _to_pdawg(tree: PSTree, sfx: list[int], links: list[dict[int, int]]) -> Pdawg:
+def _to_pdawg(
+    tree: PSTree,
+    sfx: list[int],
+    static_edges: list[dict[int, int]],
+    int_edges: list[dict[int, int]],
+) -> Pdawg:
+    """The automaton of the tree's arrays and these label maps, one static
+    and one integer map per node; an empty map becomes the shared one."""
     g = Pdawg(tree.alphabet)
     g.text_codes = _pv_reverse_codes(tree.text_codes)
     # copies: a tree read off an automaton shares that automaton's lists
     g.lens = list(tree.depth)
     g.slinks = list(tree.parent)
-    g.edges = links
+    g.static_edges = [m or _NO_LABELS for m in static_edges]
+    g.int_edges = [m or _NO_LABELS for m in int_edges]
     g.sink_history = sfx
     return g
 
 
-def links_to_pdawg(tree: PSTree, links: list[dict[int, int]]) -> Pdawg:
+def links_to_pdawg(tree: PSTree, links: Sequence[Mapping[int, int]]) -> Pdawg:
     """Interpret a link map (label -> node, per node) over the tree of S as
-    the PDAWG of reverse(S); StructureError unless the result passes
-    `check_invariants`."""
-    g = _to_pdawg(tree, _suffix_nodes(tree), links)
+    the PDAWG of reverse(S), each node's links split into maps of its own by
+    kind; StructureError unless the result passes `check_invariants`."""
+    static_edges, int_edges = [], []
+    for m in links:
+        static, integer = {}, {}
+        for b, t in m.items():
+            (static if b < 0 else integer)[b] = t
+        static_edges.append(static)
+        int_edges.append(integer)
+    g = _to_pdawg(tree, _suffix_nodes(tree), static_edges, int_edges)
     try:
         check_invariants(g)
     except ValueError as exc:
@@ -164,11 +187,14 @@ def offline_build_pdawg(tree: PSTree) -> Pdawg:
     sfx = _suffix_nodes(tree)
     t_codes = _pv_reverse_codes(tree.text_codes)
 
-    links: list[dict[int, int]] = [dict() for _ in range(tree.node_count())]
+    static_edges: list[dict[int, int]] = [{} for _ in range(tree.node_count())]
+    int_edges: list[dict[int, int]] = [{} for _ in range(tree.node_count())]
     parent, depth = tree.parent, tree.depth
     seeds = [(sfx[l - 1], t_codes[l - 1], sfx[l]) for l in range(1, len(sfx))]
     seeds.sort(key=lambda s: label_sort_key(s[1]))
     for v, k, u in seeds:
+        # a static label stays static up the tree, an integer one an integer
+        links = static_edges if k < 0 else int_edges
         while True:
             lbl = _z(k, depth[v])
             existing = links[v].get(lbl)
@@ -183,7 +209,7 @@ def offline_build_pdawg(tree: PSTree) -> Pdawg:
             v = pv
             while depth[parent[u]] >= depth[v] + 1:  # type: ignore[index]
                 u = parent[u]  # type: ignore[assignment]
-    return _to_pdawg(tree, sfx, links)
+    return _to_pdawg(tree, sfx, static_edges, int_edges)
 
 
 def _first_unmatched(a: Counter, b: Counter):

@@ -4,8 +4,9 @@ Membership is a single walk from the source, one transition per pattern
 symbol.  A `PString` pattern is prev-encoded as it is walked, one symbol at
 a time, and the walk stops at the first missing transition, so a pattern
 that misses is never encoded past that point (its later symbols are only
-checked against the alphabet).  A static code or a distance takes a plain
-edge lookup; code 0 takes one call to `_zero_target`, the bundled-0 rule.
+checked against the alphabet).  A static code takes a plain lookup in the
+node's static map and a distance one in its integer map; code 0 takes one
+call to `_zero_target`, the bundled-0 rule, on the integer map alone.
 Locating needs one extra observation: the end positions of a class are
 exactly the prefixes of the text whose class sits in that node's subtree of
 the (reversed) suffix-link tree.  Counting those prefixes per subtree gives
@@ -32,6 +33,7 @@ def _walk(g: Pdawg, p: PString | PvString) -> int | None:
     """
     n = len(g.text_codes)
     a = g.alphabet
+    statics, ints, lens, slinks = g.static_edges, g.int_edges, g.lens, g.slinks
     if (
         not isinstance(p, PString)
         or p._prev is not None
@@ -41,28 +43,31 @@ def _walk(g: Pdawg, p: PString | PvString) -> int | None:
         codes = pattern_codes(p, a)
         if len(codes) > n:
             return None
-        edges = g.edges
         u = g.source
         for i, c in enumerate(codes):
-            u = edges[u].get(c) if c else _zero_target(edges[u], i, g.lens[u], g.slinks)
+            if c < 0:
+                u = statics[u].get(c)
+            elif c:
+                u = ints[u].get(c)
+            else:
+                u = _zero_target(ints[u], i, lens[u], slinks)
             if u is None:
                 return None
         return u
     raw, pa = p.raw, p.alphabet
     static, pi = pa._codes, pa.pi
-    edges = g.edges
     last: dict[str, int] = {}
     u = g.source
     for i, s in enumerate(raw):
         c = static.get(s)
         if c is not None:
-            u = edges[u].get(c)
+            u = statics[u].get(c)
         else:
             j = last.get(s)
             if j is not None:
-                u = edges[u].get(i - j)
+                u = ints[u].get(i - j)
             elif s in pi:
-                u = _zero_target(edges[u], i, g.lens[u], g.slinks)
+                u = _zero_target(ints[u], i, lens[u], slinks)
             else:
                 pa.encode_prev(raw)  # raises, naming the symbol and its position
             last[s] = i

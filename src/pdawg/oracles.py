@@ -301,8 +301,8 @@ class PSTree:
     do not branch).  An edge label is a span of the text, a `range` of
     0-based positions in `text_codes` as long as the edge, read by `label`.
     `uplinks[v]` maps each label to the node its Weiner link leads to;
-    `duality.suffix_link_tree_as_pstree` fills it with the automaton's
-    edges, and the other builders leave it empty.
+    `duality.suffix_link_tree_as_pstree` sets it to the automaton's
+    read-only `edges` view, and the other builders leave it empty.
     """
 
     __slots__ = (

@@ -2,14 +2,22 @@
 
 Nodes are equivalence classes of factors sharing the same set of ending
 positions in the text; edges extend the longest member of a class by one
-symbol.  Because a back-reference distance can collapse to 0 when the context
-gets short, reading symbol 0 is position-dependent: `_zero_target`, the one
+symbol.  Each node keeps its labels in two maps that partition them: a
+static map (the negative codes) and an integer map (0 and the distances),
+so `g.static_edges[u]` and `g.int_edges[u]`; a node with no label of a kind
+shares one read-only empty map.  `g.edges[u]` is a read-only view that
+merges both, for every reader that wants the whole out-map.
+
+Because a back-reference distance can collapse to 0 when the context gets
+short, reading symbol 0 is position-dependent: `_zero_target`, the one
 bundled-0 rule, returns the target node in one call by looking at which
-integer labels the current context length leaves compatible.  No positive
-label exceeds its node's length (no builder writes one, and every structure,
-a loaded index included, comes from a builder), so once the context is as
-long as the node only the label 0 itself can follow symbol 0, and the
-transition is one lookup instead of a scan of the node's labels.
+integer labels the current context length leaves compatible.  It reads the
+integer map alone, at most |Pi| + 1 labels (0 and one distance per distinct
+parameter of the node's longest string), and never a static label.  No
+positive label exceeds its node's length (no builder writes one, and every
+structure, a loaded index included, comes from a builder), so once the
+context is as long as the node only the label 0 itself can follow symbol 0,
+and the transition is one lookup instead of a scan of the integer map.
 
 Node ids are arena indices.  The source is node 0 with suffix link None, so
 the suffix-link tree is numbered as the suffix tree of the reversed text.
@@ -18,14 +26,17 @@ the suffix-link tree is numbered as the suffix tree of the reversed text.
 the style of the classic DAWG construction: climb the suffix-link chain from
 the old sink adding edges to the new sink, until a suffix survives or the
 climb passes the source, find the longest repeated suffix, and split its
-class when the class is too coarse.  `build_online` runs those steps over the
-text, and the right-to-left tree builder over the reversed text.
+class when the class is too coarse.  A static symbol touches static maps
+only, an integer symbol integer maps only.  `build_online` runs those steps
+over the text, and the right-to-left tree builder over the reversed text.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
+from collections.abc import Mapping, Sequence
+from types import MappingProxyType
 from typing import Iterator
 
 from .pstrings import (
@@ -36,6 +47,11 @@ from .pstrings import (
     _re_encode_codes,
     label_sort_key,
 )
+
+# the label map of every node with no label of a kind: read-only, so a
+# write meant for one node cannot reach them all
+_NO_LABELS: Mapping[int, int] = MappingProxyType({})
+
 
 class ConstructionStats:
     """Work counters for one online construction run.
@@ -75,8 +91,46 @@ class ConstructionStats:
         return f"ConstructionStats({fields})"
 
 
+def _merged(static: Mapping[int, int], ints: Mapping[int, int]) -> Mapping[int, int]:
+    """One node's static and integer labels as one read-only map."""
+    return MappingProxyType({**static, **ints})
+
+
+class EdgeView(Sequence):
+    """Read-only view of every node's out-edges: item u is a read-only map
+    of node u's static and integer labels together.  It reads the
+    automaton's live lists, so it follows a build in progress, and compares
+    equal to a list of label maps."""
+
+    __slots__ = ("lens", "static_edges", "int_edges")
+
+    def __init__(self, lens: list[int], static_edges: list, int_edges: list):
+        self.lens = lens
+        self.static_edges = static_edges
+        self.int_edges = int_edges
+
+    def __len__(self) -> int:
+        return len(self.lens)
+
+    def __getitem__(self, u: int) -> Mapping[int, int]:
+        u = range(len(self.lens))[u]  # IndexError past the last node
+        return _merged(self.static_edges[u], self.int_edges[u])
+
+    def __iter__(self) -> Iterator[Mapping[int, int]]:
+        n = len(self.lens)
+        return map(_merged, self.static_edges[:n], self.int_edges[:n])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, EdgeView)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 class Pdawg:
-    __slots__ = ("alphabet", "text_codes", "lens", "slinks", "edges", "source", "sink_history")
+    __slots__ = (
+        "alphabet", "text_codes", "lens", "slinks", "static_edges", "int_edges",
+        "source", "sink_history",
+    )
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
@@ -84,9 +138,17 @@ class Pdawg:
         # arena indexed by node id; the source is node 0, its suffix link None
         self.lens: list[int] = [0]
         self.slinks: list[int | None] = [None]
-        self.edges: list[dict[int, int]] = [{}]
+        # a node's static labels and its integer labels, in two maps
+        self.static_edges: list[Mapping[int, int]] = [_NO_LABELS]
+        self.int_edges: list[Mapping[int, int]] = [_NO_LABELS]
         self.source = 0
         self.sink_history: list[int] = [0]
+
+    @property
+    def edges(self) -> EdgeView:
+        """Every node's whole out-map, read-only: `edges[u]` merges node u's
+        static and integer maps."""
+        return EdgeView(self.lens, self.static_edges, self.int_edges)
 
     @property
     def sink(self) -> int:
@@ -100,24 +162,25 @@ class Pdawg:
         return len(self.lens)
 
     def edge_count(self) -> int:
-        return sum(map(len, self.edges))
+        return sum(map(len, self.static_edges)) + sum(map(len, self.int_edges))
 
     def is_primary(self, u: int, target: int) -> bool:
         return self.lens[target] == self.lens[u] + 1
 
 
-def _zero_target(labels: dict, i: int, length: int, slinks: list) -> int | None:
+def _zero_target(labels: Mapping[int, int], i: int, length: int, slinks: list) -> int | None:
     """The node symbol 0 leads to, after i symbols were read, from a node
-    with these labels and this length, or None.
+    with this integer map and this length, or None.
 
     Symbol 0 may be the image of any distance exceeding i, so label 0 and
     every distance label b > i are candidates.  A unique candidate is
     followed; several bundled ones all lead to one class, the suffix link
     (tree parent) of the target along the smallest positive candidate.  No
     positive label exceeds `length` (no builder writes one), so once
-    i >= length only label 0 can follow, in one lookup.  A node has at most
-    |Pi| positive labels, one per distinct parameter of its longest string;
-    the scan also reads its static labels, which that bound does not cover.
+    i >= length only label 0 can follow, in one lookup.  The map holds no
+    static label and at most |Pi| + 1 integer ones, label 0 and one distance
+    per distinct parameter of the node's longest string, so a call reads at
+    most |Pi| + 1 labels.
     """
     if i >= length:
         return labels.get(0)
@@ -140,15 +203,15 @@ def _zero_target(labels: dict, i: int, length: int, slinks: list) -> int | None:
     return out
 
 
-def _lrs_bound(labels: dict, a: int) -> int:
+def _lrs_bound(labels: Mapping[int, int], a: int) -> int:
     """Length of the longest repeated suffix when extension by integer `a`
-    survives only through a bundled 0-label of a node with these labels.
+    survives only through a bundled 0-label of a node with this integer map.
 
     The widest integer label m (0 is wider than any distance) caps the
     back-reference the repeated suffix can keep, so the length is the
     smaller of a and m in the label order.
     """
-    m = 0 if 0 in labels else max([b for b in labels if b > 0], default=None)
+    m = 0 if 0 in labels else max(labels, default=None)
     if m is None:
         raise AssertionError("pre-LRS node lost its integer labels")
     return min(a, m, key=label_sort_key)
@@ -157,11 +220,14 @@ def _lrs_bound(labels: dict, a: int) -> int:
 def trans(g: Pdawg, u: int, i: int, a: int) -> int | None:
     """Transition from u reading the code `a` after having read i symbols.
 
-    A static code or a positive distance follows a plain edge; code 0 is
-    resolved by `_zero_target`.
+    A static code follows an edge of the static map, a positive distance one
+    of the integer map; code 0 is resolved by `_zero_target` on the integer
+    map.
     """
-    eu = g.edges[u]
-    return eu.get(a) if a else _zero_target(eu, i, g.lens[u], g.slinks)
+    if a < 0:
+        return g.static_edges[u].get(a)
+    labels = g.int_edges[u]
+    return labels.get(a) if a else _zero_target(labels, i, g.lens[u], g.slinks)
 
 
 def _online_steps(g: Pdawg, stats: ConstructionStats) -> Iterator[tuple[int, int] | None]:
@@ -173,20 +239,29 @@ def _online_steps(g: Pdawg, stats: ConstructionStats) -> Iterator[tuple[int, int
     kept out of the loop: the cut-off `pstrings._z` is spelled inline as
     `0 if a > L else a`, the search for the longest repeated suffix and the
     split are spelled in the loop, and a split adds its redirected edges to
-    `stats` once.  A static code climbs with plain lookups alone; an integer
-    code cut to 0 costs one `_zero_target` call per visited node, the
-    climb's only call.  `stats` is current at every yield.
+    `stats` once.  A static code climbs with plain lookups in static maps
+    alone; an integer code cut to 0 costs one `_zero_target` call per
+    visited node that has an integer map, the climb's only call.  A node's
+    map of a kind is made when it gets its first label of that kind, and the
+    two map lists are allocated once, to the node bound, and cut to the node
+    count after the last step.  `stats` is current at every yield.
     """
     lens = g.lens
     slinks = g.slinks
-    edges = g.edges
+    statics = g.static_edges
+    ints = g.int_edges
     history = g.sink_history
+    codes = g.text_codes
+    none = _NO_LABELS
+    n = len(codes)
+    size = max(2 * n - 1, n + 1)  # at most 2n-1 nodes, and n+1 below n = 2
+    statics.extend([none] * (size - len(statics)))
+    ints.extend([none] * (size - len(ints)))
 
-    for i, a in enumerate(g.text_codes, start=1):
+    for i, a in enumerate(codes, start=1):
         sink = len(lens)
         lens.append(i)
         slinks.append(None)
-        edges.append({})
 
         # climb from the old sink adding edges to the new sink until some
         # suffix one longer than the next chain node survives extension by a
@@ -195,25 +270,33 @@ def _online_steps(g: Pdawg, stats: ConstructionStats) -> Iterator[tuple[int, int
         if a < 0:
             while u is not None:
                 visits += 1
-                eu = edges[u]
-                if a in eu:
+                labels = statics[u]
+                if labels is none:
+                    statics[u] = {a: sink}
+                elif a in labels:
                     break
-                eu[a] = sink
+                else:
+                    labels[a] = sink
                 u = slinks[u]
         else:
             while u is not None:
                 visits += 1
                 s = slinks[u]
-                eu = edges[u]
+                labels = ints[u]
+                L = lens[u]
+                if labels is none:
+                    # no integer label: nothing survives, not even through 0
+                    ints[u] = {0 if a > L else a: sink}
+                    u = s
+                    continue
                 # the context j = len(s) + 1 cuts a distance a > j to 0
                 j = 0 if s is None else lens[s] + 1
-                L = lens[u]
                 if 0 < a <= j:
-                    if a in eu:
+                    if a in labels:
                         break
-                elif _zero_target(eu, j, L, slinks) is not None:
+                elif _zero_target(labels, j, L, slinks) is not None:
                     break
-                eu[0 if a > L else a] = sink
+                labels[0 if a > L else a] = sink
                 u = s
         stats.climb_visits += visits
         history.append(sink)
@@ -227,18 +310,18 @@ def _online_steps(g: Pdawg, stats: ConstructionStats) -> Iterator[tuple[int, int
             continue
         L = lens[u]
         zau = 0 if a > L else a
-        v = eu.get(zau)  # the climb stopped at u with eu = edges[u]
+        v = labels.get(zau)  # the climb stopped at u with labels of a's kind
         if v is not None:
             k = L + 1
         else:
             # only reachable for integer a: the surviving extension went
             # through a bundled 0-edge, so the repeated suffix is shorter
             # than len(u)+1
-            k = _lrs_bound(eu, a)
-            v = _zero_target(eu, k - 1, L, slinks)
+            k = _lrs_bound(labels, a)
+            v = _zero_target(labels, k - 1, L, slinks)
             if v is None:
                 raise AssertionError("longest repeated suffix has no class")
-            eu[zau] = sink
+            labels[zau] = sink
             u = slinks[u]
         if lens[v] == k:
             slinks[sink] = v
@@ -249,37 +332,44 @@ def _online_steps(g: Pdawg, stats: ConstructionStats) -> Iterator[tuple[int, int
         vp = len(lens)
         lens.append(k)
         slinks.append(None)
-        evp = {}
-        edges.append(evp)
         stats.suffix_links_deleted += 1
         # in-edges: every suffix of the new longest repeated suffix that still
         # reaches v from the chain belongs below the split point
+        maps = statics if a < 0 else ints
         redirected = 0
         while u is not None:
             L = lens[u]
             key = 0 if a > L else a
-            eu = edges[u]
-            if eu.get(key) != v:
+            labels = maps[u]
+            if labels.get(key) != v:
                 break
-            eu[key] = vp
+            labels[key] = vp
             redirected += 1
             if L == k - 1:
                 stats.redirections += 1
             u = slinks[u]
         stats.redirected_secondary_edges += redirected
-        # out-edges: keep the labels that stay meaningful at length k; a label
-        # 0 is a candidate, so the 0-target at length k exists and replaces it
-        ev = edges[v]
-        for b, tgt in ev.items():
-            if b <= k:
-                evp[b] = tgt
-        t0 = _zero_target(ev, k, lens[v], slinks)
-        if t0 is not None:
-            evp[0] = t0
+        # out-edges: every static label stays; keep the integer labels that
+        # stay meaningful at length k, and since a label 0 is a candidate,
+        # the 0-target at length k exists and replaces it
+        labels = statics[v]
+        if labels is not none:
+            statics[vp] = labels.copy()
+        labels = ints[v]
+        if labels is not none:
+            kept = ints[vp] = {}
+            for b, t in labels.items():
+                if b <= k:
+                    kept[b] = t
+            t0 = _zero_target(labels, k, lens[v], slinks)
+            if t0 is not None:
+                kept[0] = t0
         slinks[vp] = slinks[v]
         slinks[v] = vp
         slinks[sink] = vp
         yield v, vp
+    del statics[len(lens) :]
+    del ints[len(lens) :]
 
 
 def build_online(t: PString | PvString) -> tuple[Pdawg, ConstructionStats]:
@@ -339,11 +429,14 @@ def canonical_form(g: Pdawg) -> dict:
 
 
 def stats_summary(g: Pdawg) -> dict:
+    lens = g.lens
     primary = sum(
         1
-        for u in g.node_ids()
-        for tgt in g.edges[u].values()
-        if g.lens[tgt] == g.lens[u] + 1
+        for maps in (g.static_edges, g.int_edges)
+        for L, labels in zip(lens, maps)
+        if labels
+        for t in labels.values()
+        if lens[t] == L + 1
     )
     edges = g.edge_count()
     return {
@@ -360,15 +453,17 @@ def check_invariants(g: Pdawg) -> None:
 
     One linear pass over facts every PDAWG satisfies: the source is node 0
     with length 0; every other suffix link leads to a strictly shorter node,
-    so the chains end at the source; every edge leads to a longer node; a
-    positive label points no further back than its node's length and a
-    negative one names a static symbol; prefix i ends in a class of length i,
-    reached from prefix i-1 along the edge labelled with text symbol i, so
-    the primary spine spells the text; every node is on the suffix-link chain
-    of some prefix; n >= 3 bounds the counts by 2n-1 nodes and 3n-4 edges;
-    and the text is a valid prev-encoding over the alphabet.
+    so the chains end at the source; a node's static map holds only negative
+    labels and its integer map only non-negative ones; every edge leads to a
+    longer node; a positive label points no further back than its node's
+    length and a negative one names a static symbol; prefix i ends in a
+    class of length i, reached from prefix i-1 along the edge labelled with
+    text symbol i, so the primary spine spells the text; every node is on
+    the suffix-link chain of some prefix; n >= 3 bounds the counts by 2n-1
+    nodes and 3n-4 edges; and the text is a valid prev-encoding over the
+    alphabet.
     """
-    lens, slinks, edges = g.lens, g.slinks, g.edges
+    lens, slinks, statics, ints = g.lens, g.slinks, g.static_edges, g.int_edges
     count = len(lens)
     lowest = -len(g.alphabet.sigma)
     if g.source != 0 or not lens or lens[0] != 0 or slinks[0] is not None:
@@ -380,20 +475,24 @@ def check_invariants(g: Pdawg) -> None:
         if lens[s] >= lens[u]:
             raise ValueError(f"suffix link of node {u} is not shorter")
     edge_count = 0
-    for u in range(count):
-        L = lens[u]
-        eu = edges[u]
-        edge_count += len(eu)
-        for b, t in eu.items():
-            if not 0 <= t < count:
-                raise ValueError(f"edge target of node {u} out of range")
-            if lens[t] <= L:
-                raise ValueError(f"edge of node {u} does not lead to a longer node")
-            if not lowest <= b <= L:
-                raise ValueError(
-                    f"label {b} of node {u} is neither a static symbol"
-                    " nor a distance within its length"
-                )
+    for static, maps in ((True, statics), (False, ints)):
+        for u, (L, labels) in enumerate(zip(lens, maps)):
+            if not labels:
+                continue
+            edge_count += len(labels)
+            for b, t in labels.items():
+                if (b < 0) is not static:
+                    mine, other = ("static", "integer") if static else ("integer", "static")
+                    raise ValueError(f"{mine} map of node {u} holds the {other} label {b}")
+                if not 0 <= t < count:
+                    raise ValueError(f"edge target of node {u} out of range")
+                if lens[t] <= L:
+                    raise ValueError(f"edge of node {u} does not lead to a longer node")
+                if not lowest <= b <= L:
+                    raise ValueError(
+                        f"label {b} of node {u} is neither a static symbol"
+                        " nor a distance within its length"
+                    )
     w = g.text_codes
     n = len(w)
     history = g.sink_history
@@ -411,7 +510,7 @@ def check_invariants(g: Pdawg) -> None:
     if not all(on_chain):
         raise ValueError("some node is on no suffix-link chain of a prefix")
     # text symbol i leads from prefix i-1 to prefix i
-    if list(map(dict.get, map(edges.__getitem__, history[:-1]), w)) != history[1:]:
+    if [(statics if c < 0 else ints)[h].get(c) for h, c in zip(history, w)] != history[1:]:
         raise ValueError("the primary spine does not spell the text")
     if n >= 3 and (count > 2 * n - 1 or edge_count > 3 * n - 4):
         raise ValueError(

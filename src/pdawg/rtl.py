@@ -8,9 +8,9 @@ to reverse(S), so the tree after each prepended symbol is read off the
 online automaton of reverse(S), one `pdawg._online_steps` step per symbol,
 by `duality.suffix_link_tree_as_pstree` under the same node ids: the new
 sink is the new leaf, and a class split is a new inner node.
-`tree.depth`, `tree.parent` and `tree.uplinks` are the automaton's `lens`,
-`slinks` and `edges` lists; the tree adds its edge spans and suffix flags,
-read off in one pass over the nodes.
+`tree.depth` and `tree.parent` are the automaton's `lens` and `slinks`
+lists and `tree.uplinks` its `edges` view; the tree adds its edge spans and
+suffix flags, read off in one pass over the nodes.
 """
 
 from __future__ import annotations
@@ -48,5 +48,6 @@ def build_pstree_rtl(s: PString | PvString) -> tuple[PSTree, ConstructionStats]:
 
 
 def upward_links_to_pdawg(tree: PSTree) -> Pdawg:
-    """Reinterpret the tree's Weiner links as the PDAWG of the reversed text."""
-    return links_to_pdawg(tree, list(map(dict, tree.uplinks)))
+    """Reinterpret the tree's Weiner links as the PDAWG of the reversed text,
+    in label maps of its own."""
+    return links_to_pdawg(tree, tree.uplinks)

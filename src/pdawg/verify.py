@@ -102,7 +102,7 @@ def check_matching(pv: PvString, patterns: Iterable[PvString] | None = None) -> 
 def _arrays(g: Pdawg) -> tuple[list, ...]:
     """The arrays that fix a PDAWG and its node numbering; engines that agree
     build equal arrays, not only equal canonical forms."""
-    return g.lens, g.slinks, g.edges, g.sink_history
+    return g.lens, g.slinks, g.static_edges, g.int_edges, g.sink_history
 
 
 def check_offline(pv: PvString) -> str | None:

@@ -38,6 +38,17 @@ def random_pstring(rng, alphabet, n):
     return PString([rng.choice(symbols) for _ in range(n)], alphabet)
 
 
+def static_class_family(k):
+    """F_k as (first half, second half, statics): `p c1 c2 c3 c4 a_i` for
+    i < k, then `p c1 c2 c3 c4 y a_i` for i < k with y and w alternating, so
+    n = 13k.  The parameters are p, y and w.  The class of `c1 c2 c3 c4`
+    has k static out-edges, and each y or w reads symbol 0 there."""
+    head = ("p", "c1", "c2", "c3", "c4")
+    first = [s for i in range(k) for s in (*head, f"a{i}")]
+    second = [s for i in range(k) for s in (*head, "yw"[i % 2], f"a{i}")]
+    return first, second, ["c1", "c2", "c3", "c4", *(f"a{i}" for i in range(k))]
+
+
 def src_env():
     """The environment for a child interpreter that imports this checkout's
     `pdawg`."""

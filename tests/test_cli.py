@@ -29,6 +29,7 @@ from pdawg.verify import _arrays, separation_text
 from helpers import A_XY, AB_XYZ, all_pstrings, invoke, random_pstring, src_env
 
 GOLDEN = Path(__file__).parent / "golden"
+F6 = "pcdefgpcdefhpcdefipcdefjpcdefkpcdeflpcdefygpcdefwhpcdefyipcdefwjpcdefykpcdefwl\n"
 
 
 @pytest.fixture()
@@ -596,6 +597,25 @@ class TestDot:
         )
         assert result.exit_code == 0
         assert target.read_bytes() == golden
+
+    @pytest.mark.parametrize("view", ["build", "pdawg", "pstree"])
+    def test_mixed_labels_are_byte_exact(self, runner, tmp_path, view):
+        # F_6, one character per symbol: statics c d e f for c1..c4 and g..l
+        # for a_0..a_5, parameters p, y and w; its nodes carry static and
+        # integer labels side by side
+        text = tmp_path / "text.txt"
+        text.write_text(F6, "utf-8")
+        index = str(tmp_path / "index.json")
+        built = runner.invoke(
+            main, ["build", str(text), "--sigma", "cdefghijkl", "--pi", "pwy", "--out", index]
+        )
+        assert built.exit_code == 0
+        if view == "build":
+            assert built.stdout_bytes == (GOLDEN / "f6.build.json").read_bytes()
+            return
+        result = runner.invoke(main, ["dot", index, "--structure", view])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == (GOLDEN / f"f6.{view}.dot").read_bytes()
 
     def test_streamed_tree_matches_the_whole_tree(self):
         for text in _dot_texts():

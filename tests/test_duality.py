@@ -64,7 +64,8 @@ class TestSuffixLinkTree:
         g, _ = build_online(FORWARD.prev())
         g.lens.append(1)
         g.slinks.append(g.source)
-        g.edges.append({})
+        g.static_edges.append({})
+        g.int_edges.append({})
         with pytest.raises(StructureError, match="node unreachable along suffix-link chains"):
             suffix_link_tree_as_pstree(g)
 
@@ -86,7 +87,8 @@ class TestSuffixLinkTree:
         tree = suffix_link_tree_as_pstree(g)
         assert tree.depth is g.lens
         assert tree.parent is g.slinks
-        assert tree.uplinks is g.edges
+        assert tree.uplinks.static_edges is g.static_edges
+        assert tree.uplinks.int_edges is g.int_edges
         assert tree.is_suffix == [u in g.sink_history for u in g.node_ids()]
 
 
@@ -145,7 +147,7 @@ class TestVerifyDuality:
             for lbl, tgt in g.edges[u].items()
             if not g.is_primary(u, tgt)
         )
-        del g.edges[u][lbl]
+        del (g.static_edges if lbl < 0 else g.int_edges)[u][lbl]
         assert verify_duality(g, tree) == (
             "duality item3 fails: unmatched secondary/implicit: (empty) -[a]-> a0"
         )

@@ -203,8 +203,19 @@ class TestSizes:
     def test_every_arena_slot_is_a_node(self, text):
         g, _ = build_online(text.prev())
         assert len(g.lens) == len(g.slinks) == len(g.edges) == g.node_count()
+        assert len(g.static_edges) == len(g.int_edges) == g.node_count()
         assert sum(map(len, g.edges)) == g.edge_count()
         assert (g.source, g.slinks[g.source], g.lens[g.source]) == (0, None, 0)
+
+    def test_each_label_lives_in_the_map_of_its_kind(self):
+        g, _ = build_online(XAXAY.prev())
+        assert all(b < 0 for m in g.static_edges for b in m)
+        assert all(b >= 0 for m in g.int_edges for b in m)
+        # a node with no label of a kind shares one empty map, which is read-only
+        u = next(u for u in g.node_ids() if not g.int_edges[u])
+        with pytest.raises(TypeError):
+            g.int_edges[u][0] = 1
+        assert g.edge_count() == 8
 
     def test_positive_labels_are_at_most_the_distinct_parameters(self):
         # each positive label reaches back to the last occurrence of one
@@ -282,26 +293,35 @@ class TestStructuralInvariants:
             assert stats.redirected_secondary_edges <= (len(AB_XYZ.pi) + 1) * n
 
 
+def _put(maps, u, b, t):
+    """Give node u the label b to t in `maps`, its static or its integer map
+    list; a node with no label of that kind shares a read-only empty map, so
+    the node gets a map of its own."""
+    maps[u] = {**maps[u], b: t}
+
+
 def _insert_chain_node(g):
     """Put a node with a length in between under the first suffix link that
     skips a length: every invariant but the node-count bound still holds."""
     u = next(u for u in g.node_ids() if u and g.lens[u] - g.lens[g.slinks[u]] >= 2)
     g.lens.append(g.lens[g.slinks[u]] + 1)
     g.slinks.append(g.slinks[u])
-    g.edges.append({})
+    g.static_edges.append({})
+    g.int_edges.append({})
     g.slinks[u] = g.node_count() - 1
 
 
 def _add_node_on_no_chain(g):
     g.lens.append(1)
     g.slinks.append(0)
-    g.edges.append({})
+    g.static_edges.append({})
+    g.int_edges.append({})
 
 
 def _point_text_at_a_static(g):
     # position 4 refers back to the a at position 2, along a spine edge
     g.text_codes = (0, -1, 2, 2, 0)
-    g.edges[3][2] = 4
+    _put(g.int_edges, 3, 2, 4)
 
 
 # (text, one edit of its automaton, the message check_invariants raises);
@@ -319,17 +339,27 @@ BROKEN_INVARIANTS = {
     "link-not-shorter": (
         XAXAY, lambda g: g.slinks.__setitem__(3, 4), "suffix link of node 3 is not shorter"
     ),
+    "integer-label-in-static-map": (
+        XAXAY,
+        lambda g: _put(g.static_edges, 0, 0, 1),
+        "static map of node 0 holds the integer label 0",
+    ),
+    "static-label-in-integer-map": (
+        XAXAY,
+        lambda g: _put(g.int_edges, 0, -1, 2),
+        "integer map of node 0 holds the static label -1",
+    ),
     "edge-out-of-range": (
-        XAXAY, lambda g: g.edges[0].__setitem__(0, 7), "edge target of node 0 out of range"
+        XAXAY, lambda g: _put(g.int_edges, 0, 0, 7), "edge target of node 0 out of range"
     ),
     "edge-not-longer": (
-        XAXAY, lambda g: g.edges[5].__setitem__(0, 1), "edge of node 5 does not lead to a longer"
+        XAXAY, lambda g: _put(g.int_edges, 5, 0, 1), "edge of node 5 does not lead to a longer"
     ),
     "distance-too-long": (
-        XAXAY, lambda g: g.edges[1].__setitem__(2, 2), "label 2 of node 1 is neither a static"
+        XAXAY, lambda g: _put(g.int_edges, 1, 2, 2), "label 2 of node 1 is neither a static"
     ),
     "unknown-static": (
-        XAXAY, lambda g: g.edges[0].__setitem__(-2, 1), "label -2 of node 0 is neither a static"
+        XAXAY, lambda g: _put(g.static_edges, 0, -2, 1), "label -2 of node 0 is neither a static"
     ),
     "history-short": (
         XAXAY, lambda g: g.sink_history.pop(), "sink history length disagrees with the text"
@@ -344,7 +374,7 @@ BROKEN_INVARIANTS = {
         XAXAY, _add_node_on_no_chain, "some node is on no suffix-link chain of a prefix"
     ),
     "spine": (
-        XAXAY, lambda g: g.edges[2].__setitem__(2, 4), "the primary spine does not spell the text"
+        XAXAY, lambda g: _put(g.int_edges, 2, 2, 4), "the primary spine does not spell the text"
     ),
     "node-count": (
         PString("abbbbb", Alphabet("abc", "xy")),

@@ -3,13 +3,16 @@ and how often a query calls it.
 
 `_zero_target` is the only place a transition looks at more than one label,
 so counting the labels it is handed, per text or pattern symbol, measures
-whether construction and matching stay linear.  The separation family T_k
-puts k + 1 labels on the source, where a scan would cost Θ(k) per
-parameter read there.  A query follows every other code with one edge
-lookup, so it calls `_zero_target` once per code 0 and never otherwise, and
-it prev-encodes a `PString` as it walks, never through `Alphabet.encode_prev`.
-The right-to-left tree stores its edge labels as spans of the text, so its
-memory peak stays within a constant factor of the online build's.
+whether construction and matching stay linear.  It is handed a node's
+integer map, which holds no static label.  The separation family T_k puts
+k + 1 labels on the source, where a scan would cost Θ(k) per parameter
+read there, and the family F_k puts k static labels on a class that symbol
+0 visits once per y or w, in the build and in a query.  A query follows
+every other code with one edge lookup, so it calls `_zero_target` once per
+code 0 and never otherwise, and it prev-encodes a `PString` as it walks,
+never through `Alphabet.encode_prev`.  The right-to-left tree stores its
+edge labels as spans of the text, so its memory peak stays within a
+constant factor of the online build's.
 """
 
 import importlib.util
@@ -36,7 +39,7 @@ from pdawg import (
 )
 from pdawg.verify import separation_text
 
-from helpers import random_pstring
+from helpers import random_pstring, static_class_family
 
 LABELS_PER_SYMBOL = 4
 PEAK_RATIO = 3
@@ -44,7 +47,8 @@ N = 4000
 
 
 class _CountingLabels:
-    """Read-only view of a node's labels that counts the ones handed out."""
+    """Read-only view of the integer map `_zero_target` is handed that
+    counts the labels handed out."""
 
     __slots__ = ("_labels", "_seen")
 
@@ -73,8 +77,9 @@ class _CountingLabels:
 @pytest.fixture()
 def labels_read(monkeypatch):
     """A one-element list counting the labels every `_zero_target` call
-    reads, from the builder or the matcher; the right-to-left engine runs
-    the online step, so this counts both engines."""
+    reads from the integer map it is handed, from the builder or the
+    matcher; the right-to-left engine runs the online step, so this counts
+    both engines."""
     seen = [0]
     real = online._zero_target
 
@@ -98,7 +103,13 @@ BUILD_TEXTS = {
     "separation T_1000": lambda: separation_text(N // 4),
     "extremal a.b^(n-2).c": lambda: PString("a" + "b" * (N - 2) + "c", Alphabet("abc", "xy")),
     "random ab/wxyz": lambda: random_pstring(random.Random(1), Alphabet("ab", "wxyz"), N),
+    "F_308": lambda: _f_text(308),
 }
+
+
+def _f_text(k):
+    first, second, sigma = static_class_family(k)
+    return PString(first + second, Alphabet(sigma, "pyw"))
 
 
 @pytest.mark.parametrize("name", BUILD_TEXTS)
@@ -120,6 +131,20 @@ def test_queries_from_the_source_read_few_labels(labels_read):
         labels_read[0],
         8 * len(windows),
     )
+
+
+def test_a_query_through_a_wide_static_class_reads_few_labels(labels_read):
+    # after `c3 c4` the walk stands on the class of `c1 c2 c3 c4`, with its
+    # k static labels, and reads symbol 0 there at context 2
+    first, _second, sigma = static_class_family(308)
+    alphabet = Alphabet(sigma, "pywz")
+    g, _ = build_online(PString(first + ["p", "c1", "c2", "c3", "c4", "y", "c1"], alphabet))
+    pattern = PString(["c3", "c4", "z"], alphabet)
+    labels_read[0] = 0
+    # raw symbols encoded during the walk, then the codes
+    assert p_match_query(g, pattern)
+    assert p_match_query(g, pattern.prev())
+    _assert_linear("p_match_query of c3 c4 z on the first half of F_308", labels_read[0], 6)
 
 
 def test_right_to_left_build_reads_few_labels(labels_read):
