@@ -4,18 +4,21 @@ A p-string mixes static symbols with renameable parameters; two p-strings
 match when a bijection on the parameters turns one into the other.  This
 package prev-encodes p-strings, builds the node-minimal matching automaton
 (the parameterized DAWG) online in one left-to-right pass, answers membership
-and locate queries, and exposes the dual parameterized suffix tree of the
-reversed text together with a right-to-left tree builder that reads that tree
-off the online automaton of the reversed text.  Brute-force reference
-structures (trie, minimal DFA, compacted tree, equivalence-class automaton)
-back every fast path for verification.
+and locate queries, and exposes in `duality` the dual parameterized suffix
+tree of the reversed text together with the right-to-left tree builder,
+which reads that tree off the online automaton of the reversed text.
+Brute-force reference structures (trie, minimal DFA, compacted tree,
+equivalence-class automaton) back every fast path for verification.
 """
 
 from .duality import (
     StructureError,
+    build_pstree_rtl,
     links_to_pdawg,
     offline_build_pdawg,
+    rtl_steps,
     suffix_link_tree_as_pstree,
+    upward_links_to_pdawg,
     verify_duality,
     weiner_links,
 )
@@ -58,7 +61,6 @@ from .pstrings import (
     pv_reverse,
     re_encode,
 )
-from .rtl import build_pstree_rtl, rtl_steps, upward_links_to_pdawg
 
 __version__ = "0.1.0"
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NoReturn
 
 from . import __version__
-from .duality import offline_build_pdawg, suffix_link_tree_as_pstree
+from .duality import offline_build_pdawg, suffix_link_tree_as_pstree, upward_links_to_pdawg
 from .matcher import build_occurrence_index, locate, p_match_query
 from .pdawg import (
     Pdawg,
@@ -35,9 +35,7 @@ from .pstrings import (
     _re_encode_codes,
     format_codes,
     label_sort_key,
-    pv_reverse,
 )
-from .rtl import build_pstree_rtl, upward_links_to_pdawg
 from .verify import (
     check_bounds,
     check_duality,
@@ -111,15 +109,17 @@ def _gv_quote(s: str) -> str:
 
 
 def _build_pdawg(p: PString, engine: str):
-    """Return (pdawg, build_steps dict) for the chosen construction engine."""
+    """Return (pdawg, build_steps dict) for the chosen construction engine:
+    `offline` and `rtl` rebuild the automaton from the tree read off the
+    online build, from the bare tree or from the links it shares."""
+    g, stats = build_online(p)
     if engine == "online":
-        g, stats = build_online(p)
         steps = {
             "redirected_secondary": stats.redirected_secondary_edges,
             "slinks_deleted": stats.suffix_links_deleted,
         }
         return g, steps
-    tree, _counters = build_pstree_rtl(pv_reverse(p.prev()))
+    tree = suffix_link_tree_as_pstree(g)
     if engine == "offline":
         g = offline_build_pdawg(tree)
     else:  # rtl

@@ -8,29 +8,38 @@ exactly on a node ("explicit"), secondary edges to links whose landing point
 is inside an edge and gets rounded down to the node below ("implicit").
 
 This module extracts the tree from a PDAWG (the one reader of a tree off
-an automaton; the right-to-left builder calls it too), computes Weiner links
-definitionally, rebuilds a PDAWG from a bare tree offline, and checks the
-correspondence point by point.  A tree edge label is a span of the reversed
-text (`PSTree.label` reads it); the extracted tree takes each span from the
-witness occurrence of its class, so it stores no label codes.
+an automaton), builds the tree right to left by reading it off the online
+automaton of the reversed text (prepending to S appends to reverse(S)),
+computes Weiner links definitionally, rebuilds a PDAWG from a bare tree
+offline, and checks the correspondence point by point.  A tree edge label
+is a span of the reversed text (`PSTree.label` reads it); the extracted
+tree takes each span from the witness occurrence of its class, so it
+stores no label codes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
 from .pstrings import (
+    PString,
+    PvString,
+    _pv,
     _pv_reverse_codes,
     _z,
     format_codes,
     label_sort_key,
+    pv_reverse,
 )
 from .oracles import PSTree
 from .pdawg import (
     _NO_LABELS,
+    ConstructionStats,
     Pdawg,
+    _online_steps,
     _witness_ends,
+    build_online,
     check_invariants,
     node_longest_codes,
 )
@@ -96,6 +105,30 @@ def suffix_link_tree_as_pstree(g: Pdawg) -> PSTree:
     if sum(map(len, children)) < len(lens) - 1:
         raise StructureError("suffix-link tree branches on equal first symbols")
     return tree
+
+
+def rtl_steps(s: PString | PvString) -> Iterator[tuple[int, PSTree, ConstructionStats]]:
+    """Yield (symbols_prepended, tree, stats) after every step, step 0 (the
+    lone root) included.
+
+    After step i the tree is the suffix tree of the last i symbols of s.
+    Each tree is read afresh off the automaton, so a step costs O(n), and it
+    shares the automaton's live lists: it is valid until the next step.
+    """
+    pv = _pv(s)
+    g = Pdawg(pv.alphabet)
+    g.text_codes = pv_reverse(pv).codes
+    stats = ConstructionStats()
+    yield 0, suffix_link_tree_as_pstree(g), stats
+    for i, _split in enumerate(_online_steps(g, stats), start=1):
+        yield i, suffix_link_tree_as_pstree(g), stats
+
+
+def build_pstree_rtl(s: PString | PvString) -> tuple[PSTree, ConstructionStats]:
+    """Build the suffix tree of s by prepending symbols one at a time: the
+    online build of reverse(s), and the tree read off it once."""
+    g, stats = build_online(pv_reverse(_pv(s)))
+    return suffix_link_tree_as_pstree(g), stats
 
 
 def weiner_links(tree: PSTree) -> list[dict[int, int]]:
@@ -174,6 +207,12 @@ def links_to_pdawg(tree: PSTree, links: Sequence[Mapping[int, int]]) -> Pdawg:
     except ValueError as exc:
         raise StructureError(f"links do not form a PDAWG: {exc}") from exc
     return g
+
+
+def upward_links_to_pdawg(tree: PSTree) -> Pdawg:
+    """Reinterpret the tree's Weiner links as the PDAWG of the reversed text,
+    in label maps of its own."""
+    return links_to_pdawg(tree, tree.uplinks)
 
 
 def offline_build_pdawg(tree: PSTree) -> Pdawg:

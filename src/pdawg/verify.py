@@ -11,6 +11,7 @@ from typing import Iterable
 
 from .duality import (
     offline_build_pdawg,
+    rtl_steps,
     suffix_link_tree_as_pstree,
     verify_duality,
     weiner_links,
@@ -25,7 +26,6 @@ from .oracles import (
 )
 from .pdawg import Pdawg, build_online, canonical_form, check_invariants
 from .pstrings import Alphabet, PString, PvString, prev_decode, pv_reverse, re_encode
-from .rtl import build_pstree_rtl, rtl_steps
 
 
 def separation_text(k: int) -> PString:
@@ -106,12 +106,11 @@ def _arrays(g: Pdawg) -> tuple[list, ...]:
 
 
 def check_offline(pv: PvString) -> str | None:
-    """Building bottom-up from the right-to-left tree of the reversed text,
-    as `--engine offline` does, gives the online automaton, node numbering
-    included."""
+    """Building bottom-up from the suffix tree of the reversed text read off
+    the online automaton, as `--engine offline` does, gives that automaton,
+    node numbering included."""
     g, _stats = build_online(pv)
-    tree, _counters = build_pstree_rtl(pv_reverse(pv))
-    if _arrays(offline_build_pdawg(tree)) != _arrays(g):
+    if _arrays(offline_build_pdawg(suffix_link_tree_as_pstree(g))) != _arrays(g):
         return "offline build from the reversed-text tree differs from online"
     return None
 
@@ -135,18 +134,29 @@ def check_duality(pv: PvString) -> str | None:
 
 
 def check_rtl(pv: PvString) -> str | None:
-    """Every right-to-left step equals the oracle tree of that suffix with at
-    most one redirection, and the links the final tree stores are its Weiner
-    links, computed definitionally from its labels."""
+    """Every right-to-left step equals the oracle tree of that suffix, and
+    the redirections it counts are the ones the oracle trees show: Weiner
+    links of both trees, keyed by source string and label, that are explicit
+    after the step and lead to a new string; at most one.  The links the
+    final tree stores are its Weiner links, computed definitionally."""
     n = len(pv)
-    before = 0
-    for i, tree, counters in rtl_steps(pv):
-        if not tree_equal(tree, build_pstree_naive(pv.window(n - i + 1, n))):
+    before, old = 0, {}
+    for i, tree, stats in rtl_steps(pv):
+        oracle = build_pstree_naive(pv.window(n - i + 1, n))
+        if not tree_equal(tree, oracle):
             return f"tree after {i} prepended symbols differs from the oracle"
-        step = counters.redirections - before
-        if step > 1:
-            return f"step {i} redirected {step} links"
-        before = counters.redirections
+        strs, depth = oracle.node_strings(), oracle.depth
+        new, moved = {}, 0
+        for v, links in enumerate(weiner_links(oracle)):
+            for a, t in links.items():
+                key = strs[v], a
+                new[key] = strs[t]
+                if depth[t] == depth[v] + 1 and key in old and old[key] != strs[t]:
+                    moved += 1
+        step = stats.redirections - before
+        if moved > 1 or step != moved:
+            return f"step {i} counted {step} redirections, the oracle trees {moved} (at most 1)"
+        before, old = stats.redirections, new
     if tree.uplinks != weiner_links(tree):
         return "stored links are not the Weiner links of the tree"
     return None

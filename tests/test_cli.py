@@ -19,8 +19,10 @@ from pdawg import (
     __version__,
     build_occurrence_index,
     build_online,
+    links_to_pdawg,
     locate,
     suffix_link_tree_as_pstree,
+    weiner_links,
 )
 from pdawg.cli import _build_pdawg, _dot_pstree, _gv_quote, main
 from pdawg.pstrings import format_codes, label_sort_key
@@ -112,9 +114,14 @@ class TestBuild:
         engines = ("online", "offline", "rtl")
         for k, (text, flags) in enumerate(inputs):
             # a loaded index is always rebuilt online, so compare the engines'
-            # own structures in-process, node numbering included
-            arrays = [_arrays(_build_pdawg(text, e)[0]) for e in engines]
-            assert arrays[0] == arrays[1] == arrays[2], text
+            # own structures in-process, node numbering included; rtl hands on
+            # the online edges as links, so it is held to the definitional ones
+            g, _stats = build_online(text)
+            tree = suffix_link_tree_as_pstree(g)
+            assert _arrays(_build_pdawg(text, "offline")[0]) == _arrays(g), text
+            assert _arrays(_build_pdawg(text, "rtl")[0]) == _arrays(
+                links_to_pdawg(tree, weiner_links(tree))
+            ), text
             path = tmp_path / f"t{k}.txt"
             sep = " " if "--tokenize" in flags else ""
             path.write_text(sep.join(text.raw) + "\n", "utf-8")

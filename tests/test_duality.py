@@ -22,7 +22,7 @@ from pdawg import (
     verify_duality,
     weiner_links,
 )
-from pdawg.verify import check_duality, check_offline
+from pdawg.verify import _arrays, check_duality, check_offline
 
 from helpers import A_XY, AB_XYZ, all_pstrings, distinct_by_prev, random_pstring
 
@@ -173,6 +173,17 @@ class TestOfflineBuild:
     def test_exhaustive_small_texts(self):
         for t in distinct_by_prev(all_pstrings(A_XY, 6)):
             assert check_offline(t.prev()) is None, str(t)
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    @pytest.mark.parametrize(
+        "family", ["code_text", "random_text", "separation_text", "extremal_text"]
+    )
+    def test_bench_families_at_scale(self, bench_families, family, n):
+        # the tree's depths and parents are the online lens and slinks, so
+        # the edges and the suffix nodes are what the offline build derives
+        symbols, sigma = getattr(bench_families, family)(random.Random(1), n)
+        g, _ = build_online(PString(symbols, Alphabet.from_text(symbols, sigma)))
+        assert _arrays(offline_build_pdawg(suffix_link_tree_as_pstree(g))) == _arrays(g)
 
     def test_malformed_tree_is_rejected(self):
         alpha = Alphabet("a", "x")

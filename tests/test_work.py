@@ -15,22 +15,20 @@ edge labels as spans of the text, so its memory peak stays within a
 constant factor of the online build's.
 """
 
-import importlib.util
 import random
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
 import pdawg.matcher as matcher
 import pdawg.pdawg as online
-import pdawg.rtl as rtl
 from pdawg import (
     Alphabet,
     ConstructionStats,
     PString,
     build_occurrence_index,
     build_online,
+    build_pstree_rtl,
     locate,
     p_match_query,
     prev_decode,
@@ -149,7 +147,7 @@ def test_a_query_through_a_wide_static_class_reads_few_labels(labels_read):
 
 def test_right_to_left_build_reads_few_labels(labels_read):
     pv = pv_reverse(separation_text(100).prev())
-    rtl.build_pstree_rtl(pv)
+    build_pstree_rtl(pv)
     _assert_linear("build_pstree_rtl on reversed T_100", labels_read[0], len(pv))
 
 
@@ -166,7 +164,7 @@ def _traced_peak(build, pv):
 def test_right_to_left_build_peaks_near_the_online_build(name):
     pv = BUILD_TEXTS[name]().prev()
     online_peak = _traced_peak(build_online, pv)
-    rtl_peak = _traced_peak(rtl.build_pstree_rtl, pv)
+    rtl_peak = _traced_peak(build_pstree_rtl, pv)
     assert rtl_peak <= PEAK_RATIO * online_peak, (
         f"build_pstree_rtl on {name} peaks at {rtl_peak} B,"
         f" {rtl_peak / online_peak:.1f} times build_online's {online_peak} B"
@@ -239,15 +237,6 @@ PINNED_COUNTS = {
     "separation_text": ((0, 0, 4498, 0), 2001, 2999, 2000),
     "extremal_text": ((1997, 1997, 5996, 1997), 3998, 5996, 3997),
 }
-
-
-@pytest.fixture(scope="module")
-def bench_families():
-    path = Path(__file__).resolve().parents[1] / "bench" / "families.py"
-    spec = importlib.util.spec_from_file_location("bench_families", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("family", PINNED_COUNTS)
