@@ -37,7 +37,6 @@ from .pdawg import (
     _NO_LABELS,
     ConstructionStats,
     Pdawg,
-    _online_steps,
     _witness_ends,
     build_online,
     check_invariants,
@@ -111,16 +110,14 @@ def rtl_steps(s: PString | PvString) -> Iterator[tuple[int, PSTree, Construction
     """Yield (symbols_prepended, tree, stats) after every step, step 0 (the
     lone root) included.
 
-    After step i the tree is the suffix tree of the last i symbols of s.
-    Each tree is read afresh off the automaton, so a step costs O(n), and it
-    shares the automaton's live lists: it is valid until the next step.
+    After step i the tree is the suffix tree of the last i symbols of s,
+    read off `build_online` of the first i symbols of reverse(s), and the
+    stats are that build's.  A step builds afresh, so it costs O(n), and
+    each tree owns its automaton: it stays valid after later steps.
     """
-    pv = _pv(s)
-    g = Pdawg(pv.alphabet)
-    g.text_codes = pv_reverse(pv).codes
-    stats = ConstructionStats()
-    yield 0, suffix_link_tree_as_pstree(g), stats
-    for i, _split in enumerate(_online_steps(g, stats), start=1):
+    rev = pv_reverse(_pv(s))
+    for i in range(len(rev) + 1):
+        g, stats = build_online(rev.window(1, i))
         yield i, suffix_link_tree_as_pstree(g), stats
 
 

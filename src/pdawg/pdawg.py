@@ -22,19 +22,18 @@ and the transition is one lookup instead of a scan of the integer map.
 Node ids are arena indices.  The source is node 0 with suffix link None, so
 the suffix-link tree is numbered as the suffix tree of the reversed text.
 
-`_online_steps` adds one symbol at a time, maintaining the suffix links, in
+`build_online` adds one symbol at a time, maintaining the suffix links, in
 the style of the classic DAWG construction: climb the suffix-link chain from
 the old sink adding edges to the new sink, until a suffix survives or the
 climb passes the source, find the longest repeated suffix, and split its
 class when the class is too coarse.  A static symbol touches static maps
-only, an integer symbol integer maps only.  `build_online` runs those steps
-over the text, and the right-to-left tree builder over the reversed text.
+only, an integer symbol integer maps only.  The right-to-left tree builder
+runs it over the reversed text.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from collections.abc import Mapping, Sequence
 from types import MappingProxyType
 from typing import Iterator
@@ -54,14 +53,17 @@ _NO_LABELS: Mapping[int, int] = MappingProxyType({})
 
 
 class ConstructionStats:
-    """Work counters for one online construction run.
+    """Work counters for one online construction run, written once, when
+    the build ends.
 
     `climb_visits` counts the chain nodes the climb from the old sink looks
     at; `redirections` counts the splits whose chain node of length k-1 had
-    its edge redirected to the new class of length k: at most one per step.
-    A plain class with slots: `dataclasses` would cost every CLI command an
-    import of `inspect`, and a `SimpleNamespace` subclass made each counter
-    update slow enough to add 13-19% to `build_online`.
+    its edge redirected to the new class of length k: at most one per step;
+    `redirected_secondary_edges` counts every redirected edge.
+    `suffix_links_deleted` is derived, not counted: each split replaces one
+    suffix link and adds one node, so it is nodes - n - 1.  A plain class
+    with slots: `dataclasses` would cost every CLI command an import of
+    `inspect`.
     """
 
     __slots__ = ("redirected_secondary_edges", "suffix_links_deleted", "climb_visits", "redirections")
@@ -99,8 +101,7 @@ def _merged(static: Mapping[int, int], ints: Mapping[int, int]) -> Mapping[int, 
 class EdgeView(Sequence):
     """Read-only view of every node's out-edges: item u is a read-only map
     of node u's static and integer labels together.  It reads the
-    automaton's live lists, so it follows a build in progress, and compares
-    equal to a list of label maps."""
+    automaton's live lists, and compares equal to a list of label maps."""
 
     __slots__ = ("lens", "static_edges", "int_edges")
 
@@ -113,12 +114,10 @@ class EdgeView(Sequence):
         return len(self.lens)
 
     def __getitem__(self, u: int) -> Mapping[int, int]:
-        u = range(len(self.lens))[u]  # IndexError past the last node
         return _merged(self.static_edges[u], self.int_edges[u])
 
     def __iter__(self) -> Iterator[Mapping[int, int]]:
-        n = len(self.lens)
-        return map(_merged, self.static_edges[:n], self.int_edges[:n])
+        return map(_merged, self.static_edges, self.int_edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (list, EdgeView)):
@@ -230,43 +229,42 @@ def trans(g: Pdawg, u: int, i: int, a: int) -> int | None:
     return labels.get(a) if a else _zero_target(labels, i, g.lens[u], g.slinks)
 
 
-def _online_steps(g: Pdawg, stats: ConstructionStats) -> Iterator[tuple[int, int] | None]:
-    """Extend the empty automaton g by each symbol of `g.text_codes` in turn,
-    counting the work in `stats`, and yield after every symbol: (v, vp) when
-    the step split class v off the new class vp, otherwise None.
+def build_online(t: PString | PvString) -> tuple[Pdawg, ConstructionStats]:
+    """Build the PDAWG of `t` left to right, extending the empty automaton
+    by one symbol at a time, and count the work.
 
     A step is a few dict operations per visited node, so call overhead is
-    kept out of the loop: the cut-off `pstrings._z` is spelled inline as
-    `0 if a > L else a`, the search for the longest repeated suffix and the
-    split are spelled in the loop, and a split adds its redirected edges to
-    `stats` once.  A static code climbs with plain lookups in static maps
-    alone; an integer code cut to 0 costs one `_zero_target` call per
-    visited node that has an integer map, the climb's only call.  A node's
-    map of a kind is made when it gets its first label of that kind, and the
-    two map lists are allocated once, to the node bound, and cut to the node
-    count after the last step.  `stats` is current at every yield.
+    kept out of the loop: the steps are one plain loop with its counters in
+    locals, the cut-off `pstrings._z` is spelled inline as
+    `0 if a > L else a`, and the search for the longest repeated suffix and
+    the split are spelled in the loop.  A static code climbs with plain
+    lookups in static maps alone; an integer code cut to 0 costs one
+    `_zero_target` call per visited node that has an integer map, the
+    climb's only call.  A node's map of a kind is made when it gets its
+    first label of that kind; until then its slot holds the shared empty map.
     """
+    pv = _pv(t)
+    g = Pdawg(pv.alphabet)
+    codes = g.text_codes = pv.codes
     lens = g.lens
     slinks = g.slinks
     statics = g.static_edges
     ints = g.int_edges
     history = g.sink_history
-    codes = g.text_codes
     none = _NO_LABELS
-    n = len(codes)
-    size = max(2 * n - 1, n + 1)  # at most 2n-1 nodes, and n+1 below n = 2
-    statics.extend([none] * (size - len(statics)))
-    ints.extend([none] * (size - len(ints)))
+    visits = redirected = redirections = 0
+    sink = 0  # the sink of the empty text: the source
 
     for i, a in enumerate(codes, start=1):
+        # climb from the old sink adding edges to the new sink until some
+        # suffix one longer than the next chain node survives extension by a
+        u = sink
         sink = len(lens)
         lens.append(i)
         slinks.append(None)
-
-        # climb from the old sink adding edges to the new sink until some
-        # suffix one longer than the next chain node survives extension by a
-        u = history[-1]
-        visits = 0
+        statics.append(none)
+        ints.append(none)
+        history.append(sink)
         if a < 0:
             while u is not None:
                 visits += 1
@@ -298,15 +296,12 @@ def _online_steps(g: Pdawg, stats: ConstructionStats) -> Iterator[tuple[int, int
                     break
                 labels[0 if a > L else a] = sink
                 u = s
-        stats.climb_visits += visits
-        history.append(sink)
 
         # the longest repeated suffix: its length k, the node v housing it,
         # and u, where the split-redirection climb starts
         if u is None:
             # no suffix survives: the longest repeated suffix is the empty one
-            slinks[sink] = g.source
-            yield None
+            slinks[sink] = 0
             continue
         L = lens[u]
         zau = 0 if a > L else a
@@ -325,18 +320,15 @@ def _online_steps(g: Pdawg, stats: ConstructionStats) -> Iterator[tuple[int, int
             u = slinks[u]
         if lens[v] == k:
             slinks[sink] = v
-            yield None
             continue
 
         # split class v: the new class vp takes its members of length <= k
         vp = len(lens)
         lens.append(k)
-        slinks.append(None)
-        stats.suffix_links_deleted += 1
+        slinks.append(slinks[v])
         # in-edges: every suffix of the new longest repeated suffix that still
         # reaches v from the chain belongs below the split point
         maps = statics if a < 0 else ints
-        redirected = 0
         while u is not None:
             L = lens[u]
             key = 0 if a > L else a
@@ -346,40 +338,30 @@ def _online_steps(g: Pdawg, stats: ConstructionStats) -> Iterator[tuple[int, int
             labels[key] = vp
             redirected += 1
             if L == k - 1:
-                stats.redirections += 1
+                redirections += 1
             u = slinks[u]
-        stats.redirected_secondary_edges += redirected
         # out-edges: every static label stays; keep the integer labels that
         # stay meaningful at length k, and since a label 0 is a candidate,
         # the 0-target at length k exists and replaces it
         labels = statics[v]
-        if labels is not none:
-            statics[vp] = labels.copy()
+        statics.append(none if labels is none else labels.copy())
         labels = ints[v]
-        if labels is not none:
-            kept = ints[vp] = {}
+        if labels is none:
+            ints.append(none)
+        else:
+            kept = {}
             for b, t in labels.items():
                 if b <= k:
                     kept[b] = t
             t0 = _zero_target(labels, k, lens[v], slinks)
             if t0 is not None:
                 kept[0] = t0
-        slinks[vp] = slinks[v]
+            ints.append(kept)
         slinks[v] = vp
         slinks[sink] = vp
-        yield v, vp
-    del statics[len(lens) :]
-    del ints[len(lens) :]
 
-
-def build_online(t: PString | PvString) -> tuple[Pdawg, ConstructionStats]:
-    """Build the PDAWG of `t` left to right, one `_online_steps` step per
-    symbol."""
-    pv = _pv(t)
-    g = Pdawg(pv.alphabet)
-    g.text_codes = pv.codes
-    stats = ConstructionStats()
-    deque(_online_steps(g, stats), maxlen=0)  # run every step
+    # one split per node beyond the source and the n prefix classes
+    stats = ConstructionStats(redirected, len(lens) - len(codes) - 1, visits, redirections)
     return g, stats
 
 

@@ -105,14 +105,18 @@ def _arrays(g: Pdawg) -> tuple[list, ...]:
     return g.lens, g.slinks, g.static_edges, g.int_edges, g.sink_history
 
 
+def _check_offline_of(g: Pdawg) -> str | None:
+    """`check_offline` for an automaton g already built online from its text."""
+    if _arrays(offline_build_pdawg(suffix_link_tree_as_pstree(g))) != _arrays(g):
+        return "offline build from the reversed-text tree differs from online"
+    return None
+
+
 def check_offline(pv: PvString) -> str | None:
     """Building bottom-up from the suffix tree of the reversed text read off
     the online automaton, as `--engine offline` does, gives that automaton,
     node numbering included."""
-    g, _stats = build_online(pv)
-    if _arrays(offline_build_pdawg(suffix_link_tree_as_pstree(g))) != _arrays(g):
-        return "offline build from the reversed-text tree differs from online"
-    return None
+    return _check_offline_of(build_online(pv)[0])
 
 
 def check_duality(pv: PvString) -> str | None:
@@ -130,7 +134,7 @@ def check_duality(pv: PvString) -> str | None:
         return detail
     if not tree_equal(suffix_link_tree_as_pstree(g), tree):
         return "suffix-link tree differs from the oracle tree of the reversed text"
-    return check_offline(pv)
+    return _check_offline_of(g)
 
 
 def check_rtl(pv: PvString) -> str | None:

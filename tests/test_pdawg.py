@@ -116,7 +116,7 @@ class TestZeroTarget:
             _zero_target({0: 1, 3: 6}, 2, 4, self.SLINKS)
 
 
-def _online_steps(pv):
+def _prefix_steps(pv):
     """(lrs_len, split) of each online step i: the length of the suffix link
     of the sink of prefix i, and whether building prefix i deleted more
     suffix links than building prefix i-1."""
@@ -137,11 +137,11 @@ class TestOnlineBuild:
         g4, _ = build_online(PString("xaxa", A_XY).prev())
         g5, _ = build_online(XAXAY.prev())
         assert g5.text_codes[4] == 0
-        assert _online_steps(XAXAY.prev())[4] == (2, True)
+        assert _prefix_steps(XAXAY.prev())[4] == (2, True)
         assert g5.node_count() == g4.node_count() + 2
 
     def test_no_split_while_repeated_suffixes_stay_class_maxima(self):
-        steps = _online_steps(PString("xaxa", A_XY).prev())
+        steps = _prefix_steps(PString("xaxa", A_XY).prev())
         assert [split for _k, split in steps] == [False, False, False, False]
         assert [k for k, _split in steps] == [0, 0, 1, 2]
 

@@ -61,6 +61,15 @@ class TestStepwiseConstruction:
             assert tree_equal(tree, build_pstree_naive(pv.window(n - i + 1, n)))
         assert all(r <= 1 for r in _step_redirections(pv))
 
+    def test_each_step_stands_on_its_own(self):
+        # every step collected first: a later step may not change an earlier tree
+        pv = PString("xaxayxbx", AB_XY).prev()
+        n = len(pv)
+        steps = list(rtl_steps(pv))
+        assert [i for i, _tree, _counters in steps] == list(range(n + 1))
+        for i, tree, _counters in steps:
+            assert tree_equal(tree, build_pstree_naive(pv.window(n - i + 1, n))), i
+
     def test_at_most_one_redirection_per_step_on_random_texts(self):
         rng = random.Random(43)
         for _ in range(30):

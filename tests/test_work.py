@@ -16,6 +16,7 @@ constant factor of the online build's.
 """
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -247,3 +248,14 @@ def test_bench_family_counts_are_pinned(bench_families, family):
     counters, nodes, edges, primary = PINNED_COUNTS[family]
     assert stats == ConstructionStats(*counters)
     assert (summary["nodes"], summary["edges"], summary["primary"]) == (nodes, edges, primary)
+
+
+@pytest.mark.parametrize("family", PINNED_COUNTS)
+def test_label_map_lists_hold_about_one_slot_per_node(bench_families, family):
+    # the lists grow with the nodes: no capacity is left from a 2n-1 bound
+    symbols, sigma = getattr(bench_families, family)(random.Random(1), 10_000)
+    g, _stats = build_online(PString(symbols, Alphabet.from_text(symbols, sigma)))
+    budget = 1.2 * sys.getsizeof([None] * g.node_count())
+    for maps in (g.static_edges, g.int_edges):
+        assert len(maps) == g.node_count()
+        assert sys.getsizeof(maps) <= budget
