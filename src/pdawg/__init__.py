@@ -16,7 +16,6 @@ from .duality import (
     build_pstree_rtl,
     links_to_pdawg,
     offline_build_pdawg,
-    rtl_steps,
     suffix_link_tree_as_pstree,
     upward_links_to_pdawg,
     verify_duality,
@@ -100,7 +99,6 @@ __all__ = [
     "pv_reverse",
     "re_encode",
     "rpos",
-    "rtl_steps",
     "scan_occurrences",
     "stats_summary",
     "suffix_link_tree_as_pstree",

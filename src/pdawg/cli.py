@@ -20,6 +20,7 @@ from . import __version__
 from .duality import offline_build_pdawg, suffix_link_tree_as_pstree, upward_links_to_pdawg
 from .matcher import build_occurrence_index, locate, p_match_query
 from .pdawg import (
+    ConstructionStats,
     Pdawg,
     _checked_text,
     _witness_ends,
@@ -108,23 +109,17 @@ def _gv_quote(s: str) -> str:
 # build
 
 
-def _build_pdawg(p: PString, engine: str):
-    """Return (pdawg, build_steps dict) for the chosen construction engine:
-    `offline` and `rtl` rebuild the automaton from the tree read off the
-    online build, from the bare tree or from the links it shares."""
+def _build_pdawg(p: PString, engine: str) -> tuple[Pdawg, ConstructionStats]:
+    """Return (pdawg, its build's counters) for the chosen construction
+    engine: `offline` and `rtl` rebuild the automaton from the tree read off
+    the online build, from the bare tree or from the links it shares, and
+    count nothing."""
     g, stats = build_online(p)
     if engine == "online":
-        steps = {
-            "redirected_secondary": stats.redirected_secondary_edges,
-            "slinks_deleted": stats.suffix_links_deleted,
-        }
-        return g, steps
+        return g, stats
     tree = suffix_link_tree_as_pstree(g)
-    if engine == "offline":
-        g = offline_build_pdawg(tree)
-    else:  # rtl
-        g = upward_links_to_pdawg(tree)
-    return g, {"redirected_secondary": 0, "slinks_deleted": 0}
+    g = offline_build_pdawg(tree) if engine == "offline" else upward_links_to_pdawg(tree)
+    return g, ConstructionStats()
 
 
 def _index_json(g: Pdawg, *, pi_auto: bool, tokenize: bool) -> dict:
@@ -166,7 +161,7 @@ def cmd_build(textfile, sigma_chars, sigma_file, pi_chars, pi_auto, tokenize, ou
         pv = text.prev()
     except AlphabetError as exc:
         raise UsageError(str(exc)) from exc
-    g, steps = _build_pdawg(text, engine)
+    g, counts = _build_pdawg(text, engine)
     if out is not None:
         index = _index_json(g, pi_auto=pi_auto, tokenize=tokenize)
         # compact separators keep the dump in the C encoder; indent= would not
@@ -176,7 +171,10 @@ def cmd_build(textfile, sigma_chars, sigma_file, pi_chars, pi_auto, tokenize, ou
         "pi_size": len(alphabet.pi),
         "sigma_size": len(alphabet.sigma),
         "prev": str(pv),
-        "build_steps": steps,
+        "build_steps": {
+            "redirected_secondary": counts.redirected_secondary_edges,
+            "slinks_deleted": counts.suffix_links_deleted,
+        },
     }
     sys.stdout.write(_dump_json(stats))
 

@@ -9,18 +9,19 @@ is inside an edge and gets rounded down to the node below ("implicit").
 
 This module extracts the tree from a PDAWG (the one reader of a tree off
 an automaton), builds the tree right to left by reading it off the online
-automaton of the reversed text (prepending to S appends to reverse(S)),
-computes Weiner links definitionally, rebuilds a PDAWG from a bare tree
-offline, and checks the correspondence point by point.  A tree edge label
-is a span of the reversed text (`PSTree.label` reads it); the extracted
-tree takes each span from the witness occurrence of its class, so it
-stores no label codes.
+automaton of the reversed text (prepending to S appends to reverse(S), so
+the tree after i prepended symbols is `build_pstree_rtl` of S's last i
+symbols), computes Weiner links definitionally, rebuilds a PDAWG from a
+bare tree offline, and checks the correspondence point by point.  A tree
+edge label is a span of the reversed text (`PSTree.label` reads it); the
+extracted tree takes each span from the witness occurrence of its class,
+so it stores no label codes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .pstrings import (
     PString,
@@ -106,24 +107,11 @@ def suffix_link_tree_as_pstree(g: Pdawg) -> PSTree:
     return tree
 
 
-def rtl_steps(s: PString | PvString) -> Iterator[tuple[int, PSTree, ConstructionStats]]:
-    """Yield (symbols_prepended, tree, stats) after every step, step 0 (the
-    lone root) included.
-
-    After step i the tree is the suffix tree of the last i symbols of s,
-    read off `build_online` of the first i symbols of reverse(s), and the
-    stats are that build's.  A step builds afresh, so it costs O(n), and
-    each tree owns its automaton: it stays valid after later steps.
-    """
-    rev = pv_reverse(_pv(s))
-    for i in range(len(rev) + 1):
-        g, stats = build_online(rev.window(1, i))
-        yield i, suffix_link_tree_as_pstree(g), stats
-
-
 def build_pstree_rtl(s: PString | PvString) -> tuple[PSTree, ConstructionStats]:
     """Build the suffix tree of s by prepending symbols one at a time: the
-    online build of reverse(s), and the tree read off it once."""
+    online build of reverse(s), and the tree read off it once.  The first
+    i symbols of reverse(s) reverse the last i symbols of s, so the tree
+    after i steps is `build_pstree_rtl` of that suffix."""
     g, stats = build_online(pv_reverse(_pv(s)))
     return suffix_link_tree_as_pstree(g), stats
 

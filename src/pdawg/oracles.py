@@ -53,6 +53,7 @@ class PSTrie:
     """Trie of the re-encoded suffixes of the text (one node per factor)."""
 
     __slots__ = ("children", "is_suffix", "start", "text_codes", "alphabet")
+    root = 0
 
     def __init__(self, text_codes: tuple[int, ...], alphabet: Alphabet):
         self.children: list[dict[int, int]] = [{}]
@@ -60,10 +61,6 @@ class PSTrie:
         self.start: list[int] = [0]  # 0-based start of one suffix through the node
         self.text_codes = text_codes
         self.alphabet = alphabet
-
-    @property
-    def root(self) -> int:
-        return 0
 
     def new_node(self, start: int) -> int:
         self.children.append({})
@@ -314,6 +311,7 @@ class PSTree:
         "text_codes",
         "alphabet",
     )
+    root = 0
 
     def __init__(self, text_codes: tuple[int, ...], alphabet: Alphabet):
         self.parent: list[int | None] = [None]
@@ -324,10 +322,6 @@ class PSTree:
         self.uplinks: list[dict[int, int]] = [{}]
         self.text_codes = text_codes
         self.alphabet = alphabet
-
-    @property
-    def root(self) -> int:
-        return 0
 
     def node_count(self) -> int:
         return len(self.parent)

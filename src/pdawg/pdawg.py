@@ -36,7 +36,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping, Sequence
 from types import MappingProxyType
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .pstrings import (
     Alphabet,
@@ -52,7 +52,7 @@ from .pstrings import (
 _NO_LABELS: Mapping[int, int] = MappingProxyType({})
 
 
-class ConstructionStats:
+class ConstructionStats(NamedTuple):
     """Work counters for one online construction run, written once, when
     the build ends.
 
@@ -61,36 +61,13 @@ class ConstructionStats:
     its edge redirected to the new class of length k: at most one per step;
     `redirected_secondary_edges` counts every redirected edge.
     `suffix_links_deleted` is derived, not counted: each split replaces one
-    suffix link and adds one node, so it is nodes - n - 1.  A plain class
-    with slots: `dataclasses` would cost every CLI command an import of
-    `inspect`.
+    suffix link and adds one node, so it is nodes - n - 1.
     """
 
-    __slots__ = ("redirected_secondary_edges", "suffix_links_deleted", "climb_visits", "redirections")
-
-    def __init__(
-        self,
-        redirected_secondary_edges: int = 0,
-        suffix_links_deleted: int = 0,
-        climb_visits: int = 0,
-        redirections: int = 0,
-    ):
-        self.redirected_secondary_edges = redirected_secondary_edges
-        self.suffix_links_deleted = suffix_links_deleted
-        self.climb_visits = climb_visits
-        self.redirections = redirections
-
-    def _counts(self) -> tuple[int, ...]:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not ConstructionStats:
-            return NotImplemented
-        return self._counts() == other._counts()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"ConstructionStats({fields})"
+    redirected_secondary_edges: int = 0
+    suffix_links_deleted: int = 0
+    climb_visits: int = 0
+    redirections: int = 0
 
 
 def _merged(static: Mapping[int, int], ints: Mapping[int, int]) -> Mapping[int, int]:
@@ -103,15 +80,14 @@ class EdgeView(Sequence):
     of node u's static and integer labels together.  It reads the
     automaton's live lists, and compares equal to a list of label maps."""
 
-    __slots__ = ("lens", "static_edges", "int_edges")
+    __slots__ = ("static_edges", "int_edges")
 
-    def __init__(self, lens: list[int], static_edges: list, int_edges: list):
-        self.lens = lens
+    def __init__(self, static_edges: list, int_edges: list):
         self.static_edges = static_edges
         self.int_edges = int_edges
 
     def __len__(self) -> int:
-        return len(self.lens)
+        return len(self.static_edges)
 
     def __getitem__(self, u: int) -> Mapping[int, int]:
         return _merged(self.static_edges[u], self.int_edges[u])
@@ -127,9 +103,9 @@ class EdgeView(Sequence):
 
 class Pdawg:
     __slots__ = (
-        "alphabet", "text_codes", "lens", "slinks", "static_edges", "int_edges",
-        "source", "sink_history",
+        "alphabet", "text_codes", "lens", "slinks", "static_edges", "int_edges", "sink_history",
     )
+    source = 0
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
@@ -140,14 +116,13 @@ class Pdawg:
         # a node's static labels and its integer labels, in two maps
         self.static_edges: list[Mapping[int, int]] = [_NO_LABELS]
         self.int_edges: list[Mapping[int, int]] = [_NO_LABELS]
-        self.source = 0
         self.sink_history: list[int] = [0]
 
     @property
     def edges(self) -> EdgeView:
         """Every node's whole out-map, read-only: `edges[u]` merges node u's
         static and integer maps."""
-        return EdgeView(self.lens, self.static_edges, self.int_edges)
+        return EdgeView(self.static_edges, self.int_edges)
 
     @property
     def sink(self) -> int:
@@ -448,7 +423,7 @@ def check_invariants(g: Pdawg) -> None:
     lens, slinks, statics, ints = g.lens, g.slinks, g.static_edges, g.int_edges
     count = len(lens)
     lowest = -len(g.alphabet.sigma)
-    if g.source != 0 or not lens or lens[0] != 0 or slinks[0] is not None:
+    if not lens or lens[0] != 0 or slinks[0] is not None:
         raise ValueError("source must be node 0 with length 0 and no suffix link")
     for u in range(1, count):
         s = slinks[u]

@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .duality import (
+    build_pstree_rtl,
     offline_build_pdawg,
-    rtl_steps,
     suffix_link_tree_as_pstree,
     verify_duality,
     weiner_links,
@@ -138,15 +138,18 @@ def check_duality(pv: PvString) -> str | None:
 
 
 def check_rtl(pv: PvString) -> str | None:
-    """Every right-to-left step equals the oracle tree of that suffix, and
-    the redirections it counts are the ones the oracle trees show: Weiner
-    links of both trees, keyed by source string and label, that are explicit
-    after the step and lead to a new string; at most one.  The links the
-    final tree stores are its Weiner links, computed definitionally."""
+    """Every right-to-left step, the tree of a suffix, equals the oracle
+    tree of that suffix, and the redirections it counts are the ones the
+    oracle trees show: Weiner links of both trees, keyed by source string
+    and label, that are explicit after the step and lead to a new string;
+    at most one.  The links the final tree stores are its Weiner links,
+    computed definitionally."""
     n = len(pv)
     before, old = 0, {}
-    for i, tree, stats in rtl_steps(pv):
-        oracle = build_pstree_naive(pv.window(n - i + 1, n))
+    for i in range(n + 1):
+        suffix = pv.window(n - i + 1, n)
+        tree, stats = build_pstree_rtl(suffix)
+        oracle = build_pstree_naive(suffix)
         if not tree_equal(tree, oracle):
             return f"tree after {i} prepended symbols differs from the oracle"
         strs, depth = oracle.node_strings(), oracle.depth

@@ -1,8 +1,7 @@
-import importlib.util
-from pathlib import Path
-
 import hypothesis
 import pytest
+
+from helpers import load_repo_file
 
 hypothesis.settings.register_profile("suite", deadline=None, max_examples=60)
 hypothesis.settings.load_profile("suite")
@@ -11,8 +10,4 @@ hypothesis.settings.load_profile("suite")
 @pytest.fixture(scope="session")
 def bench_families():
     """The benchmark's seeded text families, loaded from `bench/families.py`."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "families.py"
-    spec = importlib.util.spec_from_file_location("bench_families", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_repo_file("bench_families", "bench", "families.py")

@@ -1,6 +1,7 @@
 """Shared text generators for the test suite, and helpers to run the CLI."""
 
 import contextlib
+import importlib.util
 import io
 import itertools
 import os
@@ -47,6 +48,15 @@ def static_class_family(k):
     first = [s for i in range(k) for s in (*head, f"a{i}")]
     second = [s for i in range(k) for s in (*head, "yw"[i % 2], f"a{i}")]
     return first, second, ["c1", "c2", "c3", "c4", *(f"a{i}" for i in range(k))]
+
+
+def load_repo_file(name, *parts):
+    """Import the file at `parts` under the repository root as module `name`."""
+    path = Path(__file__).resolve().parents[1].joinpath(*parts)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def src_env():

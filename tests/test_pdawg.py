@@ -172,6 +172,8 @@ class TestOnlineBuild:
         counts = {f: getattr(stats, f) for f in fields}
         assert all(counts.values()), counts
         assert stats == ConstructionStats(**counts)
+        with pytest.raises(AttributeError):
+            stats.climb_visits = 0
 
 
 class TestSizes:
@@ -206,6 +208,8 @@ class TestSizes:
         assert len(g.static_edges) == len(g.int_edges) == g.node_count()
         assert sum(map(len, g.edges)) == g.edge_count()
         assert (g.source, g.slinks[g.source], g.lens[g.source]) == (0, None, 0)
+        with pytest.raises(AttributeError):
+            g.source = 1
 
     def test_each_label_lives_in_the_map_of_its_kind(self):
         g, _ = build_online(XAXAY.prev())

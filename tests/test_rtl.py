@@ -6,10 +6,7 @@ import pytest
 
 from pdawg import (
     PString,
-    build_pstree_naive,
     build_pstree_rtl,
-    rtl_steps,
-    tree_equal,
     upward_links_to_pdawg,
     weiner_links,
 )
@@ -42,40 +39,30 @@ class TestSimulateWeiner:
             _assert_stored_links_are_the_weiner_links(tree)
 
 
-def _step_redirections(pv):
-    """Redirections of each right-to-left step: the change of the running
-    total between two yields."""
+def _step_counters(pv):
+    """(redirections, climb_visits) of each right-to-left step, step 0
+    included: the change between the builds of two consecutive suffixes."""
+    n = len(pv)
     out = []
-    before = 0
-    for _i, _tree, counters in rtl_steps(pv):
-        out.append(counters.redirections - before)
-        before = counters.redirections
+    before = (0, 0)
+    for i in range(n + 1):
+        counters = build_pstree_rtl(pv.window(n - i + 1, n))[1]
+        now = (counters.redirections, counters.climb_visits)
+        out.append((now[0] - before[0], now[1] - before[1]))
+        before = now
     return out
 
 
 class TestStepwiseConstruction:
     def test_each_step_matches_a_fresh_build_of_the_suffix(self):
-        pv = BACKWARD.prev()
-        n = len(pv)
-        for i, tree, _counters in rtl_steps(pv):
-            assert tree_equal(tree, build_pstree_naive(pv.window(n - i + 1, n)))
-        assert all(r <= 1 for r in _step_redirections(pv))
-
-    def test_each_step_stands_on_its_own(self):
-        # every step collected first: a later step may not change an earlier tree
-        pv = PString("xaxayxbx", AB_XY).prev()
-        n = len(pv)
-        steps = list(rtl_steps(pv))
-        assert [i for i, _tree, _counters in steps] == list(range(n + 1))
-        for i, tree, _counters in steps:
-            assert tree_equal(tree, build_pstree_naive(pv.window(n - i + 1, n))), i
+        assert check_rtl(BACKWARD.prev()) is None
 
     def test_at_most_one_redirection_per_step_on_random_texts(self):
         rng = random.Random(43)
         for _ in range(30):
             pv = random_pstring(rng, AB_XYZ, rng.randint(0, 60)).prev()
-            steps = _step_redirections(pv)
-            assert all(r <= 1 for r in steps)
+            assert check_rtl(pv) is None, str(pv)
+            steps = [r for r, _visits in _step_counters(pv)]
             assert build_pstree_rtl(pv)[1].redirections == sum(steps)
 
     def test_empty_text(self):
@@ -135,13 +122,7 @@ PINNED_STEP_COUNTERS = {
 
 @pytest.mark.parametrize("raw", PINNED_STEP_COUNTERS)
 def test_step_counters_are_pinned(raw):
-    got = []
-    before = (0, 0)
-    for _i, _tree, counters in rtl_steps(PString(raw, AB_XY).prev()):
-        now = (counters.redirections, counters.climb_visits)
-        got.append((now[0] - before[0], now[1] - before[1]))
-        before = now
-    assert got == PINNED_STEP_COUNTERS[raw]
+    assert _step_counters(PString(raw, AB_XY).prev()) == PINNED_STEP_COUNTERS[raw]
 
 
 @pytest.mark.parametrize("raw", ["aaxx", "axaaxx", "xxaxy", "yayaxab"])

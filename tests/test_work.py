@@ -38,7 +38,7 @@ from pdawg import (
 )
 from pdawg.verify import separation_text
 
-from helpers import random_pstring, static_class_family
+from helpers import load_repo_file, random_pstring, static_class_family
 
 LABELS_PER_SYMBOL = 4
 PEAK_RATIO = 3
@@ -248,6 +248,13 @@ def test_bench_family_counts_are_pinned(bench_families, family):
     counters, nodes, edges, primary = PINNED_COUNTS[family]
     assert stats == ConstructionStats(*counters)
     assert (summary["nodes"], summary["edges"], summary["primary"]) == (nodes, edges, primary)
+
+
+def test_ab_build_compares_every_counter():
+    # the A/B tool spells the counters out so that it still loads a parent
+    # checkout; a counter it leaves out would escape its agreement check
+    ab_build = load_repo_file("ab_build", "tools", "ab_build.py")
+    assert ab_build.COUNTERS == ConstructionStats._fields
 
 
 @pytest.mark.parametrize("family", PINNED_COUNTS)
