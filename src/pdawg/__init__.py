@@ -14,7 +14,6 @@ equivalence-class automaton) back every fast path for verification.
 from .duality import (
     StructureError,
     build_pstree_rtl,
-    links_to_pdawg,
     offline_build_pdawg,
     suffix_link_tree_as_pstree,
     upward_links_to_pdawg,
@@ -45,7 +44,6 @@ from .pdawg import (
     node_longest_codes,
     stats_summary,
     to_json_dict,
-    trans,
 )
 from .pstrings import (
     Alphabet,
@@ -88,7 +86,6 @@ __all__ = [
     "check_invariants",
     "from_json_dict",
     "label_sort_key",
-    "links_to_pdawg",
     "locate",
     "node_longest_codes",
     "offline_build_pdawg",
@@ -103,7 +100,6 @@ __all__ = [
     "stats_summary",
     "suffix_link_tree_as_pstree",
     "to_json_dict",
-    "trans",
     "tree_equal",
     "upward_links_to_pdawg",
     "verify_duality",

@@ -37,14 +37,6 @@ from .pstrings import (
     format_codes,
     label_sort_key,
 )
-from .verify import (
-    check_bounds,
-    check_duality,
-    check_encodings,
-    check_matching,
-    check_pdawg,
-    check_rtl,
-)
 
 INDEX_FORMAT = "pdawg-index"
 INDEX_VERSION = 3
@@ -112,8 +104,8 @@ def _gv_quote(s: str) -> str:
 def _build_pdawg(p: PString, engine: str) -> tuple[Pdawg, ConstructionStats]:
     """Return (pdawg, its build's counters) for the chosen construction
     engine: `offline` and `rtl` rebuild the automaton from the tree read off
-    the online build, from the bare tree or from the links it shares, and
-    count nothing."""
+    the online build, from the bare tree or from copies of the links it
+    shares with the online build, and count nothing."""
     g, stats = build_online(p)
     if engine == "online":
         return g, stats
@@ -267,7 +259,8 @@ def _dot_pdawg(g: Pdawg) -> Iterator[str]:
         yield f"  n{u} [label={_gv_quote(label)}{shape}];"
     for u in g.node_ids():
         for lbl, tgt in sorted(
-            g.edges[u].items(), key=lambda e: label_sort_key(e[0])
+            itertools.chain(g.static_edges[u].items(), g.int_edges[u].items()),
+            key=lambda e: label_sort_key(e[0]),
         ):
             style = ' color="black:invis:black"' if g.is_primary(u, tgt) else ""
             yield (
@@ -359,6 +352,8 @@ def cmd_selftest(max_len, seed, suites):
 
     Exits 1 with a minimized witness on the first property failure.
     """
+    from . import verify  # the cross-checks, which no other command needs
+
     chosen = [s.strip() for s in suites.split(",") if s.strip()]
     if not chosen:
         raise UsageError("no suite selected")
@@ -392,20 +387,20 @@ def cmd_selftest(max_len, seed, suites):
 
     def check_matching_sampled(pv: PvString) -> str | None:
         patterns = _random_texts(rng, "ab", "xyz", 20, len(pv) + 2)
-        return check_matching(pv) or check_matching(
+        return verify.check_matching(pv) or verify.check_matching(
             pv, [_pstring(r, "ab").prev() for r in patterns]
         )
 
     checks = {
-        "encodings": check_encodings,
-        "pdawg": check_pdawg,
+        "encodings": verify.check_encodings,
+        "pdawg": verify.check_pdawg,
         "matching": check_matching_sampled,
-        "duality": check_duality,
-        "rtl": check_rtl,
+        "duality": verify.check_duality,
+        "rtl": verify.check_rtl,
     }
     for name in chosen:
         if name == "bounds":
-            detail = check_bounds(max_k=6, max_n=max(12, 4 * max_len))
+            detail = verify.check_bounds(max_k=6, max_n=max(12, 4 * max_len))
             if detail is not None:
                 print(json.dumps({"suite": name, "witness": None, "detail": detail}))
                 sys.exit(EXIT_PROPERTY)

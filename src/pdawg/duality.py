@@ -5,7 +5,10 @@ PDAWG of T, laid out as a tree, form the parameterized suffix tree of
 reverse(T), and the PDAWG's edges reappear on that tree as Weiner links
 (prepend-one-symbol links).  Primary edges correspond to links that land
 exactly on a node ("explicit"), secondary edges to links whose landing point
-is inside an edge and gets rounded down to the node below ("implicit").
+is inside an edge and gets rounded down to the node below ("implicit").  So
+a tree keeps its Weiner links in the automaton's own form, a static and an
+integer label map per node, and the two structures hand them over with no
+conversion.
 
 This module extracts the tree from a PDAWG (the one reader of a tree off
 an automaton), builds the tree right to left by reading it off the online
@@ -21,7 +24,6 @@ so it stores no label codes.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping, Sequence
 
 from .pstrings import (
     PString,
@@ -75,11 +77,11 @@ def _validate_tree(tree: PSTree) -> None:
 
 def suffix_link_tree_as_pstree(g: Pdawg) -> PSTree:
     """The suffix-link tree of g, labelled as the suffix tree of reverse(text),
-    under g's node ids: `depth` and `parent` are g's `lens` and `slinks`
-    lists, not copies, `uplinks` is g's `edges` view of its live label maps,
-    and the edge into a node spans its class's witness occurrence in the
-    reversed text from its parent's depth on.  One pass over the nodes, with
-    no sort.
+    under g's node ids: `depth`, `parent`, `static_links` and `int_links`
+    are g's `lens`, `slinks`, `static_edges` and `int_edges` lists, not
+    copies, and the edge into a node spans its class's witness occurrence in
+    the reversed text from its parent's depth on.  One pass over the nodes,
+    with no sort.
 
     Spans index the whole of reverse(text), so an online build stopped after
     i symbols gives the suffix tree of the last i symbols of reverse(text).
@@ -91,7 +93,8 @@ def suffix_link_tree_as_pstree(g: Pdawg) -> PSTree:
     text = _pv_reverse_codes(g.text_codes)
     n = len(text)
     tree = PSTree(text, g.alphabet)
-    tree.depth, tree.parent, tree.uplinks = lens, slinks, g.edges
+    tree.depth, tree.parent = lens, slinks
+    tree.static_links, tree.int_links = g.static_edges, g.int_edges
     children: list[dict[int, tuple[range, int]]] = [{} for _ in lens]
     is_suffix = [False] * len(lens)
     for u in g.sink_history:
@@ -116,8 +119,10 @@ def build_pstree_rtl(s: PString | PvString) -> tuple[PSTree, ConstructionStats]:
     return suffix_link_tree_as_pstree(g), stats
 
 
-def weiner_links(tree: PSTree) -> list[dict[int, int]]:
-    """Prepend links of every node, definitionally: `links[v][a]` is a node.
+def weiner_links(tree: PSTree) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """Prepend links of every node, definitionally, as `(static_links,
+    int_links)`: `static_links[v][a]` is a node for a static a, and
+    `int_links[v][a]` for an integer one.
 
     Prepending symbol `a` to a node string v gives a·v when a is static or a
     fresh parameter (0); prepending an old parameter occurrence means some
@@ -128,9 +133,11 @@ def weiner_links(tree: PSTree) -> list[dict[int, int]]:
     """
     strs = tree.node_strings()
     statics = sorted({c for c in tree.text_codes if c < 0})
-    links: list[dict[int, int]] = []
+    static_links: list[dict[int, int]] = []
+    int_links: list[dict[int, int]] = []
     for sv in strs:
-        out = {}
+        static: dict[int, int] = {}
+        integer: dict[int, int] = {}
         for a in statics + [0] + [a for a in range(1, len(sv) + 1) if sv[a - 1] == 0]:
             if a < 0:
                 alpha = (a,) + sv
@@ -140,9 +147,10 @@ def weiner_links(tree: PSTree) -> list[dict[int, int]]:
                 alpha = (0,) + sv[: a - 1] + (a,) + sv[a:]
             node = tree.descend(alpha)
             if node is not None:
-                out[a] = node
-        links.append(out)
-    return links
+                (static if a < 0 else integer)[a] = node
+        static_links.append(static)
+        int_links.append(integer)
+    return static_links, int_links
 
 
 def _suffix_nodes(tree: PSTree) -> list[int]:
@@ -175,29 +183,22 @@ def _to_pdawg(
     return g
 
 
-def links_to_pdawg(tree: PSTree, links: Sequence[Mapping[int, int]]) -> Pdawg:
-    """Interpret a link map (label -> node, per node) over the tree of S as
-    the PDAWG of reverse(S), each node's links split into maps of its own by
-    kind; StructureError unless the result passes `check_invariants`."""
-    static_edges, int_edges = [], []
-    for m in links:
-        static, integer = {}, {}
-        for b, t in m.items():
-            (static if b < 0 else integer)[b] = t
-        static_edges.append(static)
-        int_edges.append(integer)
-    g = _to_pdawg(tree, _suffix_nodes(tree), static_edges, int_edges)
+def upward_links_to_pdawg(tree: PSTree) -> Pdawg:
+    """Reinterpret the tree's Weiner links over S as the PDAWG of reverse(S):
+    its static and integer links are the edge maps, copied, so the result
+    shares no map with the tree; StructureError unless it passes
+    `check_invariants`."""
+    g = _to_pdawg(
+        tree,
+        _suffix_nodes(tree),
+        list(map(dict, tree.static_links)),
+        list(map(dict, tree.int_links)),
+    )
     try:
         check_invariants(g)
     except ValueError as exc:
         raise StructureError(f"links do not form a PDAWG: {exc}") from exc
     return g
-
-
-def upward_links_to_pdawg(tree: PSTree) -> Pdawg:
-    """Reinterpret the tree's Weiner links as the PDAWG of the reversed text,
-    in label maps of its own."""
-    return links_to_pdawg(tree, tree.uplinks)
 
 
 def offline_build_pdawg(tree: PSTree) -> Pdawg:
@@ -242,6 +243,20 @@ def _first_unmatched(a: Counter, b: Counter):
     return min(diff) if diff else None
 
 
+def _edge_multisets(
+    label_maps: tuple[list, list], depth: list[int], names: list[tuple[int, ...]]
+) -> dict[bool, Counter]:
+    """The edges of these static and integer label-map lists as multisets of
+    (source name, label, target name), keyed by whether the edge goes one
+    deeper (primary, explicit)."""
+    out: dict[bool, Counter] = {True: Counter(), False: Counter()}
+    for maps in label_maps:
+        for u, labels in enumerate(maps):
+            for lbl, tgt in labels.items():
+                out[depth[tgt] == depth[u] + 1][names[u], lbl, names[tgt]] += 1
+    return out
+
+
 def verify_duality(g: Pdawg, tree: PSTree) -> str | None:
     """Check the four-point correspondence between g and the tree of reverse(text).
 
@@ -253,9 +268,7 @@ def verify_duality(g: Pdawg, tree: PSTree) -> str | None:
     when all four hold, or a description of the first unmatched element of
     the first failing item.
     """
-    links = weiner_links(tree)
-    names = node_longest_codes(g)
-    rev = [_pv_reverse_codes(name) for name in names]
+    rev = [_pv_reverse_codes(name) for name in node_longest_codes(g)]
     strs = tree.node_strings()
 
     def fmt(codes: tuple[int, ...]) -> str:
@@ -265,14 +278,8 @@ def verify_duality(g: Pdawg, tree: PSTree) -> str | None:
     if odd is not None:
         return f"duality item1 fails: unmatched node string {fmt(odd)}"
 
-    pd_edges: dict[bool, Counter] = {True: Counter(), False: Counter()}
-    for u in g.node_ids():
-        for lbl, tgt in g.edges[u].items():
-            pd_edges[g.lens[tgt] == g.lens[u] + 1][rev[u], lbl, rev[tgt]] += 1
-    tw_links: dict[bool, Counter] = {True: Counter(), False: Counter()}
-    for v in range(tree.node_count()):
-        for lbl, tgt in links[v].items():
-            tw_links[tree.depth[tgt] == tree.depth[v] + 1][strs[v], lbl, strs[tgt]] += 1
+    pd_edges = _edge_multisets((g.static_edges, g.int_edges), g.lens, rev)
+    tw_links = _edge_multisets(weiner_links(tree), tree.depth, strs)
     for name, flag in (("item2", True), ("item3", False)):
         odd = _first_unmatched(pd_edges[flag], tw_links[flag])
         if odd is not None:

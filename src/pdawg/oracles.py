@@ -7,6 +7,8 @@ two on exhaustive small inputs.  All of them work on the prev-encoded text.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from .pstrings import (
     Alphabet,
     PString,
@@ -297,9 +299,12 @@ class PSTree:
     string is a re-encoded suffix (suffix ends stay explicit even when they
     do not branch).  An edge label is a span of the text, a `range` of
     0-based positions in `text_codes` as long as the edge, read by `label`.
-    `uplinks[v]` maps each label to the node its Weiner link leads to;
-    `duality.suffix_link_tree_as_pstree` sets it to the automaton's
-    read-only `edges` view, and the other builders leave it empty.
+    A node's Weiner links are kept as an automaton keeps its edges, in two
+    label maps: `static_links[v]` and `int_links[v]` map each static label,
+    and each integer one, to the node its link leads to.
+    `duality.suffix_link_tree_as_pstree` sets the two lists to the
+    automaton's `static_edges` and `int_edges`; the other builders leave
+    every map empty.
     """
 
     __slots__ = (
@@ -307,7 +312,8 @@ class PSTree:
         "depth",
         "children",
         "is_suffix",
-        "uplinks",
+        "static_links",
+        "int_links",
         "text_codes",
         "alphabet",
     )
@@ -319,7 +325,8 @@ class PSTree:
         # first code of the edge label -> (its span of the text, child id)
         self.children: list[dict[int, tuple[range, int]]] = [{}]
         self.is_suffix: list[bool] = [False]
-        self.uplinks: list[dict[int, int]] = [{}]
+        self.static_links: list[Mapping[int, int]] = [{}]
+        self.int_links: list[Mapping[int, int]] = [{}]
         self.text_codes = text_codes
         self.alphabet = alphabet
 
@@ -331,7 +338,8 @@ class PSTree:
         self.depth.append(depth)
         self.children.append({})
         self.is_suffix.append(is_suffix)
-        self.uplinks.append({})
+        self.static_links.append({})
+        self.int_links.append({})
         return len(self.parent) - 1
 
     def attach(self, parent: int, span: range, child: int) -> None:

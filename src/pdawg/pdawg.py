@@ -5,8 +5,9 @@ positions in the text; edges extend the longest member of a class by one
 symbol.  Each node keeps its labels in two maps that partition them: a
 static map (the negative codes) and an integer map (0 and the distances),
 so `g.static_edges[u]` and `g.int_edges[u]`; a node with no label of a kind
-shares one read-only empty map.  `g.edges[u]` is a read-only view that
-merges both, for every reader that wants the whole out-map.
+shares one read-only empty map.  Every reader here reads the two maps;
+`g.edges[u]` is a read-only view that merges them, kept for the benchmark
+harness, which reads each node's out-degree.
 
 Because a back-reference distance can collapse to 0 when the context gets
 short, reading symbol 0 is position-dependent: `_zero_target`, the one
@@ -36,7 +37,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping, Sequence
 from types import MappingProxyType
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .pstrings import (
     Alphabet,
@@ -70,15 +71,10 @@ class ConstructionStats(NamedTuple):
     redirections: int = 0
 
 
-def _merged(static: Mapping[int, int], ints: Mapping[int, int]) -> Mapping[int, int]:
-    """One node's static and integer labels as one read-only map."""
-    return MappingProxyType({**static, **ints})
-
-
 class EdgeView(Sequence):
     """Read-only view of every node's out-edges: item u is a read-only map
     of node u's static and integer labels together.  It reads the
-    automaton's live lists, and compares equal to a list of label maps."""
+    automaton's live lists."""
 
     __slots__ = ("static_edges", "int_edges")
 
@@ -90,15 +86,7 @@ class EdgeView(Sequence):
         return len(self.static_edges)
 
     def __getitem__(self, u: int) -> Mapping[int, int]:
-        return _merged(self.static_edges[u], self.int_edges[u])
-
-    def __iter__(self) -> Iterator[Mapping[int, int]]:
-        return map(_merged, self.static_edges, self.int_edges)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (list, EdgeView)):
-            return NotImplemented
-        return list(self) == list(other)
+        return MappingProxyType({**self.static_edges[u], **self.int_edges[u]})
 
 
 class Pdawg:
@@ -189,19 +177,6 @@ def _lrs_bound(labels: Mapping[int, int], a: int) -> int:
     if m is None:
         raise AssertionError("pre-LRS node lost its integer labels")
     return min(a, m, key=label_sort_key)
-
-
-def trans(g: Pdawg, u: int, i: int, a: int) -> int | None:
-    """Transition from u reading the code `a` after having read i symbols.
-
-    A static code follows an edge of the static map, a positive distance one
-    of the integer map; code 0 is resolved by `_zero_target` on the integer
-    map.
-    """
-    if a < 0:
-        return g.static_edges[u].get(a)
-    labels = g.int_edges[u]
-    return labels.get(a) if a else _zero_target(labels, i, g.lens[u], g.slinks)
 
 
 def build_online(t: PString | PvString) -> tuple[Pdawg, ConstructionStats]:
@@ -377,7 +352,8 @@ def canonical_form(g: Pdawg) -> dict:
         edges = tuple(
             sorted(
                 (lbl, names[tgt], g.lens[tgt] == g.lens[u] + 1)
-                for lbl, tgt in g.edges[u].items()
+                for labels in (g.static_edges[u], g.int_edges[u])
+                for lbl, tgt in labels.items()
             )
         )
         sl = g.slinks[u]

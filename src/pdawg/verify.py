@@ -154,17 +154,18 @@ def check_rtl(pv: PvString) -> str | None:
             return f"tree after {i} prepended symbols differs from the oracle"
         strs, depth = oracle.node_strings(), oracle.depth
         new, moved = {}, 0
-        for v, links in enumerate(weiner_links(oracle)):
-            for a, t in links.items():
-                key = strs[v], a
-                new[key] = strs[t]
-                if depth[t] == depth[v] + 1 and key in old and old[key] != strs[t]:
-                    moved += 1
+        for links in weiner_links(oracle):
+            for v, labels in enumerate(links):
+                for a, t in labels.items():
+                    key = strs[v], a
+                    new[key] = strs[t]
+                    if depth[t] == depth[v] + 1 and key in old and old[key] != strs[t]:
+                        moved += 1
         step = stats.redirections - before
         if moved > 1 or step != moved:
             return f"step {i} counted {step} redirections, the oracle trees {moved} (at most 1)"
         before, old = stats.redirections, new
-    if tree.uplinks != weiner_links(tree):
+    if (tree.static_links, tree.int_links) != weiner_links(tree):
         return "stored links are not the Weiner links of the tree"
     return None
 

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import pdawg.cli as cli
+import pdawg.verify as verify
 from pdawg import (
     Alphabet,
     PString,
@@ -19,9 +20,9 @@ from pdawg import (
     __version__,
     build_occurrence_index,
     build_online,
-    links_to_pdawg,
     locate,
     suffix_link_tree_as_pstree,
+    upward_links_to_pdawg,
     weiner_links,
 )
 from pdawg.cli import _build_pdawg, _dot_pstree, _gv_quote, main
@@ -115,12 +116,14 @@ class TestBuild:
         for k, (text, flags) in enumerate(inputs):
             # a loaded index is always rebuilt online, so compare the engines'
             # own structures in-process, node numbering included; rtl hands on
-            # the online edges as links, so it is held to the definitional ones
+            # the online edges as links, so it is held to the definitional ones,
+            # which rebind the tree's link lists and leave g's alone
             g, _stats = build_online(text)
             tree = suffix_link_tree_as_pstree(g)
             assert _arrays(_build_pdawg(text, "offline")[0]) == _arrays(g), text
+            tree.static_links, tree.int_links = weiner_links(tree)
             assert _arrays(_build_pdawg(text, "rtl")[0]) == _arrays(
-                links_to_pdawg(tree, weiner_links(tree))
+                upward_links_to_pdawg(tree)
             ), text
             path = tmp_path / f"t{k}.txt"
             sep = " " if "--tokenize" in flags else ""
@@ -771,7 +774,7 @@ class TestSelftest:
         def fails_on_b(pv):
             return f"b among {len(pv)} symbols" if "b" in str(pv) else None
 
-        monkeypatch.setattr(cli, "check_pdawg", fails_on_b)
+        monkeypatch.setattr(verify, "check_pdawg", fails_on_b)
         result = runner.invoke(
             main, ["selftest", "--suites", "pdawg,encodings", "--max-len", "2"]
         )
@@ -787,7 +790,7 @@ class TestSelftest:
         }
 
     def test_failing_bounds_check_reports_no_witness(self, runner, monkeypatch):
-        monkeypatch.setattr(cli, "check_bounds", lambda max_k, max_n: "too small")
+        monkeypatch.setattr(verify, "check_bounds", lambda max_k, max_n: "too small")
         result = runner.invoke(main, ["selftest", "--suites", "bounds,encodings"])
         assert result.exit_code == 1, result.output
         lines = result.stdout.splitlines()

@@ -13,7 +13,6 @@ from pdawg import (
     build_online,
     build_pstree_naive,
     canonical_form,
-    links_to_pdawg,
     offline_build_pdawg,
     pv_reverse,
     suffix_link_tree_as_pstree,
@@ -87,18 +86,19 @@ class TestSuffixLinkTree:
         tree = suffix_link_tree_as_pstree(g)
         assert tree.depth is g.lens
         assert tree.parent is g.slinks
-        assert tree.uplinks.static_edges is g.static_edges
-        assert tree.uplinks.int_edges is g.int_edges
+        assert tree.static_links is g.static_edges
+        assert tree.int_links is g.int_edges
         assert tree.is_suffix == [u in g.sink_history for u in g.node_ids()]
 
 
 class TestWeinerLinks:
     def test_root_links_cover_the_first_symbols(self):
         tree = build_pstree_naive(BACKWARD.prev())
-        links = weiner_links(tree)
+        static_links, int_links = weiner_links(tree)
         # prepending a static or a fresh parameter to the empty string lands
         # on the corresponding depth-1 locus whenever it occurs at all
-        assert set(links[tree.root]) == {-1, -2, 0}
+        assert set(static_links[tree.root]) == {-1, -2}
+        assert set(int_links[tree.root]) == {0}
 
     def test_link_counts_match_the_edge_partition(self):
         for t in distinct_by_prev(all_pstrings(A_XY, 5)):
@@ -106,15 +106,15 @@ class TestWeinerLinks:
 
     def test_ancestors_inherit_links_with_shrunk_labels(self):
         tree = build_pstree_naive(BACKWARD.prev())
-        links = weiner_links(tree)
-        for v in range(tree.node_count()):
-            for k in links[v]:
-                u = tree.parent[v]
-                d = tree.depth[v]
-                while u is not None:
-                    t = k if k < 0 or tree.depth[u] >= k else 0
-                    assert t in links[u], (v, k, u)
-                    u = tree.parent[u]
+        # a static label stays static, an integer one an integer
+        for links in weiner_links(tree):
+            for v in range(tree.node_count()):
+                for k in links[v]:
+                    u = tree.parent[v]
+                    while u is not None:
+                        t = k if k < 0 or tree.depth[u] >= k else 0
+                        assert t in links[u], (v, k, u)
+                        u = tree.parent[u]
 
 
 class TestVerifyDuality:
@@ -242,8 +242,18 @@ class TestOfflineBuild:
         with pytest.raises(StructureError, match="primary spine"):
             upward_links_to_pdawg(tree)
         # its definitional Weiner links are the automaton of the text
-        g = links_to_pdawg(tree, weiner_links(tree))
+        tree.static_links, tree.int_links = weiner_links(tree)
+        g = upward_links_to_pdawg(tree)
         assert canonical_form(g) == canonical_form(build_online(text)[0])
+
+    def test_links_read_off_an_automaton_rebuild_it_in_maps_of_its_own(self):
+        g, _ = build_online(FORWARD.prev())
+        h = upward_links_to_pdawg(suffix_link_tree_as_pstree(g))
+        assert _arrays(h) == _arrays(g)
+        # a write to one of h's label maps of each kind reaches no map of g
+        for maps in (h.static_edges, h.int_edges):
+            next(m for m in maps if m)[99] = 0
+        assert _arrays(g) == _arrays(build_online(FORWARD.prev())[0])
 
 
 def test_node_counts_agree_between_the_two_views():

@@ -15,6 +15,7 @@ from pdawg import (
     Alphabet,
     ConstructionStats,
     PString,
+    PvString,
     build_online,
     build_oracle_pdawg,
     canonical_form,
@@ -23,8 +24,8 @@ from pdawg import (
     node_longest_codes,
     stats_summary,
     to_json_dict,
-    trans,
 )
+from pdawg.matcher import _walk
 from pdawg.pdawg import _zero_target
 from pdawg.verify import _arrays, check_pdawg, separation_text
 
@@ -37,30 +38,36 @@ def _node_of(g):
     return {codes: u for u, codes in enumerate(node_longest_codes(g))}
 
 
+def _walk_codes(g, codes):
+    """The node the matcher's walk reaches from the source on these codes,
+    taken as they are, whether or not they are a valid prev-encoding."""
+    return _walk(g, PvString._from_codes(tuple(codes), g.alphabet))
+
+
 class TestTrans:
+    """Transitions as the product takes them: the walk of x·a from the
+    source reads a after len(x) symbols, from the class of x."""
+
     def test_zero_label_bundles_resolve_through_the_suffix_link(self):
         g, _ = build_online(XAXAY.prev())
         node = _node_of(g)
         u = node[(0, -1)]  # the class holding both "a" and "0a"
+        assert _walk_codes(g, (-1,)) == u
         assert sorted(g.edges[u]) == [0, 2]  # both labels exceed context 1
-        assert trans(g, u, 1, 0) == node[(-1, 0)]
-
-    def test_static_labels_ignore_the_context_length(self):
-        g, _ = build_online(XAXAY.prev())
-        node = _node_of(g)
-        for i in (0, 1, 5):
-            assert trans(g, g.source, i, -1) == node[(0, -1)]
+        assert _walk_codes(g, (-1, 0)) == node[(-1, 0)]
 
     def test_zero_from_the_source_follows_the_plain_edge(self):
         g, _ = build_online(XAXAY.prev())
         node = _node_of(g)
-        assert trans(g, g.source, 0, 0) == node[(0,)]
+        assert _walk_codes(g, (0,)) == node[(0,)]
 
     def test_absent_extension_returns_none(self):
         g, _ = build_online(XAXAY.prev())
-        node = _node_of(g)
-        assert trans(g, node[(-1, 0)], 2, -1) is not None
-        assert trans(g, node[(0, -1, 2, -1, 0)], 5, 0) is None
+        assert _walk_codes(g, (-1, 0, -1)) is not None
+        # "0a0" ends only where the text does, so it is in the sink's class,
+        # which has no out-edge, not even a bundled 0
+        assert _walk_codes(g, (0, -1, 0)) == g.sink
+        assert _walk_codes(g, (0, -1, 0, 0)) is None
 
     def test_agrees_with_the_definition_on_every_factor(self):
         pv = PString("xyaxya", AB_XYZ).prev()
@@ -75,8 +82,7 @@ class TestTrans:
                 for a in (-2, -1, 0, 1, 2, 3):
                     if a > len(x):
                         continue
-                    cls = by_member[x]
-                    got = trans(g, node[cls.longest], len(x), a)
+                    got = _walk_codes(g, x + (a,))
                     want = by_member.get(x + (a,))
                     if want is None:
                         assert got is None

@@ -23,7 +23,7 @@ BACKWARD = PString("baxayay", AB_XY)
 def _assert_stored_links_are_the_weiner_links(tree):
     """The stored links are the definitional Weiner links; whether one is
     explicit follows from the depths."""
-    assert tree.uplinks == weiner_links(tree)
+    assert (tree.static_links, tree.int_links) == weiner_links(tree)
 
 
 class TestSimulateWeiner:
@@ -69,7 +69,7 @@ class TestStepwiseConstruction:
         tree, counters = build_pstree_rtl(PString("", A_XY).prev())
         assert tree.node_count() == 1
         assert counters.redirections == 0
-        assert sum(map(len, tree.uplinks)) == 0
+        assert sum(map(len, tree.static_links + tree.int_links)) == 0
 
     def test_climbing_work_is_amortized_by_the_link_count(self):
         rng = random.Random(47)
@@ -77,7 +77,8 @@ class TestStepwiseConstruction:
             n = rng.randint(1, 200)
             t = random_pstring(rng, AB_XYZ, n)
             tree, counters = build_pstree_rtl(t.prev())
-            assert counters.climb_visits <= 2 * sum(map(len, tree.uplinks)) + n
+            links = sum(map(len, tree.static_links + tree.int_links))
+            assert counters.climb_visits <= 2 * links + n
 
 
 class TestLinksAsPdawg:
@@ -99,7 +100,7 @@ class TestLinksAsPdawg:
         for t in distinct_by_prev(all_pstrings(A_XY, 6)):
             tree, _ = build_pstree_rtl(t.prev())
             upward_links_to_pdawg(tree)
-            assert tree.uplinks == weiner_links(tree), str(t)
+            assert (tree.static_links, tree.int_links) == weiner_links(tree), str(t)
 
     def test_random_texts(self):
         rng = random.Random(53)
@@ -107,7 +108,7 @@ class TestLinksAsPdawg:
             t = random_pstring(rng, AB_XYZ, rng.randint(0, 50))
             tree, _ = build_pstree_rtl(t.prev())
             upward_links_to_pdawg(tree)
-            assert tree.uplinks == weiner_links(tree), str(t)
+            assert (tree.static_links, tree.int_links) == weiner_links(tree), str(t)
 
 
 PINNED_STEP_COUNTERS = {

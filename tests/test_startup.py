@@ -6,7 +6,8 @@ start-up and imports, so a heavy import costs every command.  With bytecode
 present, `-X importtime` put `click` at 12.5 ms and `dataclasses` at 6.4 ms
 more through `inspect`, which loads `ast`, `dis` and `tokenize`; without
 either, `python -c "import pdawg.cli"` fell from 72.5 to 49.5 ms (medians of
-15 runs).  The package uses neither.
+15 runs).  The package uses neither, and no command but `selftest` loads the
+cross-checks of `pdawg.verify`.
 """
 
 import subprocess
@@ -31,3 +32,4 @@ def test_cli_import_loads_no_heavy_module():
     loaded = set(out.split())
     assert "pdawg.cli" in loaded
     assert loaded.isdisjoint(HEAVY), sorted(loaded & set(HEAVY))
+    assert "pdawg.verify" not in loaded
