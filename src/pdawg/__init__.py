@@ -7,41 +7,29 @@ package prev-encodes p-strings, builds the node-minimal matching automaton
 and locate queries, and exposes in `duality` the dual parameterized suffix
 tree of the reversed text together with the right-to-left tree builder,
 which reads that tree off the online automaton of the reversed text.
+
 Brute-force reference structures (trie, minimal DFA, compacted tree,
-equivalence-class automaton) back every fast path for verification.
+equivalence-class automaton, Weiner links) live in `pdawg.oracles`, and the
+cross-checks against them in `pdawg.verify`; the root re-exports only the
+product's names and the two oracles the benchmark harness reads.
 """
 
 from .duality import (
+    PSTree,
     StructureError,
     build_pstree_rtl,
     offline_build_pdawg,
     suffix_link_tree_as_pstree,
     upward_links_to_pdawg,
-    verify_duality,
-    weiner_links,
 )
 from .matcher import OccurrenceIndex, build_occurrence_index, locate, p_match_query
-from .oracles import (
-    OraclePdawg,
-    PSAuto,
-    PSTree,
-    PSTrie,
-    build_oracle_pdawg,
-    build_psauto,
-    build_pstree_naive,
-    build_pstrie,
-    rpos,
-    scan_occurrences,
-    tree_equal,
-)
+from .oracles import build_pstree_naive, scan_occurrences
 from .pdawg import (
     ConstructionStats,
     Pdawg,
     build_online,
-    canonical_form,
     check_invariants,
     from_json_dict,
-    node_longest_codes,
     stats_summary,
     to_json_dict,
 )
@@ -67,27 +55,19 @@ __all__ = [
     "ConstructionStats",
     "InvalidPvString",
     "OccurrenceIndex",
-    "OraclePdawg",
-    "PSAuto",
     "PSTree",
-    "PSTrie",
     "PString",
     "Pdawg",
     "PvString",
     "StructureError",
     "build_occurrence_index",
     "build_online",
-    "build_oracle_pdawg",
-    "build_psauto",
     "build_pstree_naive",
     "build_pstree_rtl",
-    "build_pstrie",
-    "canonical_form",
     "check_invariants",
     "from_json_dict",
     "label_sort_key",
     "locate",
-    "node_longest_codes",
     "offline_build_pdawg",
     "p_match",
     "p_match_query",
@@ -95,13 +75,9 @@ __all__ = [
     "prev_decode",
     "pv_reverse",
     "re_encode",
-    "rpos",
     "scan_occurrences",
     "stats_summary",
     "suffix_link_tree_as_pstree",
     "to_json_dict",
-    "tree_equal",
     "upward_links_to_pdawg",
-    "verify_duality",
-    "weiner_links",
 ]

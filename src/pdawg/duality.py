@@ -10,32 +10,34 @@ a tree keeps its Weiner links in the automaton's own form, a static and an
 integer label map per node, and the two structures hand them over with no
 conversion.
 
-This module extracts the tree from a PDAWG (the one reader of a tree off
-an automaton), builds the tree right to left by reading it off the online
-automaton of the reversed text (prepending to S appends to reverse(S), so
-the tree after i prepended symbols is `build_pstree_rtl` of S's last i
-symbols), computes Weiner links definitionally, rebuilds a PDAWG from a
-bare tree offline, and checks the correspondence point by point.  A tree
-edge label is a span of the reversed text (`PSTree.label` reads it); the
-extracted tree takes each span from the witness occurrence of its class,
-so it stores no label codes.
+This module holds the tree type, `PSTree`, and extracts the tree from a
+PDAWG (the one reader of a tree off an automaton), builds the tree right to
+left by reading it off the online automaton of the reversed text
+(prepending to S appends to reverse(S), so the tree after i prepended
+symbols is `build_pstree_rtl` of S's last i symbols), and rebuilds a PDAWG
+from a bare tree offline.  A tree edge label is a span of the reversed text
+(`PSTree.label` reads it); the extracted tree takes each span from the
+witness occurrence of its class, so it stores no label codes.  The
+definitional Weiner links (`oracles.weiner_links`) and the point-by-point
+check of the correspondence (`verify.verify_duality`) live with the other
+checks.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Mapping
 
 from .pstrings import (
+    Alphabet,
     PString,
     PvString,
     _pv,
     _pv_reverse_codes,
+    _re_encode_codes,
     _z,
-    format_codes,
     label_sort_key,
     pv_reverse,
 )
-from .oracles import PSTree
 from .pdawg import (
     _NO_LABELS,
     ConstructionStats,
@@ -43,12 +45,121 @@ from .pdawg import (
     _witness_ends,
     build_online,
     check_invariants,
-    node_longest_codes,
 )
 
 
 class StructureError(ValueError):
     """The input structure does not have the shape this operation requires."""
+
+
+class PSTree:
+    """Compacted tree of re-encoded suffixes.
+
+    Nodes are the root, every branching inner node, and every node whose
+    string is a re-encoded suffix (suffix ends stay explicit even when they
+    do not branch).  An edge label is a span of the text, a `range` of
+    0-based positions in `text_codes` as long as the edge, read by `label`.
+    A node's Weiner links are kept as an automaton keeps its edges, in two
+    label maps: `static_links[v]` and `int_links[v]` map each static label,
+    and each integer one, to the node its link leads to.
+    `suffix_link_tree_as_pstree` sets the two lists to the
+    automaton's `static_edges` and `int_edges`; the other builders leave
+    every map empty.
+    """
+
+    __slots__ = (
+        "parent",
+        "depth",
+        "children",
+        "is_suffix",
+        "static_links",
+        "int_links",
+        "text_codes",
+        "alphabet",
+    )
+    root = 0
+
+    def __init__(self, text_codes: tuple[int, ...], alphabet: Alphabet):
+        self.parent: list[int | None] = [None]
+        self.depth: list[int] = [0]
+        # first code of the edge label -> (its span of the text, child id)
+        self.children: list[dict[int, tuple[range, int]]] = [{}]
+        self.is_suffix: list[bool] = [False]
+        self.static_links: list[Mapping[int, int]] = [{}]
+        self.int_links: list[Mapping[int, int]] = [{}]
+        self.text_codes = text_codes
+        self.alphabet = alphabet
+
+    def node_count(self) -> int:
+        return len(self.parent)
+
+    def new_node(self, depth: int, is_suffix: bool = False) -> int:
+        self.parent.append(None)
+        self.depth.append(depth)
+        self.children.append({})
+        self.is_suffix.append(is_suffix)
+        self.static_links.append({})
+        self.int_links.append({})
+        return len(self.parent) - 1
+
+    def attach(self, parent: int, span: range, child: int) -> None:
+        head = self.label(parent, span[:1])
+        if not head:
+            raise ValueError("tree edges carry nonempty spans of the text")
+        self.children[parent][head[0]] = (span, child)
+        self.parent[child] = parent
+
+    def label(self, v: int, span: range) -> tuple[int, ...]:
+        """The codes of the edge label `span` below node v: the text there,
+        read after v's depth of context."""
+        return _re_encode_codes(self.text_codes[span.start : span.stop], self.depth[v])
+
+    def node_spans(self) -> list[range]:
+        """The span each node's string is read from at the root: the span of
+        the edge into the node, stretched back by the parent's depth."""
+        out = [range(0)] * self.node_count()
+        for kids in self.children:
+            for span, ch in kids.values():
+                out[ch] = range(span.stop - self.depth[ch], span.stop)
+        return out
+
+    def node_strings(self) -> list[tuple[int, ...]]:
+        return [self.label(0, span) for span in self.node_spans()]
+
+    def suffix_node_by_depth(self) -> dict[int, int]:
+        return {self.depth[v]: v for v in range(self.node_count()) if self.is_suffix[v]}
+
+    def descend(self, codes: tuple[int, ...]) -> int | None:
+        """The shallowest node at or below the locus of `codes`, or None when
+        the string is not present.  Labels are read off the text in place,
+        after the child's key: after q symbols a code c reads as `_z(c, q)`."""
+        text = self.text_codes
+        u = 0
+        q = 0
+        m = len(codes)
+        while q < m:
+            ent = self.children[u].get(codes[q])
+            if ent is None:
+                return None
+            span, u = ent
+            shift = span.start - q
+            stop = min(q + len(span), m)
+            q += 1
+            while q < stop:
+                c = text[shift + q]
+                if codes[q] != (0 if c > q else c):
+                    return None
+                q += 1
+        return u
+
+    def canonical_form(self) -> dict:
+        strs = self.node_strings()
+        out = {}
+        for v in range(self.node_count()):
+            # a child's string fixes the label of the edge into it
+            kids = tuple(sorted(strs[ch] for _span, ch in self.children[v].values()))
+            out[strs[v]] = (self.depth[v], self.is_suffix[v], kids)
+        return out
 
 
 def _validate_tree(tree: PSTree) -> None:
@@ -117,40 +228,6 @@ def build_pstree_rtl(s: PString | PvString) -> tuple[PSTree, ConstructionStats]:
     after i steps is `build_pstree_rtl` of that suffix."""
     g, stats = build_online(pv_reverse(_pv(s)))
     return suffix_link_tree_as_pstree(g), stats
-
-
-def weiner_links(tree: PSTree) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-    """Prepend links of every node, definitionally, as `(static_links,
-    int_links)`: `static_links[v][a]` is a node for a static a, and
-    `int_links[v][a]` for an integer one.
-
-    Prepending symbol `a` to a node string v gives a·v when a is static or a
-    fresh parameter (0); prepending an old parameter occurrence means some
-    0 inside v now points at the new front, so position a of v flips from 0
-    to a and the front becomes 0.  The link exists iff the result is still a
-    factor; it points at the shallowest node at or below its locus, so it is
-    explicit (lands on the node itself) iff the target is one deeper than v.
-    """
-    strs = tree.node_strings()
-    statics = sorted({c for c in tree.text_codes if c < 0})
-    static_links: list[dict[int, int]] = []
-    int_links: list[dict[int, int]] = []
-    for sv in strs:
-        static: dict[int, int] = {}
-        integer: dict[int, int] = {}
-        for a in statics + [0] + [a for a in range(1, len(sv) + 1) if sv[a - 1] == 0]:
-            if a < 0:
-                alpha = (a,) + sv
-            elif a == 0:
-                alpha = (0,) + sv
-            else:
-                alpha = (0,) + sv[: a - 1] + (a,) + sv[a:]
-            node = tree.descend(alpha)
-            if node is not None:
-                (static if a < 0 else integer)[a] = node
-        static_links.append(static)
-        int_links.append(integer)
-    return static_links, int_links
 
 
 def _suffix_nodes(tree: PSTree) -> list[int]:
@@ -235,69 +312,3 @@ def offline_build_pdawg(tree: PSTree) -> Pdawg:
             while depth[parent[u]] >= depth[v] + 1:  # type: ignore[index]
                 u = parent[u]  # type: ignore[assignment]
     return _to_pdawg(tree, sfx, static_edges, int_edges)
-
-
-def _first_unmatched(a: Counter, b: Counter):
-    """The smallest element whose multiplicity differs in a and b, or None."""
-    diff = (a - b) + (b - a)
-    return min(diff) if diff else None
-
-
-def _edge_multisets(
-    label_maps: tuple[list, list], depth: list[int], names: list[tuple[int, ...]]
-) -> dict[bool, Counter]:
-    """The edges of these static and integer label-map lists as multisets of
-    (source name, label, target name), keyed by whether the edge goes one
-    deeper (primary, explicit)."""
-    out: dict[bool, Counter] = {True: Counter(), False: Counter()}
-    for maps in label_maps:
-        for u, labels in enumerate(maps):
-            for lbl, tgt in labels.items():
-                out[depth[tgt] == depth[u] + 1][names[u], lbl, names[tgt]] += 1
-    return out
-
-
-def verify_duality(g: Pdawg, tree: PSTree) -> str | None:
-    """Check the four-point correspondence between g and the tree of reverse(text).
-
-    Items: (1) node strings are mutual reversals, (2) primary edges are
-    exactly the explicit Weiner links, (3) secondary edges are exactly the
-    implicit ones, (4) suffix links mirror the tree edges.  Each item
-    compares multisets, so (2) and (3) also equate the explicit and implicit
-    link counts with the primary and secondary edge counts.  Returns None
-    when all four hold, or a description of the first unmatched element of
-    the first failing item.
-    """
-    rev = [_pv_reverse_codes(name) for name in node_longest_codes(g)]
-    strs = tree.node_strings()
-
-    def fmt(codes: tuple[int, ...]) -> str:
-        return format_codes(codes, tree.alphabet) or "(empty)"
-
-    odd = _first_unmatched(Counter(rev), Counter(strs))
-    if odd is not None:
-        return f"duality item1 fails: unmatched node string {fmt(odd)}"
-
-    pd_edges = _edge_multisets((g.static_edges, g.int_edges), g.lens, rev)
-    tw_links = _edge_multisets(weiner_links(tree), tree.depth, strs)
-    for name, flag in (("item2", True), ("item3", False)):
-        odd = _first_unmatched(pd_edges[flag], tw_links[flag])
-        if odd is not None:
-            s, lbl, t = odd
-            kind = "primary/explicit" if flag else "secondary/implicit"
-            return (
-                f"duality {name} fails: unmatched {kind}:"
-                f" {fmt(s)} -[{fmt((lbl,))}]-> {fmt(t)}"
-            )
-
-    odd = _first_unmatched(
-        Counter((rev[g.slinks[u]], rev[u]) for u in g.node_ids() if u != g.source),
-        Counter((strs[tree.parent[v]], strs[v]) for v in range(1, tree.node_count())),
-    )
-    if odd is not None:
-        s, t = odd
-        return (
-            "duality item4 fails: unmatched suffix link / tree edge:"
-            f" {fmt(s)} -> {fmt(t)}"
-        )
-    return None

@@ -3,12 +3,14 @@
 Everything here is deliberately simple and quadratic-or-worse: these objects
 define what the fast structures must compute, and the test-suite compares the
 two on exhaustive small inputs.  All of them work on the prev-encoded text.
+The naive suffix tree is a `duality.PSTree`, the type the product builds,
+and `weiner_links` computes a tree's Weiner links by definition, one
+descent per candidate symbol.  No product module imports this one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
+from .duality import PSTree
 from .pstrings import (
     Alphabet,
     PString,
@@ -222,7 +224,7 @@ class OraclePdawg:
         return sum(len(c.edges) for c in self.classes)
 
     def canonical_form(self) -> dict:
-        """Class-level description keyed by longest member; see pdawg.canonical_form."""
+        """Class-level description keyed by longest member; see verify.canonical_form."""
         out = {}
         for c in self.classes:
             edges = tuple(
@@ -289,117 +291,42 @@ def build_oracle_pdawg(t: PString | PvString) -> OraclePdawg:
 
 
 # ---------------------------------------------------------------------------
-# parameterized suffix tree (naive construction by trie compaction)
+# parameterized suffix tree: definitional Weiner links, and the naive
+# construction by trie compaction
 
 
-class PSTree:
-    """Compacted tree of re-encoded suffixes.
+def weiner_links(tree: PSTree) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """Prepend links of every node, definitionally, as `(static_links,
+    int_links)`: `static_links[v][a]` is a node for a static a, and
+    `int_links[v][a]` for an integer one.
 
-    Nodes are the root, every branching inner node, and every node whose
-    string is a re-encoded suffix (suffix ends stay explicit even when they
-    do not branch).  An edge label is a span of the text, a `range` of
-    0-based positions in `text_codes` as long as the edge, read by `label`.
-    A node's Weiner links are kept as an automaton keeps its edges, in two
-    label maps: `static_links[v]` and `int_links[v]` map each static label,
-    and each integer one, to the node its link leads to.
-    `duality.suffix_link_tree_as_pstree` sets the two lists to the
-    automaton's `static_edges` and `int_edges`; the other builders leave
-    every map empty.
+    Prepending symbol `a` to a node string v gives a·v when a is static or a
+    fresh parameter (0); prepending an old parameter occurrence means some
+    0 inside v now points at the new front, so position a of v flips from 0
+    to a and the front becomes 0.  The link exists iff the result is still a
+    factor; it points at the shallowest node at or below its locus, so it is
+    explicit (lands on the node itself) iff the target is one deeper than v.
     """
-
-    __slots__ = (
-        "parent",
-        "depth",
-        "children",
-        "is_suffix",
-        "static_links",
-        "int_links",
-        "text_codes",
-        "alphabet",
-    )
-    root = 0
-
-    def __init__(self, text_codes: tuple[int, ...], alphabet: Alphabet):
-        self.parent: list[int | None] = [None]
-        self.depth: list[int] = [0]
-        # first code of the edge label -> (its span of the text, child id)
-        self.children: list[dict[int, tuple[range, int]]] = [{}]
-        self.is_suffix: list[bool] = [False]
-        self.static_links: list[Mapping[int, int]] = [{}]
-        self.int_links: list[Mapping[int, int]] = [{}]
-        self.text_codes = text_codes
-        self.alphabet = alphabet
-
-    def node_count(self) -> int:
-        return len(self.parent)
-
-    def new_node(self, depth: int, is_suffix: bool = False) -> int:
-        self.parent.append(None)
-        self.depth.append(depth)
-        self.children.append({})
-        self.is_suffix.append(is_suffix)
-        self.static_links.append({})
-        self.int_links.append({})
-        return len(self.parent) - 1
-
-    def attach(self, parent: int, span: range, child: int) -> None:
-        head = self.label(parent, span[:1])
-        if not head:
-            raise ValueError("tree edges carry nonempty spans of the text")
-        self.children[parent][head[0]] = (span, child)
-        self.parent[child] = parent
-
-    def label(self, v: int, span: range) -> tuple[int, ...]:
-        """The codes of the edge label `span` below node v: the text there,
-        read after v's depth of context."""
-        return _re_encode_codes(self.text_codes[span.start : span.stop], self.depth[v])
-
-    def node_spans(self) -> list[range]:
-        """The span each node's string is read from at the root: the span of
-        the edge into the node, stretched back by the parent's depth."""
-        out = [range(0)] * self.node_count()
-        for kids in self.children:
-            for span, ch in kids.values():
-                out[ch] = range(span.stop - self.depth[ch], span.stop)
-        return out
-
-    def node_strings(self) -> list[tuple[int, ...]]:
-        return [self.label(0, span) for span in self.node_spans()]
-
-    def suffix_node_by_depth(self) -> dict[int, int]:
-        return {self.depth[v]: v for v in range(self.node_count()) if self.is_suffix[v]}
-
-    def descend(self, codes: tuple[int, ...]) -> int | None:
-        """The shallowest node at or below the locus of `codes`, or None when
-        the string is not present.  Labels are read off the text in place,
-        after the child's key: after q symbols a code c reads as `_z(c, q)`."""
-        text = self.text_codes
-        u = 0
-        q = 0
-        m = len(codes)
-        while q < m:
-            ent = self.children[u].get(codes[q])
-            if ent is None:
-                return None
-            span, u = ent
-            shift = span.start - q
-            stop = min(q + len(span), m)
-            q += 1
-            while q < stop:
-                c = text[shift + q]
-                if codes[q] != (0 if c > q else c):
-                    return None
-                q += 1
-        return u
-
-    def canonical_form(self) -> dict:
-        strs = self.node_strings()
-        out = {}
-        for v in range(self.node_count()):
-            # a child's string fixes the label of the edge into it
-            kids = tuple(sorted(strs[ch] for _span, ch in self.children[v].values()))
-            out[strs[v]] = (self.depth[v], self.is_suffix[v], kids)
-        return out
+    strs = tree.node_strings()
+    statics = sorted({c for c in tree.text_codes if c < 0})
+    static_links: list[dict[int, int]] = []
+    int_links: list[dict[int, int]] = []
+    for sv in strs:
+        static: dict[int, int] = {}
+        integer: dict[int, int] = {}
+        for a in statics + [0] + [a for a in range(1, len(sv) + 1) if sv[a - 1] == 0]:
+            if a < 0:
+                alpha = (a,) + sv
+            elif a == 0:
+                alpha = (0,) + sv
+            else:
+                alpha = (0,) + sv[: a - 1] + (a,) + sv[a:]
+            node = tree.descend(alpha)
+            if node is not None:
+                (static if a < 0 else integer)[a] = node
+        static_links.append(static)
+        int_links.append(integer)
+    return static_links, int_links
 
 
 def build_pstree_naive(t: PString | PvString) -> PSTree:

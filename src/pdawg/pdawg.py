@@ -44,7 +44,6 @@ from .pstrings import (
     PString,
     PvString,
     _pv,
-    _re_encode_codes,
     label_sort_key,
 )
 
@@ -316,7 +315,7 @@ def build_online(t: PString | PvString) -> tuple[Pdawg, ConstructionStats]:
 
 
 # ---------------------------------------------------------------------------
-# inspection, comparison, the index text codec
+# inspection, the index text codec
 
 
 def _witness_ends(g: Pdawg) -> list[int | None]:
@@ -331,34 +330,6 @@ def _witness_ends(g: Pdawg) -> list[int | None]:
             ends[u] = i
             u = g.slinks[u]  # type: ignore[assignment]
     return ends
-
-
-def node_longest_codes(g: Pdawg) -> list[tuple[int, ...]]:
-    """Longest member of each node's class, indexed by node id, read off the
-    text at the node's witness end position."""
-    ends = _witness_ends(g)
-    if None in ends:
-        raise AssertionError("some node is on no suffix-link chain")
-    w = g.text_codes
-    return [_re_encode_codes(w[i - L : i]) for i, L in zip(ends, g.lens)]  # type: ignore[operator]
-
-
-def canonical_form(g: Pdawg) -> dict:
-    """Graph keyed by class-longest strings; equal forms mean equal structures."""
-    names = node_longest_codes(g)
-    out = {}
-    for u in g.node_ids():
-        name = names[u]
-        edges = tuple(
-            sorted(
-                (lbl, names[tgt], g.lens[tgt] == g.lens[u] + 1)
-                for labels in (g.static_edges[u], g.int_edges[u])
-                for lbl, tgt in labels.items()
-            )
-        )
-        sl = g.slinks[u]
-        out[name] = (g.lens[u], None if sl is None else names[sl], edges)
-    return out
 
 
 def stats_summary(g: Pdawg) -> dict:

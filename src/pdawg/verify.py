@@ -2,19 +2,23 @@
 
 Each `check_*` function builds what it needs from its input and returns None
 when everything agrees, or a one-line description of the first disagreement.
-`pdawg selftest` and the acceptance tests run these same checks.
+`pdawg selftest` and the acceptance tests run these same checks.  The
+comparisons they share live here too: `canonical_form` of an automaton
+(keyed by `node_longest_codes`) and `verify_duality`, the four-point
+correspondence between an automaton and the suffix tree of its reversed
+text, which follows the same contract.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable
 
 from .duality import (
+    PSTree,
     build_pstree_rtl,
     offline_build_pdawg,
     suffix_link_tree_as_pstree,
-    verify_duality,
-    weiner_links,
 )
 from .matcher import build_occurrence_index, locate, p_match_query
 from .oracles import (
@@ -23,9 +27,20 @@ from .oracles import (
     build_pstree_naive,
     rpos,
     tree_equal,
+    weiner_links,
 )
-from .pdawg import Pdawg, build_online, canonical_form, check_invariants
-from .pstrings import Alphabet, PString, PvString, prev_decode, pv_reverse, re_encode
+from .pdawg import Pdawg, _witness_ends, build_online, check_invariants
+from .pstrings import (
+    Alphabet,
+    PString,
+    PvString,
+    _pv_reverse_codes,
+    _re_encode_codes,
+    format_codes,
+    prev_decode,
+    pv_reverse,
+    re_encode,
+)
 
 
 def separation_text(k: int) -> PString:
@@ -57,6 +72,34 @@ def check_encodings(pv: PvString) -> str | None:
             if re_encode(win) != win:
                 return f"window ({i},{j}) re-encoding is not a fixpoint"
     return None
+
+
+def node_longest_codes(g: Pdawg) -> list[tuple[int, ...]]:
+    """Longest member of each node's class, indexed by node id, read off the
+    text at the node's witness end position."""
+    ends = _witness_ends(g)
+    if None in ends:
+        raise AssertionError("some node is on no suffix-link chain")
+    w = g.text_codes
+    return [_re_encode_codes(w[i - L : i]) for i, L in zip(ends, g.lens)]  # type: ignore[operator]
+
+
+def canonical_form(g: Pdawg) -> dict:
+    """Graph keyed by class-longest strings; equal forms mean equal structures."""
+    names = node_longest_codes(g)
+    out = {}
+    for u in g.node_ids():
+        name = names[u]
+        edges = tuple(
+            sorted(
+                (lbl, names[tgt], g.lens[tgt] == g.lens[u] + 1)
+                for labels in (g.static_edges[u], g.int_edges[u])
+                for lbl, tgt in labels.items()
+            )
+        )
+        sl = g.slinks[u]
+        out[name] = (g.lens[u], None if sl is None else names[sl], edges)
+    return out
 
 
 def check_pdawg(pv: PvString) -> str | None:
@@ -117,6 +160,72 @@ def check_offline(pv: PvString) -> str | None:
     the online automaton, as `--engine offline` does, gives that automaton,
     node numbering included."""
     return _check_offline_of(build_online(pv)[0])
+
+
+def _first_unmatched(a: Counter, b: Counter):
+    """The smallest element whose multiplicity differs in a and b, or None."""
+    diff = (a - b) + (b - a)
+    return min(diff) if diff else None
+
+
+def _edge_multisets(
+    label_maps: tuple[list, list], depth: list[int], names: list[tuple[int, ...]]
+) -> dict[bool, Counter]:
+    """The edges of these static and integer label-map lists as multisets of
+    (source name, label, target name), keyed by whether the edge goes one
+    deeper (primary, explicit)."""
+    out: dict[bool, Counter] = {True: Counter(), False: Counter()}
+    for maps in label_maps:
+        for u, labels in enumerate(maps):
+            for lbl, tgt in labels.items():
+                out[depth[tgt] == depth[u] + 1][names[u], lbl, names[tgt]] += 1
+    return out
+
+
+def verify_duality(g: Pdawg, tree: PSTree) -> str | None:
+    """Check the four-point correspondence between g and the tree of reverse(text).
+
+    Items: (1) node strings are mutual reversals, (2) primary edges are
+    exactly the explicit Weiner links, (3) secondary edges are exactly the
+    implicit ones, (4) suffix links mirror the tree edges.  Each item
+    compares multisets, so (2) and (3) also equate the explicit and implicit
+    link counts with the primary and secondary edge counts.  Returns None
+    when all four hold, or a description of the first unmatched element of
+    the first failing item.
+    """
+    rev = [_pv_reverse_codes(name) for name in node_longest_codes(g)]
+    strs = tree.node_strings()
+
+    def fmt(codes: tuple[int, ...]) -> str:
+        return format_codes(codes, tree.alphabet) or "(empty)"
+
+    odd = _first_unmatched(Counter(rev), Counter(strs))
+    if odd is not None:
+        return f"duality item1 fails: unmatched node string {fmt(odd)}"
+
+    pd_edges = _edge_multisets((g.static_edges, g.int_edges), g.lens, rev)
+    tw_links = _edge_multisets(weiner_links(tree), tree.depth, strs)
+    for name, flag in (("item2", True), ("item3", False)):
+        odd = _first_unmatched(pd_edges[flag], tw_links[flag])
+        if odd is not None:
+            s, lbl, t = odd
+            kind = "primary/explicit" if flag else "secondary/implicit"
+            return (
+                f"duality {name} fails: unmatched {kind}:"
+                f" {fmt(s)} -[{fmt((lbl,))}]-> {fmt(t)}"
+            )
+
+    odd = _first_unmatched(
+        Counter((rev[g.slinks[u]], rev[u]) for u in g.node_ids() if u != g.source),
+        Counter((strs[tree.parent[v]], strs[v]) for v in range(1, tree.node_count())),
+    )
+    if odd is not None:
+        s, t = odd
+        return (
+            "duality item4 fails: unmatched suffix link / tree edge:"
+            f" {fmt(s)} -> {fmt(t)}"
+        )
+    return None
 
 
 def check_duality(pv: PvString) -> str | None:

@@ -20,8 +20,8 @@ from pdawg import (
     build_online,
     check_invariants,
     pv_reverse,
-    rpos,
 )
+from pdawg.oracles import rpos
 from pdawg.verify import (
     check_bounds,
     check_duality,

@@ -23,9 +23,9 @@ from pdawg import (
     locate,
     suffix_link_tree_as_pstree,
     upward_links_to_pdawg,
-    weiner_links,
 )
 from pdawg.cli import _build_pdawg, _dot_pstree, _gv_quote, main
+from pdawg.oracles import weiner_links
 from pdawg.pstrings import format_codes, label_sort_key
 from pdawg.verify import _arrays, separation_text
 

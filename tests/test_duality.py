@@ -12,16 +12,13 @@ from pdawg import (
     StructureError,
     build_online,
     build_pstree_naive,
-    canonical_form,
     offline_build_pdawg,
     pv_reverse,
     suffix_link_tree_as_pstree,
-    tree_equal,
     upward_links_to_pdawg,
-    verify_duality,
-    weiner_links,
 )
-from pdawg.verify import _arrays, check_duality, check_offline
+from pdawg.oracles import tree_equal, weiner_links
+from pdawg.verify import _arrays, canonical_form, check_duality, check_offline, verify_duality
 
 from helpers import A_XY, AB_XYZ, all_pstrings, distinct_by_prev, random_pstring
 

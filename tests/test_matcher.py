@@ -12,8 +12,8 @@ from pdawg import (
     build_online,
     locate,
     p_match_query,
-    rpos,
 )
+from pdawg.oracles import rpos
 from pdawg.verify import check_matching, separation_text
 
 from helpers import A_XY, AB_XYZ, all_pstrings, random_pstring

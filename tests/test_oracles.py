@@ -5,9 +5,8 @@ import random
 
 import pytest
 
-from pdawg import (
-    Alphabet,
-    PString,
+from pdawg import Alphabet, PString
+from pdawg.oracles import (
     build_oracle_pdawg,
     build_psauto,
     build_pstree_naive,

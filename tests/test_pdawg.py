@@ -17,17 +17,21 @@ from pdawg import (
     PString,
     PvString,
     build_online,
-    build_oracle_pdawg,
-    canonical_form,
     check_invariants,
     from_json_dict,
-    node_longest_codes,
     stats_summary,
     to_json_dict,
 )
 from pdawg.matcher import _walk
+from pdawg.oracles import build_oracle_pdawg
 from pdawg.pdawg import _zero_target
-from pdawg.verify import _arrays, check_pdawg, separation_text
+from pdawg.verify import (
+    _arrays,
+    canonical_form,
+    check_pdawg,
+    node_longest_codes,
+    separation_text,
+)
 
 from helpers import A_XY, AB_XYZ, all_pstrings, distinct_by_prev, random_pstring
 

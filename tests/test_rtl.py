@@ -8,8 +8,8 @@ from pdawg import (
     PString,
     build_pstree_rtl,
     upward_links_to_pdawg,
-    weiner_links,
 )
+from pdawg.oracles import weiner_links
 from pdawg.verify import check_rtl
 
 from helpers import A_XY, AB_XYZ, all_pstrings, distinct_by_prev, random_pstring
