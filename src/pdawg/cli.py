@@ -129,10 +129,6 @@ def _index_json(g: Pdawg, *, pi_auto: bool, tokenize: bool) -> dict:
     }
 
 
-def _dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
 def cmd_build(textfile, sigma_chars, sigma_file, pi_chars, pi_auto, tokenize, out, engine):
     """Index TEXTFILE and print build statistics as JSON."""
     if (sigma_chars is None) == (sigma_file is None):
@@ -168,7 +164,7 @@ def cmd_build(textfile, sigma_chars, sigma_file, pi_chars, pi_auto, tokenize, ou
             "slinks_deleted": counts.suffix_links_deleted,
         },
     }
-    sys.stdout.write(_dump_json(stats))
+    sys.stdout.write(json.dumps(stats, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +200,12 @@ def _load_index(path: str) -> tuple[Pdawg, dict]:
 
 
 def _pattern_pstring(obj: dict, g: Pdawg, pattern: str) -> PString:
+    """The pattern over the index's alphabet; a --pi-auto index takes its
+    non-static symbols as parameters.  Only the match walk classifies them."""
     symbols = _split_symbols(pattern, obj["tokenize"])
     alphabet = g.alphabet
-    params = [sym for sym in symbols if not alphabet.is_static(sym)]
     if obj["alphabet"]["pi_auto"]:
-        alphabet = alphabet._with_pi(params)
-    for sym in params:
-        if not alphabet.is_param(sym):
-            raise UsageError(
-                f"pattern symbol {sym!r} is neither static nor a declared parameter"
-            )
+        alphabet = alphabet._with_pi(s for s in symbols if not alphabet.is_static(s))
     return PString(symbols, alphabet)
 
 
@@ -229,15 +221,15 @@ def cmd_query(indexfile, pattern, do_locate, begin_positions):
     """
     g, obj = _load_index(indexfile)
     p = _pattern_pstring(obj, g, pattern)
-    if do_locate or begin_positions:
-        ends = locate(build_occurrence_index(g), p)
-        if begin_positions:
-            result = [e - len(p) + 1 for e in ends]
+    try:
+        if do_locate or begin_positions:
+            ends = locate(build_occurrence_index(g), p)
+            result = [e - len(p) + 1 for e in ends] if begin_positions else list(ends)
         else:
-            result = list(ends)
-        print(json.dumps(result))
-    else:
-        print("true" if p_match_query(g, p) else "false")
+            result = p_match_query(g, p)  # printed as JSON: true or false
+    except AlphabetError as exc:
+        raise UsageError(str(exc)) from exc
+    print(json.dumps(result))
 
 
 # ---------------------------------------------------------------------------

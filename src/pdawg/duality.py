@@ -126,9 +126,6 @@ class PSTree:
     def node_strings(self) -> list[tuple[int, ...]]:
         return [self.label(0, span) for span in self.node_spans()]
 
-    def suffix_node_by_depth(self) -> dict[int, int]:
-        return {self.depth[v]: v for v in range(self.node_count()) if self.is_suffix[v]}
-
     def descend(self, codes: tuple[int, ...]) -> int | None:
         """The shallowest node at or below the locus of `codes`, or None when
         the string is not present.  Labels are read off the text in place,
@@ -234,7 +231,7 @@ def _suffix_nodes(tree: PSTree) -> list[int]:
     """Validate the tree and return its suffix node of every depth 0..n."""
     _validate_tree(tree)
     n = len(tree.text_codes)
-    sfx = tree.suffix_node_by_depth()
+    sfx = {tree.depth[v]: v for v in range(tree.node_count()) if tree.is_suffix[v]}
     for d in range(n + 1):
         if d not in sfx:
             raise StructureError(f"no suffix node of depth {d}")

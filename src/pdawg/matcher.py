@@ -1,12 +1,12 @@
 """Parameterized pattern matching and occurrence location on a PDAWG.
 
 Membership is a single walk from the source, one transition per pattern
-symbol.  A `PString` pattern is prev-encoded as it is walked, one symbol at
-a time, and the walk stops at the first missing transition, so a pattern
-that misses is never encoded past that point (its later symbols are only
-checked against the alphabet).  A static code takes a plain lookup in the
-node's static map and a distance one in its integer map; code 0 takes one
-call to `_zero_target`, the bundled-0 rule, on the integer map alone.
+symbol, and the one classifier of pattern symbols: a symbol in neither
+alphabet raises AlphabetError wherever it stands.  A `PString` pattern is
+prev-encoded as it is walked, and the walk stops at the first missing
+transition, reading the later symbols only to classify them.  A static code
+takes a plain lookup in the node's static map and a distance one in its
+integer map; code 0 takes one call to `_zero_target`, the bundled-0 rule.
 Locating needs one extra observation: the end positions of a class are
 exactly the prefixes of the text whose class sits in that node's subtree of
 the (reversed) suffix-link tree.  Counting those prefixes per subtree gives

@@ -22,7 +22,8 @@ convention for string indexing in the matching literature.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+import itertools
+from typing import Iterable, Sequence
 
 
 class AlphabetError(ValueError):
@@ -75,15 +76,6 @@ class Alphabet:
 
     def is_static(self, sym: str) -> bool:
         return sym in self._codes
-
-    def is_param(self, sym: str) -> bool:
-        return sym in self.pi
-
-    def static_code(self, sym: str) -> int:
-        try:
-            return self._codes[sym]
-        except KeyError:
-            raise AlphabetError(f"{sym!r} is not a static symbol") from None
 
     def static_symbol(self, code: int) -> str:
         return self.sigma[-code - 1]
@@ -252,50 +244,27 @@ def _pv(t: PString | PvString) -> PvString:
     return t.prev() if isinstance(t, PString) else t
 
 
-def prev_decode(x: PvString, pool: Sequence[str] | None = None) -> PString:
+def prev_decode(x: PvString) -> PString:
     """Reconstruct a p-string whose prev-encoding is `x`.
 
-    Fresh parameter names are drawn from `pool` (default: p0, p1, ... skipping
-    any collision with the static alphabet).  Raises InvalidPvString for
-    ill-formed input and AlphabetError if the pool is unusable.
+    Fresh parameters are named p0, p1, ..., skipping any name that is a
+    static symbol.  Raises InvalidPvString for ill-formed input.
     """
-    codes = x.codes
-    _check_codes(codes)
-    sigma = set(x.alphabet.sigma)
-    if pool is not None:
-        for name in pool:
-            if name in sigma:
-                raise AlphabetError(f"pool name {name!r} collides with a static symbol")
-        if len(set(pool)) < len(pool):
-            raise AlphabetError("pool names repeat")
-
-    def fresh_names() -> Iterator[str]:
-        if pool is not None:
-            yield from pool
-            return
-        i = 0
-        while True:
-            name = f"p{i}"
-            if name not in sigma:
-                yield name
-            i += 1
-
-    names = fresh_names()
+    _check_codes(x.codes)
+    alphabet = x.alphabet
+    names = itertools.filterfalse(alphabet.is_static, map("p{}".format, itertools.count()))
     raw: list[str] = []
     used: list[str] = []
-    for i, c in enumerate(codes):
+    for i, c in enumerate(x.codes):
         if c < 0:
-            raw.append(x.alphabet.static_symbol(c))
+            raw.append(alphabet.static_symbol(c))
         elif c == 0:
-            try:
-                name = next(names)
-            except StopIteration:
-                raise AlphabetError("parameter name pool exhausted") from None
+            name = next(names)
             used.append(name)
             raw.append(name)
         else:
             raw.append(raw[i - c])
-    return PString(raw, Alphabet(x.alphabet.sigma, used))
+    return PString(raw, Alphabet(alphabet.sigma, used))
 
 
 def _z(code: int, j: int) -> int:

@@ -1,6 +1,7 @@
 """Command-line surface: building index files, querying, DOT export, the
 self-verification suites, and the exit-code contract."""
 
+import argparse
 import json
 import random
 import subprocess
@@ -79,7 +80,7 @@ class TestBuild:
         assert stats["n"] == 0
         assert stats["nodes"] == 1
         assert stats["edges"] == 0
-        obj = json.loads(open(out, encoding="utf-8").read())
+        obj = json.loads(Path(out).read_text("utf-8"))
         assert obj == {
             "format": "pdawg-index",
             "version": 3,
@@ -94,15 +95,28 @@ class TestBuild:
 
     def test_output_is_deterministic(self, runner, tmp_path, text_file):
         out1, stats1 = _build(runner, tmp_path, text_file)
-        body1 = open(out1, "rb").read()
+        body1 = Path(out1).read_bytes()
         out2, stats2 = _build(runner, tmp_path, text_file)
         assert stats1 == stats2
-        assert open(out2, "rb").read() == body1
+        assert Path(out2).read_bytes() == body1
 
     def test_index_file_round_trips_exactly(self, runner, tmp_path, text_file):
         out, _ = _build(runner, tmp_path, text_file)
-        text = open(out, encoding="utf-8").read()
+        text = Path(out).read_text("utf-8")
         assert json.dumps(json.loads(text), separators=(",", ":")) + "\n" == text
+
+    def test_crlf_line_end_reads_as_lf(self, runner, tmp_path):
+        # a kept "\r" would be a symbol in neither alphabet
+        built = []
+        for name, body in (("lf", b"xaxay\n"), ("crlf", b"xaxay\r\n")):
+            text, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.json"
+            text.write_bytes(body)
+            result = runner.invoke(
+                main, ["build", str(text), "--sigma", "a", "--pi", "xy", "--out", str(out)]
+            )
+            assert result.exit_code == 0, result.output
+            built.append((result.stdout_bytes, out.read_bytes()))
+        assert built[0] == built[1]
 
     def test_engines_agree(self, runner, tmp_path):
         t3 = separation_text(3)
@@ -281,7 +295,22 @@ class TestQuery:
         # unless the index was built --pi-auto
         result = runner.invoke(main, ["query", out, "a?"])
         assert result.exit_code == 2
-        assert "'?' is neither static nor a declared parameter" in result.output
+        assert "symbol '?' at position 2 is in neither alphabet" in result.output
+
+    # before a miss, after one ("aa" is no factor of xaxay), and in a
+    # pattern longer than the text
+    @pytest.mark.parametrize("pattern, position", [("a?", 2), ("aa?", 3), ("xaxay?", 6)])
+    @pytest.mark.parametrize("flags", [[], ["--locate"], ["--begin-positions"]])
+    def test_unknown_pattern_symbol_is_named_wherever_it_stands(
+        self, runner, tmp_path, text_file, pattern, position, flags
+    ):
+        out, _ = _build(runner, tmp_path, text_file)
+        result = runner.invoke(main, ["query", out, pattern, *flags])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1] == (
+            f"pdawg query: error: symbol '?' at position {position} is in neither alphabet"
+        )
 
     def test_pi_auto_index_classifies_anything(self, runner, tmp_path, text_file):
         out = str(tmp_path / "auto.json")
@@ -302,7 +331,7 @@ class TestQuery:
             main, ["build", text_file, "--sigma", "a", "--pi-auto", "--out", out]
         )
         assert result.exit_code == 0
-        obj = json.loads(open(out, encoding="utf-8").read())
+        obj = json.loads(Path(out).read_text("utf-8"))
         assert obj["alphabet"]["pi"] == []
         # a file that lists the text's parameters, as older builds wrote,
         # loads and answers alike
@@ -321,7 +350,7 @@ class TestQuery:
         result = runner.invoke(main, ["query", out, "ax", "--locate"])
         assert result.output.strip() == "[3, 5]"
         # a top-level block the loader does not know is never read
-        obj = json.loads(open(out, encoding="utf-8").read())
+        obj = json.loads(Path(out).read_text("utf-8"))
         obj["locate"] = {"enter": [], "leave": [], "positions": [5, 3]}
         with open(out, "w", encoding="utf-8") as f:
             json.dump(obj, f)
@@ -404,7 +433,7 @@ class TestCorruptIndexes:
         return out
 
     def _mangle(self, index, fn):
-        obj = json.loads(open(index, encoding="utf-8").read())
+        obj = json.loads(Path(index).read_text("utf-8"))
         fn(obj)
         with open(index, "w", encoding="utf-8") as f:
             json.dump(obj, f)
@@ -462,7 +491,7 @@ class TestCorruptIndexes:
     def test_answers_as_a_fresh_build(self, runner, index, name):
         edit, *answers = LOADABLE[name]
         self._mangle(index, edit)
-        wanted = _fresh_outputs(json.loads(open(index, encoding="utf-8").read()))
+        wanted = _fresh_outputs(json.loads(Path(index).read_text("utf-8")))
         assert [w.strip() for w in wanted[:2]] == answers
         for (command, *args), want in zip(LOCATE_AND_DOT, wanted):
             result = runner.invoke(main, [command, index, *args])
@@ -514,7 +543,7 @@ class TestCorruptIndexes:
         # The text is the whole index, so every edit either exits 3 with a
         # message or loads and answers exactly as a fresh build of the edited
         # text: never a crash, and never a silently wrong answer.
-        pristine = open(index, encoding="utf-8").read()
+        pristine = Path(index).read_text("utf-8")
         for field, i, value, must_fail in _fuzz_edits(json.loads(pristine)):
             obj = json.loads(pristine)
             if i is None:
@@ -661,14 +690,14 @@ class TestDot:
         index = str(tmp_path / "long.json")
         built = runner.invoke(main, ["build", str(text), "--sigma", "ab", "--pi", "xyz", "--out", index])
         assert built.exit_code == 0, built.output
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "pdawg.cli", "dot", index],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(),
-        )
-        assert proc.stdout.readline() == b"digraph pdawg {\n"
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        assert proc.wait() == 1
+        ) as proc:
+            assert proc.stdout.readline() == b"digraph pdawg {\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait() == 1
         assert stderr == b""
 
     def test_unknown_structure_rejected(self, runner, index):
@@ -727,6 +756,21 @@ class TestArguments:
         result = runner.invoke(main, [*command, "--help"])
         assert result.exit_code == 0, result.output
         assert result.stdout.startswith(f"usage: {' '.join(['pdawg', *command])} ")
+
+    def test_value_options_are_the_parser_options_that_take_a_value(self):
+        # `_prepare_args` keeps its own list; an option missing from it would
+        # read a value such as "-x" as an option
+        (commands,) = [
+            a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        taking = {
+            option
+            for sub in commands.choices.values()
+            for action in sub._actions
+            if action.nargs is None
+            for option in action.option_strings
+        }
+        assert taking == cli.VALUE_OPTIONS
 
     def test_dashes_as_symbols(self, runner, tmp_path):
         # statics "-" and "+": an option value and a pattern may start with "-"

@@ -56,14 +56,6 @@ class TestPrevEncode:
 
 
 class TestPrevDecode:
-    def test_named_pool_restores_original(self):
-        pv = PString("xaxay", A_XY).prev()
-        assert prev_decode(pv, pool=("x", "y")).raw == tuple("xaxay")
-
-    def test_two_chain_pool(self):
-        pv = PString("uvvauvb", AB_UV).prev()
-        assert prev_decode(pv, pool=("u", "v")).raw == tuple("uvvauvb")
-
     def test_empty(self):
         assert prev_decode(PString("", A_XY).prev()).raw == ()
 
@@ -73,17 +65,9 @@ class TestPrevDecode:
         assert out.prev().codes == pv.codes
         assert out.raw[0] not in ("a", "b")
 
-    def test_pool_exhaustion_rejected(self):
-        pv = PString("xy", A_XY).prev()
-        with pytest.raises(AlphabetError, match="exhausted"):
-            prev_decode(pv, pool=("q",))
-        with pytest.raises(AlphabetError, match="repeat"):
-            prev_decode(pv, pool=("q", "q"))
-
-    def test_pool_clash_with_static_rejected(self):
-        pv = PString("x", A_XY).prev()
-        with pytest.raises(AlphabetError, match="collides"):
-            prev_decode(pv, pool=("a",))
+    def test_fresh_names_skip_static_names(self):
+        pv = PString(["x", "p0", "y", "x"], Alphabet(["p0"], "xy")).prev()
+        assert prev_decode(pv).raw == ("p1", "p0", "p2", "p1")
 
     def test_dangling_back_reference_names_position(self):
         bad = PvString._from_codes((0, 3), A_XY)  # skip construction validation
@@ -199,7 +183,7 @@ def test_label_sort_key_orders_statics_then_distances_then_zero():
 def test_label_sort_key_orders_statics_as_sigma():
     # multi-character tokens: "a10" sorts before "a9" as a string
     alphabet = Alphabet(["b", "a10", "a9", "("], ())
-    codes = [alphabet.static_code(s) for s in ["b", "a10", "a9", "("]]
+    codes = list(alphabet.encode_prev(["b", "a10", "a9", "("]))
     ordered = sorted(codes, key=label_sort_key)
     assert [alphabet.static_symbol(c) for c in ordered] == list(alphabet.sigma)
     assert alphabet.sigma == ("(", "a10", "a9", "b")
