@@ -1,0 +1,6 @@
+"""`python -m pdawg`: the `pdawg` command."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -222,11 +222,11 @@ def cmd_query(indexfile, pattern, do_locate, begin_positions):
     g, obj = _load_index(indexfile)
     p = _pattern_pstring(obj, g, pattern)
     try:
+        result = p_match_query(g, p)  # printed as JSON: true or false
         if do_locate or begin_positions:
-            ends = locate(build_occurrence_index(g), p)
+            # walked first: a pattern that misses builds no occurrence index
+            ends = locate(build_occurrence_index(g), p) if result else ()
             result = [e - len(p) + 1 for e in ends] if begin_positions else list(ends)
-        else:
-            result = p_match_query(g, p)  # printed as JSON: true or false
     except AlphabetError as exc:
         raise UsageError(str(exc)) from exc
     print(json.dumps(result))

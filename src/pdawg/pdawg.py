@@ -191,6 +191,20 @@ def build_online(t: PString | PvString) -> tuple[Pdawg, ConstructionStats]:
     `_zero_target` call per visited node that has an integer map, the
     climb's only call.  A node's map of a kind is made when it gets its
     first label of that kind; until then its slot holds the shared empty map.
+
+    Two facts hold at every step and are coded once, not tested in the
+    loops.  The climb's first node is the old sink: it was made in the last
+    step, and nothing writes to it after (that step's split writes only to
+    its new class and to chain nodes), so it has no out-edge, and a distance
+    is at most its length i-1, so it is not cut; its edge to the new sink is
+    written before the climb, which starts at its suffix link.  And a static
+    code is never cut, so the split's redirection climb is one loop per
+    kind, the static one keyed on the code itself.  A redirected node is
+    shorter than the new class and lengths fall along the chain, so only
+    the first can have length k-1: `redirections` is counted once per
+    split, not tested per redirected node.  When the climb stopped at the
+    edge of the longest repeated suffix itself, that edge, from a node of
+    length k-1, is the first to move, and it moves before the loop.
     """
     pv = _pv(t)
     g = Pdawg(pv.alphabet)
@@ -205,16 +219,21 @@ def build_online(t: PString | PvString) -> tuple[Pdawg, ConstructionStats]:
     sink = 0  # the sink of the empty text: the source
 
     for i, a in enumerate(codes, start=1):
-        # climb from the old sink adding edges to the new sink until some
-        # suffix one longer than the next chain node survives extension by a
-        u = sink
+        # the old sink has no out-edge and a uncut (see above): its edge to
+        # the new sink is written, and the climb goes on from its suffix
+        # link until some suffix one longer than the next chain node
+        # survives extension by a
+        old = sink
         sink = len(lens)
         lens.append(i)
         slinks.append(None)
         statics.append(none)
         ints.append(none)
         history.append(sink)
+        visits += 1
+        u = slinks[old]
         if a < 0:
+            statics[old] = {a: sink}
             while u is not None:
                 visits += 1
                 labels = statics[u]
@@ -226,6 +245,7 @@ def build_online(t: PString | PvString) -> tuple[Pdawg, ConstructionStats]:
                     labels[a] = sink
                 u = slinks[u]
         else:
+            ints[old] = {a: sink}
             while u is not None:
                 visits += 1
                 s = slinks[u]
@@ -247,7 +267,7 @@ def build_online(t: PString | PvString) -> tuple[Pdawg, ConstructionStats]:
                 u = s
 
         # the longest repeated suffix: its length k, the node v housing it,
-        # and u, where the split-redirection climb starts
+        # and u, where the split's redirection climb goes on
         if u is None:
             # no suffix survives: the longest repeated suffix is the empty one
             slinks[sink] = 0
@@ -257,6 +277,15 @@ def build_online(t: PString | PvString) -> tuple[Pdawg, ConstructionStats]:
         v = labels.get(zau)  # the climb stopped at u with labels of a's kind
         if v is not None:
             k = L + 1
+            if lens[v] == k:
+                slinks[sink] = v
+                continue
+            # u has length k-1, and its edge is the first to move
+            vp = len(lens)
+            labels[zau] = vp
+            redirected += 1
+            redirections += 1
+            u = slinks[u]
         else:
             # only reachable for integer a: the surviving extension went
             # through a bundled 0-edge, so the repeated suffix is shorter
@@ -267,28 +296,38 @@ def build_online(t: PString | PvString) -> tuple[Pdawg, ConstructionStats]:
                 raise AssertionError("longest repeated suffix has no class")
             labels[zau] = sink
             u = slinks[u]
-        if lens[v] == k:
-            slinks[sink] = v
-            continue
+            if lens[v] == k:
+                slinks[sink] = v
+                continue
+            # the redirection climb starts below u, at a node that may keep
+            # its edge; a redirected node is shorter than k, and lengths
+            # fall along the chain, so only the first can have length k-1
+            if u is not None and lens[u] == k - 1 and ints[u].get(0 if a >= k else a) == v:
+                redirections += 1
+            vp = len(lens)
 
         # split class v: the new class vp takes its members of length <= k
-        vp = len(lens)
         lens.append(k)
         slinks.append(slinks[v])
         # in-edges: every suffix of the new longest repeated suffix that still
         # reaches v from the chain belongs below the split point
-        maps = statics if a < 0 else ints
-        while u is not None:
-            L = lens[u]
-            key = 0 if a > L else a
-            labels = maps[u]
-            if labels.get(key) != v:
-                break
-            labels[key] = vp
-            redirected += 1
-            if L == k - 1:
-                redirections += 1
-            u = slinks[u]
+        if a < 0:
+            while u is not None:
+                labels = statics[u]
+                if labels.get(a) != v:
+                    break
+                labels[a] = vp
+                redirected += 1
+                u = slinks[u]
+        else:
+            while u is not None:
+                key = 0 if a > lens[u] else a
+                labels = ints[u]
+                if labels.get(key) != v:
+                    break
+                labels[key] = vp
+                redirected += 1
+                u = slinks[u]
         # out-edges: every static label stays; keep the integer labels that
         # stay meaningful at length k, and since a label 0 is a candidate,
         # the 0-target at length k exists and replaces it
@@ -334,14 +373,18 @@ def _witness_ends(g: Pdawg) -> list[int | None]:
 
 def stats_summary(g: Pdawg) -> dict:
     lens = g.lens
-    primary = sum(
-        1
-        for maps in (g.static_edges, g.int_edges)
-        for L, labels in zip(lens, maps)
-        if labels
-        for t in labels.values()
-        if lens[t] == L + 1
-    )
+    # one pass over the nodes reads both maps of each
+    primary = 0
+    for L, static, ints in zip(lens, g.static_edges, g.int_edges):
+        L += 1
+        if static:
+            for t in static.values():
+                if lens[t] == L:
+                    primary += 1
+        if ints:
+            for t in ints.values():
+                if lens[t] == L:
+                    primary += 1
     edges = g.edge_count()
     return {
         "n": len(g.text_codes),

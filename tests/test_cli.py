@@ -312,6 +312,32 @@ class TestQuery:
             f"pdawg query: error: symbol '?' at position {position} is in neither alphabet"
         )
 
+    # a hit, a miss, and a pattern that holds a symbol in neither alphabet
+    @pytest.mark.parametrize(
+        "pattern, flags, code, stdout, built",
+        [
+            ("ax", ["--locate"], 0, "[3, 5]\n", 1),
+            ("ax", ["--begin-positions"], 0, "[2, 4]\n", 1),
+            ("aa", ["--locate"], 0, "[]\n", 0),
+            ("aa", ["--begin-positions"], 0, "[]\n", 0),
+            ("a?", ["--locate"], 2, "", 0),
+            ("a?", ["--begin-positions"], 2, "", 0),
+        ],
+    )
+    def test_only_a_hit_builds_the_occurrence_index(
+        self, runner, tmp_path, text_file, monkeypatch, pattern, flags, code, stdout, built
+    ):
+        out, _ = _build(runner, tmp_path, text_file)
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return build_occurrence_index(g)
+
+        monkeypatch.setattr(cli, "build_occurrence_index", counted)
+        result = runner.invoke(main, ["query", out, pattern, *flags])
+        assert (result.exit_code, result.stdout, len(calls)) == (code, stdout, built)
+
     def test_pi_auto_index_classifies_anything(self, runner, tmp_path, text_file):
         out = str(tmp_path / "auto.json")
         result = runner.invoke(

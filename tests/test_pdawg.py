@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdawg
+import pdawg.pdawg as online
 from pdawg import (
     Alphabet,
     ConstructionStats,
@@ -170,6 +171,41 @@ class TestOnlineBuild:
             gi, _ = build_online(pv.window(1, i))
             assert gi.text_codes == pv.codes[:i]
             assert canonical_form(gi) == build_oracle_pdawg(pv.window(1, i)).canonical_form()
+
+    # the last step finds its longest repeated suffix through a bundled
+    # 0-label and splits; the redirection climb then starts one node below
+    # the climb's stop, at a node that keeps its edge (waxax) or moves an
+    # edge but is shorter than k-1 (wbbxbbx), so that split adds no
+    # redirection.  Counts pinned from the build before the climb's first
+    # step left its loop.
+    @pytest.mark.parametrize(
+        "text, alphabet, counters, nodes",
+        [
+            ("waxax", Alphabet("a", "wx"), (0, 1, 9, 0), 7),
+            ("wbbxbbx", Alphabet("ab", "wx"), (2, 2, 14, 1), 10),
+        ],
+    )
+    def test_a_split_after_a_bundled_0_repeated_suffix_is_counted_exactly(
+        self, monkeypatch, text, alphabet, counters, nodes
+    ):
+        pv = PString(text, alphabet).prev()
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return lrs_bound(*args)
+
+        lrs_bound = online._lrs_bound
+        monkeypatch.setattr(online, "_lrs_bound", counted)
+        build_online(pv.window(1, len(pv) - 1))
+        before = calls[0]
+        g, stats = build_online(pv)
+        # the last step takes the bundled-0 branch, and splits
+        assert calls[0] - before > before
+        assert _prefix_steps(pv)[-1][1]
+        assert stats == ConstructionStats(*counters)
+        assert g.node_count() == nodes
+        assert canonical_form(g) == build_oracle_pdawg(pv).canonical_form()
 
     def test_construction_stats_is_a_plain_record(self):
         fields = ("redirected_secondary_edges", "suffix_links_deleted", "climb_visits", "redirections")

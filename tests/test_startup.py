@@ -39,6 +39,23 @@ def test_cli_import_loads_no_heavy_module():
     assert "pdawg.verify" not in loaded
 
 
+def test_python_dash_m_pdawg_runs_the_command():
+    result = subprocess.run(
+        [sys.executable, "-m", "pdawg", "--version"], capture_output=True, text=True, env=src_env()
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, f"pdawg, version {pdawg.__version__}\n", ""
+    )
+
+
+def test_package_import_leaves_the_command_unloaded():
+    probe = "import sys, pdawg; print(sorted(m for m in sys.modules if m.startswith('pdawg')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=src_env(), check=True
+    ).stdout
+    assert "pdawg.__main__" not in out and "'pdawg'" in out
+
+
 PRODUCT = ("pstrings", "pdawg", "matcher", "duality", "cli")
 CHECKS = {"oracles", "verify"}
 

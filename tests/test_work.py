@@ -18,6 +18,7 @@ constant factor of the online build's.
 import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -255,6 +256,25 @@ def test_ab_build_compares_every_counter():
     # checkout; a counter it leaves out would escape its agreement check
     ab_build = load_repo_file("ab_build", "tools", "ab_build.py")
     assert ab_build.COUNTERS == ConstructionStats._fields
+
+
+def test_instruction_counts_repeat_exactly(capsys):
+    # the counts are exact, so two runs agree, and a checkout run against
+    # itself gives both sides equal counts; the counts themselves are not
+    # pinned, since they differ between Python versions
+    ab_build = load_repo_file("ab_build", "tools", "ab_build.py")
+    root = str(Path(__file__).resolve().parents[1])
+    tracer = sys.gettrace()
+    outputs = []
+    for _ in range(2):
+        assert ab_build.main([root, root, "--n", "300", "--ops"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert sys.gettrace() is tracer
+    assert outputs[0] == outputs[1]
+    rows = [line.split() for line in outputs[0].splitlines()[2:]]
+    assert len(rows) == 4 * 4
+    for _family, _count, parent, change, ratio in rows:
+        assert float(parent) > 0 and parent == change and ratio == "1.000"
 
 
 @pytest.mark.parametrize("family", PINNED_COUNTS)
