@@ -228,10 +228,17 @@ def build_pstree_rtl(s: PString | PvString) -> tuple[PSTree, ConstructionStats]:
 
 
 def _suffix_nodes(tree: PSTree) -> list[int]:
-    """Validate the tree and return its suffix node of every depth 0..n."""
+    """Validate the tree and return its suffix node of every depth 0..n,
+    one per depth."""
     _validate_tree(tree)
     n = len(tree.text_codes)
-    sfx = {tree.depth[v]: v for v in range(tree.node_count()) if tree.is_suffix[v]}
+    sfx: dict[int, int] = {}
+    for v in range(tree.node_count()):
+        if tree.is_suffix[v]:
+            d = tree.depth[v]
+            if d in sfx:
+                raise StructureError(f"two suffix nodes of depth {d}")
+            sfx[d] = v
     for d in range(n + 1):
         if d not in sfx:
             raise StructureError(f"no suffix node of depth {d}")

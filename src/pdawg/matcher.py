@@ -2,11 +2,13 @@
 
 Membership is a single walk from the source, one transition per pattern
 symbol, and the one classifier of pattern symbols: a symbol in neither
-alphabet raises AlphabetError wherever it stands.  A `PString` pattern is
-prev-encoded as it is walked, and the walk stops at the first missing
-transition, reading the later symbols only to classify them.  A static code
-takes a plain lookup in the node's static map and a distance one in its
-integer map; code 0 takes one call to `_zero_target`, the bundled-0 rule.
+alphabet raises AlphabetError wherever it stands.  The pattern's type picks
+the walk: a `PString` over the text's statics is prev-encoded as it is
+walked, and the walk stops at the first missing transition, reading the
+later symbols only to classify them; a `PvString` is walked by its codes.
+A static code takes a plain lookup in the node's static map and a distance
+one in its integer map; code 0 takes one call to `_zero_target`, the
+bundled-0 rule.
 Locating needs one extra observation: the end positions of a class are
 exactly the prefixes of the text whose class sits in that node's subtree of
 the (reversed) suffix-link tree.  Counting those prefixes per subtree gives
@@ -22,29 +24,22 @@ from .pdawg import Pdawg, _zero_target
 
 def _walk(g: Pdawg, p: PString | PvString) -> int | None:
     """The node reached from the source by reading the pattern, or None if
-    a transition is missing or the pattern is longer than the text.
+    a transition is missing.
 
-    A non-empty `PString` over the text's statics whose encoding is not yet
-    cached is prev-encoded as it is read: a static takes its code and a
-    parameter the distance to its previous occurrence, kept in `last`.
-    Every other pattern is encoded whole by `pattern_codes`, which raises if
-    the static alphabets differ.  Either way a symbol in neither alphabet,
-    wherever it stands, raises through `Alphabet.encode_prev`.
+    The pattern's type picks the loop.  A `PString` over the text's statics
+    is prev-encoded as it is read: a static takes its code and a parameter
+    the distance to its previous occurrence, kept in `last`.  A `PvString`,
+    or a `PString` over other statics, which `pattern_codes` rejects, is
+    read by its codes.  Either way a symbol in neither alphabet, wherever it
+    stands, raises through `Alphabet.encode_prev`.  No node is longer than
+    the text and every edge leads to a longer node, so a pattern longer
+    than the text meets a missing transition by its symbol n + 1.
     """
-    n = len(g.text_codes)
     a = g.alphabet
     statics, ints, lens, slinks = g.static_edges, g.int_edges, g.lens, g.slinks
-    if (
-        not isinstance(p, PString)
-        or p._prev is not None
-        or not 0 < len(p.raw) <= n
-        or (p.alphabet is not a and p.alphabet.sigma != a.sigma)
-    ):
-        codes = pattern_codes(p, a)
-        if len(codes) > n:
-            return None
+    if not isinstance(p, PString) or (p.alphabet is not a and p.alphabet.sigma != a.sigma):
         u = g.source
-        for i, c in enumerate(codes):
+        for i, c in enumerate(pattern_codes(p, a)):
             if c < 0:
                 u = statics[u].get(c)
             elif c:

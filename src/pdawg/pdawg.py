@@ -205,6 +205,28 @@ def build_online(t: PString | PvString) -> tuple[Pdawg, ConstructionStats]:
     split, not tested per redirected node.  When the climb stopped at the
     edge of the longest repeated suffix itself, that edge, from a node of
     length k-1, is the first to move, and it moves before the loop.
+
+    A step whose repeated suffix survives only through a bundled 0-label
+    always splits, and counts no redirection.  Say the climb stopped at u,
+    of length L, with integer map M (not empty, or the climb goes on), let
+    j = len(slink u) + 1, and let zau, the code a cut to L, be no label of
+    M.  The climb did not stop on `a in M`, or zau would be a label, so it
+    stopped on `_zero_target(M, j, ...)`: a is 0 or exceeds j, and M has
+    the label 0 or a label b > j.  So j < k <= L for the length
+    k = `_lrs_bound(M, a)`: with the label 0, zau is not 0, so j < a <= L
+    and k = a; without it, the widest label m is in (j, L] and k is m or
+    a.  The chain below u starts at slink u, of length j-1 < k-1, so no
+    node of length k-1 is left to redirect.  And the class v of the
+    repeated suffix, the target of symbol 0 from u after k-1 symbols, is
+    longer than k.  With one candidate label v is its target, of length at
+    least L+1.  With several, k is no label (k = a = zau, or k = m is the
+    only candidate), so the smallest positive candidate is some b > k.  Let
+    y and y' be the suffixes of length k-1 and b-1 of u's longest string;
+    both are in u's class, so they end at the same places.  A symbol new in
+    the k-1 symbols before it, after an end of y, has after u's longest
+    string a code in M that is 0 or at least b, so it is new in the b-1
+    before it too.  So y·0 and y'·0 end at the same places, and v is at
+    least b long.
     """
     pv = _pv(t)
     g = Pdawg(pv.alphabet)
@@ -285,26 +307,18 @@ def build_online(t: PString | PvString) -> tuple[Pdawg, ConstructionStats]:
             labels[zau] = vp
             redirected += 1
             redirections += 1
-            u = slinks[u]
         else:
             # only reachable for integer a: the surviving extension went
             # through a bundled 0-edge, so the repeated suffix is shorter
-            # than len(u)+1
+            # than len(u)+1, its class longer, and the step splits with no
+            # redirection counted (see above)
             k = _lrs_bound(labels, a)
             v = _zero_target(labels, k - 1, L, slinks)
             if v is None:
                 raise AssertionError("longest repeated suffix has no class")
             labels[zau] = sink
-            u = slinks[u]
-            if lens[v] == k:
-                slinks[sink] = v
-                continue
-            # the redirection climb starts below u, at a node that may keep
-            # its edge; a redirected node is shorter than k, and lengths
-            # fall along the chain, so only the first can have length k-1
-            if u is not None and lens[u] == k - 1 and ints[u].get(0 if a >= k else a) == v:
-                redirections += 1
             vp = len(lens)
+        u = slinks[u]
 
         # split class v: the new class vp takes its members of length <= k
         lens.append(k)

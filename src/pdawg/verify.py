@@ -117,8 +117,9 @@ def check_pdawg(pv: PvString) -> str | None:
 
 def check_matching(pv: PvString, patterns: Iterable[PvString] | None = None) -> str | None:
     """Membership and `locate` agree with the window scan on every pattern,
-    asked both as codes and in a raw form, `prev_decode(p)`, which the
-    matcher encodes as it walks.
+    asked in both of the matcher's walks: as a pv-string, walked by its
+    codes, and in a raw form, `prev_decode(p)`, a p-string the matcher
+    encodes as it walks.
 
     The patterns default to the empty one and every distinct factor of pv.
     """

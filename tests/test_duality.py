@@ -199,6 +199,22 @@ class TestOfflineBuild:
             offline_build_pdawg(tree)
 
     @pytest.mark.parametrize(
+        "text, marked, depth",
+        [
+            # kept the last mark, this built an automaton off every chain
+            ("yxyaaxb", 8, 2),
+            # and this one failed inside the link propagation
+            ("xaybab", 6, 1),
+        ],
+    )
+    def test_tree_with_two_suffix_nodes_of_one_depth_is_rejected(self, text, marked, depth):
+        tree = build_pstree_naive(PString(text, AB_XY).prev())
+        assert not tree.is_suffix[marked] and tree.depth[marked] == depth
+        tree.is_suffix[marked] = True
+        with pytest.raises(StructureError, match=f"two suffix nodes of depth {depth}"):
+            offline_build_pdawg(tree)
+
+    @pytest.mark.parametrize(
         "edit, match",
         [
             (lambda t: t.parent.__setitem__(0, 1), "node 0 must be the root at depth 0"),

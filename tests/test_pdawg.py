@@ -1,8 +1,11 @@
 """The class-merged index itself: transitions, the left-to-right online
 builder, size accounting, and serialization."""
 
+import ast
+import inspect
 import random
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -30,6 +33,7 @@ from pdawg.verify import (
     _arrays,
     canonical_form,
     check_pdawg,
+    check_rtl,
     node_longest_codes,
     separation_text,
 )
@@ -127,6 +131,22 @@ class TestZeroTarget:
             _zero_target({0: 1, 3: 6}, 2, 4, self.SLINKS)
 
 
+@pytest.fixture()
+def lrs_calls(monkeypatch):
+    """A one-element list counting the `_lrs_bound` calls of the online
+    build: one per step that finds its repeated suffix through a bundled
+    0-label."""
+    calls = [0]
+    real = online._lrs_bound
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(online, "_lrs_bound", counted)
+    return calls
+
+
 def _prefix_steps(pv):
     """(lrs_len, split) of each online step i: the length of the suffix link
     of the sink of prefix i, and whether building prefix i deleted more
@@ -186,26 +206,66 @@ class TestOnlineBuild:
         ],
     )
     def test_a_split_after_a_bundled_0_repeated_suffix_is_counted_exactly(
-        self, monkeypatch, text, alphabet, counters, nodes
+        self, lrs_calls, text, alphabet, counters, nodes
     ):
         pv = PString(text, alphabet).prev()
-        calls = [0]
-
-        def counted(*args):
-            calls[0] += 1
-            return lrs_bound(*args)
-
-        lrs_bound = online._lrs_bound
-        monkeypatch.setattr(online, "_lrs_bound", counted)
         build_online(pv.window(1, len(pv) - 1))
-        before = calls[0]
+        before = lrs_calls[0]
         g, stats = build_online(pv)
         # the last step takes the bundled-0 branch, and splits
-        assert calls[0] - before > before
+        assert lrs_calls[0] - before > before
         assert _prefix_steps(pv)[-1][1]
         assert stats == ConstructionStats(*counters)
         assert g.node_count() == nodes
         assert canonical_form(g) == build_oracle_pdawg(pv).canonical_form()
+
+    def test_every_short_text_with_a_bundled_0_step_matches_the_oracles(self, lrs_calls):
+        # every text up to length 8 over a/xyz, one per prev-encoding, whose
+        # build has a step that finds its repeated suffix through a bundled
+        # 0-label
+        bundled = []
+        for t in distinct_by_prev(all_pstrings(Alphabet("a", "xyz"), 8)):
+            before = lrs_calls[0]
+            build_online(pv := t.prev())
+            if lrs_calls[0] > before:
+                bundled.append(pv)
+        # the corpus must keep reaching the branch
+        assert len(bundled) >= 1000
+        for pv in bundled:
+            assert check_pdawg(pv) is None, str(pv)
+            assert check_rtl(pv) is None, str(pv)
+
+    def test_every_statement_of_the_build_runs(self, bench_families):
+        # no branch of the build is dead: on the benchmark families and
+        # xaxay, every statement but a raise runs
+        source, first = inspect.getsourcelines(online.build_online)
+        func = ast.parse("".join(source)).body[0]
+        statements = {
+            first - 1 + node.lineno
+            for node in ast.walk(func)
+            if isinstance(node, ast.stmt) and not isinstance(node, ast.Raise)
+        } - {first - 1 + func.lineno, first - 1 + func.body[0].lineno}  # def, docstring
+        code = online.build_online.__code__
+        ran = set()
+
+        def line(frame, event, _arg):
+            if event == "line":
+                ran.add(frame.f_lineno)
+            return line
+
+        texts = [XAXAY]
+        for family in ("code_text", "random_text", "separation_text", "extremal_text"):
+            symbols, sigma = getattr(bench_families, family)(random.Random(1), 300)
+            texts.append(PString(symbols, Alphabet.from_text(symbols, sigma)))
+        tracer = sys.gettrace()
+        sys.settrace(lambda frame, _event, _arg: line if frame.f_code is code else None)
+        try:
+            for t in texts:
+                build_online(t)
+        finally:
+            sys.settrace(tracer)
+        never = sorted(statements - ran)
+        assert not never, [source[n - first].strip() for n in never]
 
     def test_construction_stats_is_a_plain_record(self):
         fields = ("redirected_secondary_edges", "suffix_links_deleted", "climb_visits", "redirections")

@@ -104,12 +104,21 @@ BUILD_TEXTS = {
     "extremal a.b^(n-2).c": lambda: PString("a" + "b" * (N - 2) + "c", Alphabet("abc", "xy")),
     "random ab/wxyz": lambda: random_pstring(random.Random(1), Alphabet("ab", "wxyz"), N),
     "F_308": lambda: _f_text(308),
+    "parameter runs P_64": lambda: _p_text(64),
 }
 
 
 def _f_text(k):
     first, second, sigma = static_class_family(k)
     return PString(first + second, Alphabet(sigma, "pyw"))
+
+
+def _p_text(k):
+    """P_k: `p1 ... pk p_j #` for each j < k, so n = (k - 1)(k + 2), with k
+    parameters; a class of length k - 1 gets k - 1 integer labels."""
+    params = [f"p{i}" for i in range(1, k + 1)]
+    raw = [s for j in range(1, k) for s in (*params, params[j - 1], "#")]
+    return PString(raw, Alphabet("#", params))
 
 
 @pytest.mark.parametrize("name", BUILD_TEXTS)
