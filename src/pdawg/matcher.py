@@ -13,7 +13,9 @@ Locating needs one extra observation: the end positions of a class are
 exactly the prefixes of the text whose class sits in that node's subtree of
 the (reversed) suffix-link tree.  Counting those prefixes per subtree gives
 every node a contiguous block of a position array, with no tree walk:
-parents are placed before their children, by length.
+parents are placed before their children, by length.  The block is in tree
+order, so `locate` sorts it; the index keeps each sorted answer, up to n + 1
+cached positions in all, so a class located again costs one dict lookup.
 """
 
 from __future__ import annotations
@@ -88,9 +90,16 @@ class OccurrenceIndex:
     """The text prefixes laid out by the suffix-link tree: node u's block
     `positions[enter[u]:leave[u]]` holds its own prefix, if it has one, at
     `enter[u]`, then one block per child, so it lists exactly the prefixes
-    in u's subtree."""
+    in u's subtree.
 
-    __slots__ = ("g", "enter", "leave", "positions")
+    `located` maps a node to its block sorted, as `locate` returned it.  An
+    answer is kept only while the kept answers hold at most
+    `len(positions)` (n + 1) positions in all, so the cache at most doubles
+    the index; `room` is what is left.  Nothing is evicted.  Nothing is
+    locked either: threads sharing an index get right answers, but may
+    overshoot the bound."""
+
+    __slots__ = ("g", "enter", "leave", "positions", "located", "room")
 
     def __init__(self, g: Pdawg):
         self.g = g
@@ -122,6 +131,8 @@ class OccurrenceIndex:
         for i, u in zip(slot, history):
             positions[enter[u]] = i
         self.positions = positions
+        self.located: dict[int, tuple[int, ...]] = {}
+        self.room = len(positions)
 
 
 def build_occurrence_index(g: Pdawg) -> OccurrenceIndex:
@@ -132,14 +143,23 @@ def locate(idx: OccurrenceIndex, p: PString | PvString) -> tuple[int, ...]:
     """All 1-based end positions of the pattern, in increasing order.
 
     The empty pattern reports every position 0..n (it ends everywhere,
-    including before the first symbol).  A `PString` is prev-encoded as it
-    is walked, and the walk stops at the first missing transition.
+    including before the first symbol), and that answer is never cached.  A
+    `PString` is prev-encoded as it is walked, and the walk stops at the
+    first missing transition.  The first locate of a class sorts its block
+    and keeps the answer while `idx.room` allows; a later one returns the
+    same tuple, so answers may be shared between calls.
     """
     u = _walk(idx.g, p)
     if u is None:
         return ()
     if not len(p):
         return tuple(range(len(idx.g.text_codes) + 1))
-    ends = idx.positions[idx.enter[u] : idx.leave[u]]
-    ends.sort()
-    return tuple(ends)
+    ends = idx.located.get(u)
+    if ends is None:
+        block = idx.positions[idx.enter[u] : idx.leave[u]]
+        block.sort()
+        ends = tuple(block)
+        if len(ends) <= idx.room:
+            idx.room -= len(ends)
+            idx.located[u] = ends
+    return ends

@@ -218,6 +218,47 @@ class TestPatternCodes:
             pattern_codes(PString("ba", Alphabet("ab", "x")), text.alphabet)
 
 
+class TestValueSemantics:
+    """Alphabets, p-strings and pv-strings compare and hash by value, and
+    print as the call that makes them."""
+
+    def test_alphabets_equal_by_partition(self):
+        a = Alphabet("ba", "zyx")
+        assert a == AB_XYZ and hash(a) == hash(AB_XYZ)
+        assert a != Alphabet("ab", "xy") and a != Alphabet("abc", "xyz")
+        assert a != ("ab", "xyz")
+        assert len({a, AB_XYZ, Alphabet("ab", "xy")}) == 2
+
+    def test_alphabet_repr(self):
+        assert repr(Alphabet("ba", "yx")) == "Alphabet(sigma='ab', pi='xy')"
+
+    def test_pstrings_equal_by_symbols_and_alphabet(self):
+        s = PString("xax", A_XY)
+        same = PString(["x", "a", "x"], Alphabet("a", "yx"))
+        assert s == same and hash(s) == hash(same)
+        assert s != PString("yay", A_XY)  # p-matches, but is another string
+        assert s != PString("xax", Alphabet("a", "xyz"))
+        assert s != "xax" and s != s.prev()
+        assert len({s, PString("xax", A_XY), PString("yay", A_XY)}) == 2
+
+    def test_pstring_repr(self):
+        assert repr(PString("xax", A_XY)) == "PString('xax')"
+        assert repr(PString(["a10", "x"], Alphabet(["a10"], "x"))) == "PString('a10 x')"
+
+    def test_pvstrings_equal_by_codes_and_alphabet(self):
+        pv = PString("xax", A_XY).prev()
+        assert pv == PString("yay", A_XY).prev() and hash(pv) == hash(PvString((0, -1, 2), A_XY))
+        assert pv != PvString((0, -1, 2), Alphabet("a", "xyz"))
+        assert pv != PvString((0, -1, 0), A_XY)
+        assert pv != (0, -1, 2) and pv != PString("xax", A_XY)
+        assert len({pv, PString("yay", A_XY).prev(), PvString((0, -1, 0), A_XY)}) == 2
+
+    def test_pvstring_repr(self):
+        assert repr(PString("xaxay", A_XY).prev()) == "PvString('0a2a0')"
+        pv = PvString((0, *[-1] * 10, 11), Alphabet("a", "x"))
+        assert repr(pv) == f"PvString('0 {'a ' * 10}11')"
+
+
 # ---------------------------------------------------------------------------
 # properties
 

@@ -13,6 +13,7 @@ from pdawg import (
     locate,
     p_match_query,
 )
+from pdawg.matcher import _walk
 from pdawg.oracles import rpos
 from pdawg.verify import check_matching, separation_text
 
@@ -205,6 +206,80 @@ class TestOccurrenceIndex:
             assert set(idx.positions[idx.enter[u] : idx.leave[u]]) == below[u]
             if history[g.lens[u]] == u:
                 assert idx.positions[idx.enter[u]] == g.lens[u]
+
+
+def _sorted_block(idx, p):
+    """The answer `locate` owes `p`, by a fresh sort of its node's block."""
+    u = _walk(idx.g, p)
+    return () if u is None else tuple(sorted(idx.positions[idx.enter[u] : idx.leave[u]]))
+
+
+def _cached_positions(idx):
+    return sum(map(len, idx.located.values()))
+
+
+class TestLocateCache:
+    """`locate` keeps each class's sorted answer while the kept answers hold
+    at most n + 1 positions; a kept answer is the one a fresh sort gives."""
+
+    @pytest.mark.parametrize(
+        "family", ["code_text", "random_text", "separation_text", "extremal_text"]
+    )
+    def test_cold_and_warm_answers_equal_a_fresh_sort(self, bench_families, family):
+        symbols, sigma = getattr(bench_families, family)(random.Random(1), 2000)
+        alphabet = Alphabet.from_text(symbols, sigma)
+        pv = PString(symbols, alphabet).prev()
+        g, _ = build_online(pv)
+        idx = build_occurrence_index(g)
+        windows = bench_families.patterns(random.Random(7), symbols, 600)
+        cold = [locate(idx, PString(w, alphabet)) for w, _end in windows]
+        kept = dict(idx.located)
+        warm = [locate(idx, PString(w, alphabet)) for w, _end in windows]
+        assert kept and idx.located == kept  # the warm pass caches nothing new
+        assert _cached_positions(idx) + idx.room == len(idx.positions)
+        assert idx.room >= 0
+        for (w, end), c, h in zip(windows, cold, warm):
+            p = PString(w, alphabet)
+            assert c == h == _sorted_block(idx, p), w
+            assert end is None or end in c, w
+            u = _walk(g, p)
+            if u in kept:
+                assert h is kept[u]
+        short = [PString(w, alphabet) for w, _end in windows if len(w) <= 4][:40]
+        assert len(short) >= 10
+        for p in short:
+            assert locate(idx, p) == rpos(pv, p), str(p)
+
+    def test_answers_stay_right_after_the_cache_fills(self):
+        t = random_pstring(random.Random(4), AB_XYZ, 40)
+        pv = t.prev()
+        g, _ = build_online(pv)
+        idx = build_occurrence_index(g)
+        factors = [PString(t.raw[i:j], AB_XYZ) for i in range(40) for j in range(i + 1, 41)]
+        for _ in range(2):  # the second pass finds the cache full
+            for p in factors:
+                assert locate(idx, p) == _sorted_block(idx, p) == rpos(pv, p), str(p)
+                assert _cached_positions(idx) <= len(idx.positions)
+        reached = {_walk(g, p) for p in factors}
+        assert len(idx.located) < len(reached)  # some answers took the uncached path
+        assert idx.room < max(map(len, (rpos(pv, p) for p in factors)))
+
+    def test_the_empty_pattern_caches_nothing(self, indexed):
+        g, _ = indexed
+        idx = build_occurrence_index(g)
+        for _ in range(2):
+            assert locate(idx, _p("")) == (0, 1, 2, 3, 4, 5)
+        assert idx.located == {} and idx.room == len(idx.positions) == 6
+        assert locate(idx, _p("ax")) == (3, 5)
+        assert idx.located == {_walk(g, _p("ax")): (3, 5)} and idx.room == 4
+
+    def test_an_answer_that_fills_the_room_exactly_is_kept(self, indexed):
+        g, _ = indexed
+        idx = build_occurrence_index(g)
+        steps = [("x", (1, 3, 5), 3), ("a", (2, 4), 1), ("ax", (3, 5), 1), ("xaxay", (5,), 0)]
+        for raw, ends, room in steps:
+            assert locate(idx, _p(raw)) == ends and idx.room == room, raw
+        assert sorted(idx.located.values()) == [(1, 3, 5), (2, 4), (5,)]
 
 
 def test_exhaustive_tiny_corpus_matches_the_scan():

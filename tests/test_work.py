@@ -16,6 +16,7 @@ constant factor of the online build's.
 """
 
 import random
+import shutil
 import sys
 import tracemalloc
 from pathlib import Path
@@ -105,6 +106,7 @@ BUILD_TEXTS = {
     "random ab/wxyz": lambda: random_pstring(random.Random(1), Alphabet("ab", "wxyz"), N),
     "F_308": lambda: _f_text(308),
     "parameter runs P_64": lambda: _p_text(64),
+    "parameter runs Q_64": lambda: _q_text(64),
 }
 
 
@@ -118,6 +120,15 @@ def _p_text(k):
     parameters; a class of length k - 1 gets k - 1 integer labels."""
     params = [f"p{i}" for i in range(1, k + 1)]
     raw = [s for j in range(1, k) for s in (*params, params[j - 1], "#")]
+    return PString(raw, Alphabet("#", params))
+
+
+def _q_text(k):
+    """Q_k: `p1 ... pk p_j ... pk #` for each j < k, so n = (3k² + k) / 2 - 2,
+    with k parameters; the suffix run p_j ... pk repeats a suffix of the
+    first run."""
+    params = [f"p{i}" for i in range(1, k + 1)]
+    raw = [s for j in range(1, k) for s in (*params, *params[j - 1 :], "#")]
     return PString(raw, Alphabet("#", params))
 
 
@@ -284,6 +295,26 @@ def test_instruction_counts_repeat_exactly(capsys):
     assert len(rows) == 4 * 4
     for _family, _count, parent, change, ratio in rows:
         assert float(parent) > 0 and parent == change and ratio == "1.000"
+
+
+def test_locate_timings_require_equal_answers(tmp_path, monkeypatch, capsys):
+    # the checkout against itself agrees; a copy whose `locate` drops the
+    # last end position of every hit does not, and the tool exits 1
+    ab_build = load_repo_file("ab_build", "tools", "ab_build.py")
+    monkeypatch.setattr(ab_build, "LOCATE_PATTERNS", 200)
+    root = Path(__file__).resolve().parents[1]
+    assert ab_build.main([str(root), str(root), "--n", "300", "--locate"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [row[0] for row in rows] == ["code", "random", "sep", "extremal"]
+    assert all(len(row) == 6 and float(row[1]) > 0 for row in rows)
+    broken = tmp_path / "src" / "pdawg"
+    shutil.copytree(root / "src" / "pdawg", broken, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(broken / "matcher.py", "a") as f:
+        f.write("\n_locate = locate\n\n\ndef locate(idx, p):\n    return _locate(idx, p)[:-1]\n")
+    assert ab_build.main([str(tmp_path), str(root), "--n", "300", "--locate"]) == 1
+    out = capsys.readouterr().out
+    for family in ("code", "random", "sep", "extremal"):
+        assert f"{family}: " in out and " of 200 answers differ" in out
 
 
 @pytest.mark.parametrize("family", PINNED_COUNTS)

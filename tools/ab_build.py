@@ -1,6 +1,6 @@
-"""In-process A/B of `build_online` between two checkouts.
+"""In-process A/B of `build_online`, or of `locate`, between two checkouts.
 
-    python tools/ab_build.py PARENT_ROOT CHANGE_ROOT [--n N] [--reps R] [--seed S] [--ops]
+    python tools/ab_build.py PARENT_ROOT CHANGE_ROOT [--n N] [--reps R] [--seed S] [--ops | --locate]
 
 Loads the `pdawg` package from each root's `src` under a name of its own,
 builds the four text families of CHANGE_ROOT's `bench/families.py` (length N,
@@ -16,12 +16,21 @@ executes in frames of its own `pdawg` package, through `sys.settrace` opcode
 events, per symbol for `build_online` and `build_occurrence_index` and per
 pattern for `p_match_query` and `locate` on the PATTERNS patterns of
 `families.patterns`.  A count is the same on every run under one interpreter,
-unlike a time, but differs between Python versions.
+unlike a time, but differs between Python versions.  It sees only bytecode,
+not the C code a call such as `list.sort` runs.
+
+With --locate it times `locate` instead: each side builds its own occurrence
+index, then locates the LOCATE_PATTERNS patterns of `families.patterns`, one
+pass in the same order, each pattern a fresh `PString` on both sides, timed
+in interleaved pairs that alternate which side goes first.  It exits 1 unless
+every answer agrees, and prints per family each side's p50 and p99 in µs and
+their ratio (change over parent).  A class that the list reaches again is
+located again, as in a long-lived process.
 
 Standard library only.  Run a checkout against itself to check the script:
-`python tools/ab_build.py . . --n 2000 --reps 3`, and
+`python tools/ab_build.py . . --n 2000 --reps 3`,
 `python tools/ab_build.py . . --n 2000 --ops`, which gives both sides equal
-counts.
+counts, and `python tools/ab_build.py . . --n 2000 --locate`.
 """
 
 from __future__ import annotations
@@ -32,15 +41,19 @@ import importlib.util
 import random
 import sys
 from pathlib import Path
-from statistics import median
+from statistics import median, quantiles
 from time import perf_counter
 
 COUNTERS = ("redirected_secondary_edges", "suffix_links_deleted", "climb_visits", "redirections")
 PATTERNS = 200  # patterns per family whose walks --ops counts
+LOCATE_PATTERNS = 20_000  # patterns per family that --locate times, as the bench's pool
 
 
 def load(name: str, path: Path):
-    """Import the module or package at `path` as `name`."""
+    """Import the module or package at `path` as `name`, dropping any
+    submodule left from an earlier load under that name."""
+    for key in [k for k in sys.modules if k.startswith(name + ".")]:
+        del sys.modules[key]
     if path.is_dir():
         spec = importlib.util.spec_from_file_location(
             name, path / "__init__.py", submodule_search_locations=[str(path)]
@@ -122,6 +135,33 @@ def side_ops(pd, pv, windows) -> dict[str, float]:
     }
 
 
+def timed_locates(sides, builds, pvs, windows) -> tuple[int, list[list[float]]]:
+    """Each side's `locate` of every window on its own occurrence index, in
+    interleaved pairs: the number of windows whose answers differ, and each
+    side's times in µs."""
+    idxs = [pd.build_occurrence_index(g) for pd, (g, _stats) in zip(sides, builds)]
+    times: list[list[float]] = [[], []]
+    differ = 0
+    gc.collect()
+    for q, (w, _end) in enumerate(windows):
+        # the windows alternate hit and mostly miss, so the side that goes
+        # first flips every second window, for hits and misses alike
+        order = (0, 1) if q // 2 % 2 == 0 else (1, 0)
+        ends = [(), ()]
+        for side in order:
+            locate, p = sides[side].locate, sides[side].PString(w, pvs[side].alphabet)
+            t0 = perf_counter()
+            ends[side] = locate(idxs[side], p)
+            times[side].append((perf_counter() - t0) * 1e6)
+        differ += ends[0] != ends[1]
+    return differ, times
+
+
+def p50_p99(times: list[float]) -> tuple[float, float]:
+    cuts = quantiles(times, n=100, method="inclusive")
+    return cuts[49], cuts[98]
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="root of the parent checkout")
@@ -129,8 +169,11 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--n", type=int, default=10_000, help="text length (default 10000)")
     ap.add_argument("--reps", type=int, default=41, help="timed pairs per family (default 41)")
     ap.add_argument("--seed", type=int, default=1, help="family seed (default 1)")
-    ap.add_argument("--ops", action="store_true",
-                    help="count bytecode instructions instead of timing (ignores --reps)")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--ops", action="store_true",
+                      help="count bytecode instructions instead of timing (ignores --reps)")
+    mode.add_argument("--locate", action="store_true",
+                      help="time locate instead of the build (ignores --reps)")
     args = ap.parse_args(argv)
     if args.n < 1 or args.reps < 1:
         ap.error("--n and --reps must be positive")
@@ -143,15 +186,31 @@ def main(argv: list[str] | None = None) -> int:
     if args.ops:
         print(f"n={args.n} seed={args.seed} patterns={PATTERNS}  (bytecode instructions)")
         print(f"{'family':<10} {'count':<22} {'parent':>9} {'change':>9} {'ratio':>7}")
+    elif args.locate:
+        print(f"n={args.n} seed={args.seed} patterns={LOCATE_PATTERNS}  (µs per locate)")
+        print(f"{'family':<10} {'parent p50':>10} {'change p50':>10}"
+              f" {'parent p99':>10} {'change p99':>10} {'ratio p99':>9}")
     else:
         print(f"n={args.n} seed={args.seed} reps={args.reps}  (µs/sym, median)")
         print(f"{'family':<10} {'parent':>8} {'change':>8} {'ratio':>7} {'wins':>7}")
     for family, make in families.FAMILIES.items():
         symbols, sigma = make(random.Random(args.seed), args.n)
         pvs = [pd.PString(symbols, pd.Alphabet.from_text(symbols, sigma)).prev() for pd in sides]
-        if arrays(*sides[0].build_online(pvs[0])) != arrays(*sides[1].build_online(pvs[1])):
+        builds = [pd.build_online(pv) for pd, pv in zip(sides, pvs)]
+        if arrays(*builds[0]) != arrays(*builds[1]):
             print(f"{family}: the two builds differ")
             failed = True
+            continue
+        if args.locate:
+            windows = families.patterns(random.Random(args.seed), symbols, LOCATE_PATTERNS)
+            differ, times = timed_locates(sides, builds, pvs, windows)
+            if differ:
+                print(f"{family}: {differ} of {len(windows)} answers differ")
+                failed = True
+                continue
+            (p50a, p99a), (p50b, p99b) = map(p50_p99, times)
+            print(f"{family:<10} {p50a:10.1f} {p50b:10.1f} {p99a:10.1f} {p99b:10.1f}"
+                  f" {p99b / p99a:9.3f}")
             continue
         if args.ops:
             windows = families.patterns(random.Random(args.seed), symbols, PATTERNS)
