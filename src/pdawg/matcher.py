@@ -14,14 +14,22 @@ exactly the prefixes of the text whose class sits in that node's subtree of
 the (reversed) suffix-link tree.  Counting those prefixes per subtree gives
 every node a contiguous block of a position array, with no tree walk:
 parents are placed before their children, by length.  The block is in tree
-order, so `locate` sorts it; the index keeps each sorted answer, up to n + 1
-cached positions in all, so a class located again costs one dict lookup.
+order, so `locate` sorts it; the index keeps each sorted answer of two or
+more ends while the kept answers, each charged its ends and a fixed cost,
+fit in as many pointer slots as the index's own three arrays hold, so a
+class located again costs one dict lookup.
 """
 
 from __future__ import annotations
 
 from .pstrings import PString, PvString, pattern_codes
 from .pdawg import Pdawg, _zero_target
+
+# What keeping one answer costs beyond its ends, in pointer slots: the
+# tuple's header, 5 slots with the collector's links (`sys.getsizeof(())` is
+# 40 bytes on 64-bit CPython), and its dict entry's hash, key and value, 3.
+# The dict's index and spare entries add about 1-4 more per answer.
+KEPT_ANSWER_SLOTS = 8
 
 
 def _walk(g: Pdawg, p: PString | PvString) -> int | None:
@@ -92,12 +100,14 @@ class OccurrenceIndex:
     `enter[u]`, then one block per child, so it lists exactly the prefixes
     in u's subtree.
 
-    `located` maps a node to its block sorted, as `locate` returned it.  An
-    answer is kept only while the kept answers hold at most
-    `len(positions)` (n + 1) positions in all, so the cache at most doubles
-    the index; `room` is what is left.  Nothing is evicted.  Nothing is
-    locked either: threads sharing an index get right answers, but may
-    overshoot the bound."""
+    `located` maps a node to its block sorted, as `locate` returned it.
+    `room` starts as the pointer slots of `positions`, `enter` and `leave`
+    (n + 1 + 2N for N nodes, about 4n), and each kept answer spends its
+    length plus `KEPT_ANSWER_SLOTS`, so the cache at most about doubles the
+    index in bytes.  An answer with one end is never kept: a one-element
+    slice rebuilds it.  Nothing is evicted.  Nothing is locked either:
+    threads sharing an index get right answers, but may overshoot the
+    bound."""
 
     __slots__ = ("g", "enter", "leave", "positions", "located", "room")
 
@@ -132,7 +142,7 @@ class OccurrenceIndex:
             positions[enter[u]] = i
         self.positions = positions
         self.located: dict[int, tuple[int, ...]] = {}
-        self.room = len(positions)
+        self.room = len(positions) + len(enter) + len(leave)
 
 
 def build_occurrence_index(g: Pdawg) -> OccurrenceIndex:
@@ -146,8 +156,8 @@ def locate(idx: OccurrenceIndex, p: PString | PvString) -> tuple[int, ...]:
     including before the first symbol), and that answer is never cached.  A
     `PString` is prev-encoded as it is walked, and the walk stops at the
     first missing transition.  The first locate of a class sorts its block
-    and keeps the answer while `idx.room` allows; a later one returns the
-    same tuple, so answers may be shared between calls.
+    and keeps an answer of two or more ends while `idx.room` allows; a later
+    one returns the same tuple, so answers may be shared between calls.
     """
     u = _walk(idx.g, p)
     if u is None:
@@ -159,7 +169,8 @@ def locate(idx: OccurrenceIndex, p: PString | PvString) -> tuple[int, ...]:
         block = idx.positions[idx.enter[u] : idx.leave[u]]
         block.sort()
         ends = tuple(block)
-        if len(ends) <= idx.room:
-            idx.room -= len(ends)
+        cost = len(ends) + KEPT_ANSWER_SLOTS
+        if len(ends) > 1 and cost <= idx.room:
+            idx.room -= cost
             idx.located[u] = ends
     return ends

@@ -1,6 +1,7 @@
 """Existence queries and end-position reporting over the finished index."""
 
 import random
+import sys
 
 import pytest
 
@@ -13,7 +14,7 @@ from pdawg import (
     locate,
     p_match_query,
 )
-from pdawg.matcher import _walk
+from pdawg.matcher import KEPT_ANSWER_SLOTS, _walk
 from pdawg.oracles import rpos
 from pdawg.verify import check_matching, separation_text
 
@@ -214,35 +215,58 @@ def _sorted_block(idx, p):
     return () if u is None else tuple(sorted(idx.positions[idx.enter[u] : idx.leave[u]]))
 
 
-def _cached_positions(idx):
-    return sum(map(len, idx.located.values()))
+def _slots(idx):
+    """The room a fresh index starts with: the pointer slots of its arrays."""
+    return len(idx.positions) + len(idx.enter) + len(idx.leave)
+
+
+def _charged(idx):
+    return sum(len(ends) + KEPT_ANSWER_SLOTS for ends in idx.located.values())
+
+
+def _kept_as_replayed(idx, answers):
+    """The cache and room that first-come keeping of `answers`, (node,
+    answer) pairs, leaves on a fresh index of `idx`'s automaton."""
+    located, room = {}, _slots(idx)
+    for u, ends in answers:
+        cost = len(ends) + KEPT_ANSWER_SLOTS
+        if u not in located and len(ends) > 1 and cost <= room:
+            located[u], room = ends, room - cost
+    return located, room
+
+
+def _bench_index(bench_families, family, n=2000):
+    symbols, sigma = getattr(bench_families, family)(random.Random(1), n)
+    alphabet = Alphabet.from_text(symbols, sigma)
+    pv = PString(symbols, alphabet).prev()
+    g, _ = build_online(pv)
+    return symbols, alphabet, pv, g, build_occurrence_index(g)
+
+
+BENCH_FAMILIES = ["code_text", "random_text", "separation_text", "extremal_text"]
 
 
 class TestLocateCache:
-    """`locate` keeps each class's sorted answer while the kept answers hold
-    at most n + 1 positions; a kept answer is the one a fresh sort gives."""
+    """`locate` keeps each class's sorted answer of two or more ends while
+    the kept answers, each charged its length plus `KEPT_ANSWER_SLOTS`, fit
+    in the pointer slots of the index's three arrays; a kept answer is the
+    one a fresh sort gives."""
 
-    @pytest.mark.parametrize(
-        "family", ["code_text", "random_text", "separation_text", "extremal_text"]
-    )
+    @pytest.mark.parametrize("family", BENCH_FAMILIES)
     def test_cold_and_warm_answers_equal_a_fresh_sort(self, bench_families, family):
-        symbols, sigma = getattr(bench_families, family)(random.Random(1), 2000)
-        alphabet = Alphabet.from_text(symbols, sigma)
-        pv = PString(symbols, alphabet).prev()
-        g, _ = build_online(pv)
-        idx = build_occurrence_index(g)
+        symbols, alphabet, pv, g, idx = _bench_index(bench_families, family)
         windows = bench_families.patterns(random.Random(7), symbols, 600)
         cold = [locate(idx, PString(w, alphabet)) for w, _end in windows]
         kept = dict(idx.located)
         warm = [locate(idx, PString(w, alphabet)) for w, _end in windows]
         assert kept and idx.located == kept  # the warm pass caches nothing new
-        assert _cached_positions(idx) + idx.room == len(idx.positions)
-        assert idx.room >= 0
-        for (w, end), c, h in zip(windows, cold, warm):
+        nodes = [_walk(g, PString(w, alphabet)) for w, _end in windows]
+        assert (kept, idx.room) == _kept_as_replayed(idx, zip(nodes, cold))
+        assert _charged(idx) + idx.room == _slots(idx) and idx.room >= 0
+        for (w, end), u, c, h in zip(windows, nodes, cold, warm):
             p = PString(w, alphabet)
             assert c == h == _sorted_block(idx, p), w
             assert end is None or end in c, w
-            u = _walk(g, p)
             if u in kept:
                 assert h is kept[u]
         short = [PString(w, alphabet) for w, _end in windows if len(w) <= 4][:40]
@@ -259,27 +283,67 @@ class TestLocateCache:
         for _ in range(2):  # the second pass finds the cache full
             for p in factors:
                 assert locate(idx, p) == _sorted_block(idx, p) == rpos(pv, p), str(p)
-                assert _cached_positions(idx) <= len(idx.positions)
-        reached = {_walk(g, p) for p in factors}
-        assert len(idx.located) < len(reached)  # some answers took the uncached path
-        assert idx.room < max(map(len, (rpos(pv, p) for p in factors)))
+                assert _charged(idx) + idx.room == _slots(idx) and idx.room >= 0
+        # every answer of two or more ends left on the uncached path costs
+        # more than the room left, and some were
+        refused = {
+            len(ends) + KEPT_ANSWER_SLOTS
+            for ends in map(_sorted_block, [idx] * len(factors), factors)
+            if len(ends) > 1 and ends not in idx.located.values()
+        }
+        assert refused and min(refused) > idx.room
 
     def test_the_empty_pattern_caches_nothing(self, indexed):
         g, _ = indexed
         idx = build_occurrence_index(g)
         for _ in range(2):
             assert locate(idx, _p("")) == (0, 1, 2, 3, 4, 5)
-        assert idx.located == {} and idx.room == len(idx.positions) == 6
+        # 6 positions and 7 nodes' enter and leave offsets
+        assert idx.located == {} and idx.room == _slots(idx) == 6 + 2 * 7
         assert locate(idx, _p("ax")) == (3, 5)
-        assert idx.located == {_walk(g, _p("ax")): (3, 5)} and idx.room == 4
+        assert idx.located == {_walk(g, _p("ax")): (3, 5)} and idx.room == 20 - 2 - 8
 
-    def test_an_answer_that_fills_the_room_exactly_is_kept(self, indexed):
-        g, _ = indexed
+    def test_an_answer_that_fills_the_room_exactly_is_kept(self):
+        # on x^10 the class of x^k ends at k..10, and the index holds 11
+        # positions and 11 nodes' offsets: a room of 33 slots
+        g, _ = build_online(_p("x" * 10).prev())
         idx = build_occurrence_index(g)
-        steps = [("x", (1, 3, 5), 3), ("a", (2, 4), 1), ("ax", (3, 5), 1), ("xaxay", (5,), 0)]
-        for raw, ends, room in steps:
-            assert locate(idx, _p(raw)) == ends and idx.room == room, raw
-        assert sorted(idx.located.values()) == [(1, 3, 5), (2, 4), (5,)]
+        assert idx.room == 33
+        assert locate(idx, _p("x" * 10)) == (10,)  # one end: never kept
+        assert idx.located == {} and idx.room == 33
+        steps = [(1, 15, True), (3, 15, False), (4, 0, True), (9, 0, False)]
+        for k, room, kept in steps:  # x^k costs its 11 - k ends and 8 slots
+            ends = locate(idx, _p("x" * k))
+            assert ends == tuple(range(k, 11)) and idx.room == room, k
+            assert (idx.located.get(_walk(g, _p("x" * k))) is ends) == kept, k
+        assert sorted(idx.located.values()) == [tuple(range(1, 11)), tuple(range(4, 11))]
+
+    def test_one_end_answers_leave_the_room_to_a_heavy_class(self, bench_families):
+        # every window of length 30 of a random text ends once; kept first
+        # come, such answers would fill the room before a heavy class came
+        symbols, alphabet, _pv, g, idx = _bench_index(bench_families, "random_text")
+        for i in range(len(symbols) - 29):
+            assert locate(idx, PString(symbols[i : i + 30], alphabet))
+        heavy = PString(["w", "x"], alphabet)
+        first = locate(idx, heavy)
+        assert len(first) > 100 and locate(idx, heavy) is first
+        assert all(len(ends) > 1 for ends in idx.located.values())
+
+    @pytest.mark.parametrize("order", ["shortest-first", "shuffled"])
+    @pytest.mark.parametrize("family", BENCH_FAMILIES)
+    def test_kept_answers_stay_within_the_index_bytes(self, bench_families, family, order):
+        # one pattern per node, its longest string, fills the cache as far
+        # as it can go; measured in bytes, it stays near the index's size
+        symbols, alphabet, _pv, g, idx = _bench_index(bench_families, family)
+        nodes = sorted(range(1, len(g.lens)), key=g.lens.__getitem__)
+        if order == "shuffled":
+            random.Random(3).shuffle(nodes)
+        for u in nodes:
+            e = min(idx.positions[idx.enter[u] : idx.leave[u]])
+            assert e in locate(idx, PString(symbols[e - g.lens[u] : e], alphabet))
+        kept = sys.getsizeof(idx.located) + sum(map(sys.getsizeof, idx.located.values()))
+        index = sum(map(sys.getsizeof, (idx.positions, idx.enter, idx.leave)))
+        assert idx.located and kept <= 1.25 * index, kept / index
 
 
 def test_exhaustive_tiny_corpus_matches_the_scan():

@@ -15,6 +15,8 @@ edge labels as spans of the text, so its memory peak stays within a
 constant factor of the online build's.
 """
 
+import json
+import platform
 import random
 import shutil
 import sys
@@ -306,7 +308,11 @@ def test_locate_timings_require_equal_answers(tmp_path, monkeypatch, capsys):
     assert ab_build.main([str(root), str(root), "--n", "300", "--locate"]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
     assert [row[0] for row in rows] == ["code", "random", "sep", "extremal"]
-    assert all(len(row) == 6 and float(row[1]) > 0 for row in rows)
+    for row in rows:
+        assert len(row) == 8 and float(row[1]) > 0
+        # each side's kept classes/positions/room, the same on both sides
+        assert row[6] == row[7] and len(row[6].split("/")) == 3
+    assert ab_build.kept(object()) == "-"  # an index of a checkout that keeps none
     broken = tmp_path / "src" / "pdawg"
     shutil.copytree(root / "src" / "pdawg", broken, ignore=shutil.ignore_patterns("__pycache__"))
     with open(broken / "matcher.py", "a") as f:
@@ -315,6 +321,40 @@ def test_locate_timings_require_equal_answers(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     for family in ("code", "random", "sep", "extremal"):
         assert f"{family}: " in out and " of 200 answers differ" in out
+
+
+def test_recorded_instruction_counts_are_checked(tmp_path, capsys):
+    # a copy of the checkout with an empty record: --check finds no entry,
+    # --record adds one that --check then matches, and an edited count fails
+    ab_build = load_repo_file("ab_build", "tools", "ab_build.py")
+    root = Path(__file__).resolve().parents[1]
+    shutil.copytree(root / "src" / "pdawg", tmp_path / "src" / "pdawg",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "bench").mkdir()
+    shutil.copy(root / "bench" / "families.py", tmp_path / "bench")
+    record = tmp_path / "BENCH_ops.json"
+    record.write_text('{"entries": []}')
+    ops = [str(root), str(tmp_path), "--n", "300", "--ops"]
+    assert ab_build.main(ops + ["--check"]) == 1
+    assert "no entry for Python" in capsys.readouterr().out
+    assert ab_build.main(ops + ["--record"]) == 0
+    assert ab_build.main(ops + ["--check"]) == 0
+    entries = json.loads(record.read_text())["entries"]
+    assert len(entries) == 1
+    entry = entries[0]
+    assert entry["commit"] == "?" and entry["python"] == platform.python_version()
+    assert (entry["n"], entry["seed"]) == (300, 1)
+    counts = entry["counts"]
+    assert list(counts) == ["code", "random", "sep", "extremal"]
+    # an entry for another Python version is not compared
+    other = {**entry, "python": "2.7.18", "counts": {"sep": {"locate/pattern": 0.0}}}
+    record.write_text(json.dumps({"entries": [entry, other]}))
+    assert ab_build.check_ops(record, 300, 1, counts)
+    capsys.readouterr()
+    counts["sep"]["locate/pattern"] += 1
+    record.write_text(json.dumps({"entries": [entry]}))
+    assert ab_build.main(ops + ["--check"]) == 1
+    assert "sep locate/pattern: " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("family", PINNED_COUNTS)

@@ -1,6 +1,7 @@
 """In-process A/B of `build_online`, or of `locate`, between two checkouts.
 
-    python tools/ab_build.py PARENT_ROOT CHANGE_ROOT [--n N] [--reps R] [--seed S] [--ops | --locate]
+    python tools/ab_build.py PARENT_ROOT CHANGE_ROOT [--n N] [--reps R] [--seed S]
+                             [--ops [--record | --check] | --locate]
 
 Loads the `pdawg` package from each root's `src` under a name of its own,
 builds the four text families of CHANGE_ROOT's `bench/families.py` (length N,
@@ -17,15 +18,21 @@ events, per symbol for `build_online` and `build_occurrence_index` and per
 pattern for `p_match_query` and `locate` on the PATTERNS patterns of
 `families.patterns`.  A count is the same on every run under one interpreter,
 unlike a time, but differs between Python versions.  It sees only bytecode,
-not the C code a call such as `list.sort` runs.
+not the C code a call such as `list.sort` runs.  `--record` appends
+CHANGE_ROOT's counts to its `BENCH_ops.json` as an entry naming the commit
+(with a `+` when `src` has uncommitted changes), the Python version, N and S.
+`--check` exits 1 unless CHANGE_ROOT's counts equal those of the last entry
+for the running Python minor version, N and S.
 
 With --locate it times `locate` instead: each side builds its own occurrence
 index, then locates the LOCATE_PATTERNS patterns of `families.patterns`, one
 pass in the same order, each pattern a fresh `PString` on both sides, timed
 in interleaved pairs that alternate which side goes first.  It exits 1 unless
-every answer agrees, and prints per family each side's p50 and p99 in µs and
-their ratio (change over parent).  A class that the list reaches again is
-located again, as in a long-lived process.
+every answer agrees, and prints per family each side's p50 and p99 in µs,
+their ratio (change over parent) and, after the pass, what each side's
+index keeps: classes/positions/room left, or `-` for an index that keeps
+no answers.  A class that the list reaches again is located again, as in a
+long-lived process.
 
 Standard library only.  Run a checkout against itself to check the script:
 `python tools/ab_build.py . . --n 2000 --reps 3`,
@@ -38,7 +45,10 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib.util
+import json
+import platform
 import random
+import subprocess
 import sys
 from pathlib import Path
 from statistics import median, quantiles
@@ -135,10 +145,10 @@ def side_ops(pd, pv, windows) -> dict[str, float]:
     }
 
 
-def timed_locates(sides, builds, pvs, windows) -> tuple[int, list[list[float]]]:
+def timed_locates(sides, builds, pvs, windows) -> tuple[int, list[list[float]], list[str]]:
     """Each side's `locate` of every window on its own occurrence index, in
-    interleaved pairs: the number of windows whose answers differ, and each
-    side's times in µs."""
+    interleaved pairs: the number of windows whose answers differ, each
+    side's times in µs, and what each side's index keeps after the pass."""
     idxs = [pd.build_occurrence_index(g) for pd, (g, _stats) in zip(sides, builds)]
     times: list[list[float]] = [[], []]
     differ = 0
@@ -154,7 +164,63 @@ def timed_locates(sides, builds, pvs, windows) -> tuple[int, list[list[float]]]:
             ends[side] = locate(idxs[side], p)
             times[side].append((perf_counter() - t0) * 1e6)
         differ += ends[0] != ends[1]
-    return differ, times
+    return differ, times, [kept(idx) for idx in idxs]
+
+
+def kept(idx) -> str:
+    """What an occurrence index keeps of its answers: classes, positions
+    and room left, or `-` for an index that keeps none."""
+    located = getattr(idx, "located", None)
+    if located is None:
+        return "-"
+    return f"{len(located)}/{sum(map(len, located.values()))}/{idx.room}"
+
+
+def commit(root: Path) -> str:
+    """The checkout's commit, with a `+` when its `src` has uncommitted
+    changes, or `?` outside a git checkout."""
+    git = ["git", "-C", str(root)]
+    try:
+        head = subprocess.run([*git, "rev-parse", "--short", "HEAD"], capture_output=True, text=True)
+        if head.returncode:
+            return "?"
+        status = subprocess.run([*git, "status", "--porcelain", "--", "src"],
+                                capture_output=True, text=True)
+    except OSError:
+        return "?"
+    return head.stdout.strip() + ("+" if status.stdout.strip() else "")
+
+
+def record_ops(path: Path, root: Path, n: int, seed: int,
+               counts: dict[str, dict[str, float]]) -> str:
+    """Append the counts of the checkout at `root` to the record at `path`;
+    returns the commit the entry names."""
+    record = json.loads(path.read_text())
+    entry = {"commit": commit(root), "python": platform.python_version(),
+             "n": n, "seed": seed, "counts": counts}
+    record["entries"].append(entry)
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    return entry["commit"]
+
+
+def check_ops(path: Path, n: int, seed: int, counts: dict[str, dict[str, float]]) -> bool:
+    """True iff `counts` equal those of the last entry of the record at
+    `path` for the running Python minor version, n and seed; the counts an
+    entry leaves out are not compared.  Prints what differs."""
+    minor = sys.version_info[:2]
+    entries = [e for e in json.loads(path.read_text())["entries"]
+               if tuple(map(int, e["python"].split(".")[:2])) == minor
+               and (e["n"], e["seed"]) == (n, seed)]
+    if not entries:
+        print(f"{path.name}: no entry for Python {minor[0]}.{minor[1]}, n={n}, seed={seed}")
+        return False
+    last = entries[-1]
+    differ = [(family, what, value, counts[family][what])
+              for family, recorded in last["counts"].items()
+              for what, value in recorded.items() if counts[family][what] != value]
+    for family, what, value, now in differ:
+        print(f"{family} {what}: {now} here, {value} in {path.name} at {last['commit']}")
+    return not differ
 
 
 def p50_p99(times: list[float]) -> tuple[float, float]:
@@ -174,22 +240,32 @@ def main(argv: list[str] | None = None) -> int:
                       help="count bytecode instructions instead of timing (ignores --reps)")
     mode.add_argument("--locate", action="store_true",
                       help="time locate instead of the build (ignores --reps)")
+    record = ap.add_mutually_exclusive_group()
+    record.add_argument("--record", action="store_true",
+                        help="with --ops, append the change's counts to its BENCH_ops.json")
+    record.add_argument("--check", action="store_true",
+                        help="with --ops, exit 1 unless the change's counts equal the last"
+                             " BENCH_ops.json entry for this Python minor version")
     args = ap.parse_args(argv)
     if args.n < 1 or args.reps < 1:
         ap.error("--n and --reps must be positive")
+    if (args.record or args.check) and not args.ops:
+        ap.error("--record and --check need --ops")
 
     sides = [load(f"pdawg_{tag}", root.resolve() / "src" / "pdawg")
              for tag, root in (("parent", args.parent), ("change", args.change))]
     families = load("ab_families", args.change.resolve() / "bench" / "families.py")
 
     failed = False
+    change_counts: dict[str, dict[str, float]] = {}
     if args.ops:
         print(f"n={args.n} seed={args.seed} patterns={PATTERNS}  (bytecode instructions)")
         print(f"{'family':<10} {'count':<22} {'parent':>9} {'change':>9} {'ratio':>7}")
     elif args.locate:
         print(f"n={args.n} seed={args.seed} patterns={LOCATE_PATTERNS}  (µs per locate)")
         print(f"{'family':<10} {'parent p50':>10} {'change p50':>10}"
-              f" {'parent p99':>10} {'change p99':>10} {'ratio p99':>9}")
+              f" {'parent p99':>10} {'change p99':>10} {'ratio p99':>9}"
+              f" {'parent kept':>17} {'change kept':>17}")
     else:
         print(f"n={args.n} seed={args.seed} reps={args.reps}  (µs/sym, median)")
         print(f"{'family':<10} {'parent':>8} {'change':>8} {'ratio':>7} {'wins':>7}")
@@ -203,18 +279,19 @@ def main(argv: list[str] | None = None) -> int:
             continue
         if args.locate:
             windows = families.patterns(random.Random(args.seed), symbols, LOCATE_PATTERNS)
-            differ, times = timed_locates(sides, builds, pvs, windows)
+            differ, times, keeps = timed_locates(sides, builds, pvs, windows)
             if differ:
                 print(f"{family}: {differ} of {len(windows)} answers differ")
                 failed = True
                 continue
             (p50a, p99a), (p50b, p99b) = map(p50_p99, times)
             print(f"{family:<10} {p50a:10.1f} {p50b:10.1f} {p99a:10.1f} {p99b:10.1f}"
-                  f" {p99b / p99a:9.3f}")
+                  f" {p99b / p99a:9.3f} {keeps[0]:>17} {keeps[1]:>17}")
             continue
         if args.ops:
             windows = families.patterns(random.Random(args.seed), symbols, PATTERNS)
             counts = [side_ops(pd, pv, windows) for pd, pv in zip(sides, pvs)]
+            change_counts[family] = counts[1]
             for what, parent in counts[0].items():
                 change = counts[1][what]
                 print(f"{family:<10} {what:<22} {parent:9.1f} {change:9.1f}"
@@ -232,6 +309,12 @@ def main(argv: list[str] | None = None) -> int:
         parent, change = (median(t) / len(symbols) * 1e6 for t in times)
         print(f"{family:<10} {parent:8.3f} {change:8.3f} {change / parent:7.3f}"
               f" {wins:>3}/{args.reps:<3}")
+    record_path = args.change.resolve() / "BENCH_ops.json"
+    if args.check and not failed:
+        failed = not check_ops(record_path, args.n, args.seed, change_counts)
+    if args.record and not failed:
+        at = record_ops(record_path, args.change, args.n, args.seed, change_counts)
+        print(f"recorded in {record_path.name} as {at}")
     return 1 if failed else 0
 
 
