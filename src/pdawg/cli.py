@@ -11,7 +11,6 @@ import argparse
 import itertools
 import json
 import os
-import random
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn
@@ -32,7 +31,6 @@ from .pstrings import (
     Alphabet,
     AlphabetError,
     PString,
-    PvString,
     _re_encode_codes,
     format_codes,
     label_sort_key,
@@ -303,42 +301,6 @@ def cmd_dot(indexfile, structure, out):
 # selftest
 
 
-def _minimize(raw: str, still_fails) -> str:
-    """Greedily delete symbols while the predicate keeps failing."""
-    cur = raw
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(cur)):
-            cand = cur[:i] + cur[i + 1 :]
-            if cand and still_fails(cand):
-                cur = cand
-                changed = True
-                break
-    return cur
-
-
-def _exhaustive_texts(sigma: str, pi: str, max_len: int):
-    alpha = sigma + pi
-    for ln in range(1, max_len + 1):
-        for tup in itertools.product(alpha, repeat=ln):
-            yield "".join(tup)
-
-
-def _random_texts(rng: random.Random, sigma: str, pi: str, count: int, max_len: int):
-    alpha = sigma + pi
-    for _ in range(count):
-        n = rng.randint(1, max_len)
-        yield "".join(rng.choice(alpha) for _ in range(n))
-
-
-def _pstring(raw: str, sigma: str) -> PString:
-    return PString(raw, Alphabet.from_text(raw, set(sigma)))
-
-
-SUITES = ("encodings", "pdawg", "matching", "duality", "rtl", "bounds")
-
-
 def cmd_selftest(max_len, seed, suites):
     """Cross-check the fast structures against brute-force oracles.
 
@@ -346,63 +308,16 @@ def cmd_selftest(max_len, seed, suites):
     """
     from . import verify  # the cross-checks, which no other command needs
 
-    chosen = [s.strip() for s in suites.split(",") if s.strip()]
-    if not chosen:
-        raise UsageError("no suite selected")
-    unknown = [s for s in chosen if s not in SUITES]
-    if unknown:
-        raise UsageError(f"unknown suites: {unknown}")
-
-    def run_texts(name: str, texts, check) -> int:
-        def detail_of(raw: str) -> str | None:
-            return check(_pstring(raw, "ab").prev())
-
-        count = 0
-        for raw in texts:
-            count += 1
-            detail = detail_of(raw)
-            if detail is not None:
-                witness = _minimize(raw, lambda r: detail_of(r) is not None)
-                print(
-                    json.dumps(
-                        {
-                            "suite": name,
-                            "witness": witness,
-                            "detail": detail_of(witness) or detail,
-                        }
-                    )
-                )
-                sys.exit(EXIT_PROPERTY)
-        return count
-
-    rng = random.Random(seed)
-
-    def check_matching_sampled(pv: PvString) -> str | None:
-        patterns = _random_texts(rng, "ab", "xyz", 20, len(pv) + 2)
-        return verify.check_matching(pv) or verify.check_matching(
-            pv, [_pstring(r, "ab").prev() for r in patterns]
-        )
-
-    checks = {
-        "encodings": verify.check_encodings,
-        "pdawg": verify.check_pdawg,
-        "matching": check_matching_sampled,
-        "duality": verify.check_duality,
-        "rtl": verify.check_rtl,
-    }
-    for name in chosen:
-        if name == "bounds":
-            detail = verify.check_bounds(max_k=6, max_n=max(12, 4 * max_len))
-            if detail is not None:
-                print(json.dumps({"suite": name, "witness": None, "detail": detail}))
-                sys.exit(EXIT_PROPERTY)
-            print("suite=bounds ok")
-            continue
-        exhaustive_len = max_len if name in ("encodings", "pdawg") else min(max_len, 5)
-        texts = list(_exhaustive_texts("a", "xy", exhaustive_len))
-        texts += list(_random_texts(rng, "ab", "xyz", 40, 3 * max_len))
-        count = run_texts(name, texts, checks[name])
-        print(f"suite={name} ok ({count} texts)")
+    names = None if suites is None else [s.strip() for s in suites.split(",") if s.strip()]
+    try:
+        results = verify.selftest(names, max_len, seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    for name, count, failure in results:
+        if failure is not None:
+            print(json.dumps(failure))
+            sys.exit(EXIT_PROPERTY)
+        print(f"suite={name} ok" if count is None else f"suite={name} ok ({count} texts)")
     print("all selected suites passed")
 
 
@@ -429,16 +344,6 @@ def _readable_file(path: str) -> str:
     if not os.access(path, os.R_OK):
         raise argparse.ArgumentTypeError(f"file {path!r} is not readable")
     return path
-
-
-def _positive_int(value: str) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{n} is below 1")
-    return n
 
 
 VALUE_OPTIONS = frozenset(
@@ -505,9 +410,9 @@ def _parser() -> argparse.ArgumentParser:
     dot.add_argument("--out", metavar="FILE", help="Write DOT here instead of stdout.")
 
     selftest = command("selftest", cmd_selftest)
-    selftest.add_argument("--max-len", metavar="N", type=_positive_int, default=6, help="Exhaustive-case length budget (default: 6).")
+    selftest.add_argument("--max-len", metavar="N", type=int, default=6, help="Exhaustive-case length budget (default: 6).")
     selftest.add_argument("--seed", metavar="S", type=int, default=0, help="Random generator seed (default: 0).")
-    selftest.add_argument("--suites", metavar="NAMES", default=",".join(SUITES), help=f"Comma-separated suite names (default: {','.join(SUITES)}).")
+    selftest.add_argument("--suites", metavar="NAMES", help="Comma-separated suite names (default: every suite).")
     return parser
 
 

@@ -7,12 +7,19 @@ comparisons they share live here too: `canonical_form` of an automaton
 (keyed by `node_longest_codes`) and `verify_duality`, the four-point
 correspondence between an automaton and the suffix tree of its reversed
 text, which follows the same contract.
+
+`selftest` is the driver behind `pdawg selftest`: it owns the suite names
+(`SUITES`), builds each suite's seeded corpus, runs its check and shrinks a
+failing text to a minimal witness.  It yields results and neither prints
+nor exits; the command prints them.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .duality import (
     PSTree,
@@ -300,3 +307,83 @@ def check_bounds(max_k: int, max_n: int) -> str | None:
         if g.edge_count() != 3 * n - 4:
             return f"a·b^{n - 2}·c misses the edge-count ceiling"
     return None
+
+
+SUITES = ("encodings", "pdawg", "matching", "duality", "rtl", "bounds")
+
+
+def _minimize(raw: str, still_fails) -> str:
+    """Delete the first symbol whose deletion keeps the predicate failing,
+    and start over, until no deletion does."""
+    i = 0
+    while i < len(raw):
+        cand = raw[:i] + raw[i + 1 :]
+        if cand and still_fails(cand):
+            raw, i = cand, 0
+        else:
+            i += 1
+    return raw
+
+
+def _random_texts(rng: random.Random, count: int, max_len: int) -> Iterator[str]:
+    for _ in range(count):
+        yield "".join(rng.choice("abxyz") for _ in range(rng.randint(1, max_len)))
+
+
+def _prev(raw: str) -> PvString:
+    """raw prev-encoded, with a and b static and every other symbol a parameter."""
+    return PString(raw, Alphabet.from_text(raw, "ab")).prev()
+
+
+def selftest(
+    names: list[str] | None, max_len: int, seed: int
+) -> Iterator[tuple[str, int | None, dict | None]]:
+    """Run the named suites (None: all of `SUITES`) in order, yielding
+    (name, texts checked or None, failure or None) for each, and stop after
+    the first failure: a dict of the suite, the minimized witness text and
+    its detail.  An empty or unknown selection, or a `max_len` below 1,
+    raises ValueError here, before any suite runs.
+
+    A per-text suite runs `check_<name>`, looked up when the suite runs, on
+    every text over a/xy up to the exhaustive length, then on 40 random
+    texts over ab/xyz; `matching` also asks 20 random patterns of each text
+    whose factors all matched.  `bounds` checks the size bounds once and
+    counts no texts.
+    """
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, not {max_len}")
+    chosen = SUITES if names is None else names
+    if not chosen:
+        raise ValueError("no suite selected")
+    unknown = [s for s in chosen if s not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suites: {unknown}")
+    return _run_suites(chosen, max_len, random.Random(seed))
+
+
+def _run_suites(names: list[str], max_len: int, rng: random.Random):
+    def check_matching_sampled(pv: PvString) -> str | None:
+        # the patterns are drawn only once every factor has matched
+        patterns = _random_texts(rng, 20, len(pv) + 2)
+        return check_matching(pv) or check_matching(pv, [_prev(r) for r in patterns])
+
+    for name in names:
+        count, witness = None, None
+        if name == "bounds":
+            detail = check_bounds(max_k=6, max_n=max(12, 4 * max_len))
+        else:
+            check = check_matching_sampled if name == "matching" else globals()[f"check_{name}"]
+            exhaustive_len = max_len if name in ("encodings", "pdawg") else min(max_len, 5)
+            lengths = range(1, exhaustive_len + 1)
+            texts = ["".join(t) for ln in lengths for t in itertools.product("axy", repeat=ln)]
+            texts += _random_texts(rng, 40, 3 * max_len)
+            for count, raw in enumerate(texts, 1):
+                detail = check(_prev(raw))
+                if detail is not None:
+                    witness = _minimize(raw, lambda r: check(_prev(r)) is not None)
+                    detail = check(_prev(witness)) or detail
+                    break
+        failure = None if detail is None else {"suite": name, "witness": witness, "detail": detail}
+        yield name, count, failure
+        if failure is not None:
+            return

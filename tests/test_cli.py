@@ -2,6 +2,7 @@
 self-verification suites, and the exit-code contract."""
 
 import argparse
+import hashlib
 import json
 import random
 import subprocess
@@ -822,12 +823,70 @@ class TestArguments:
         assert runner.invoke(main, ["query", index, "-y"]).exit_code == 2
 
 
+def _arg_key(arg):
+    """A check's argument as plain data: a pv-string as its codes and its
+    alphabet, a pattern list as the list of those."""
+    if isinstance(arg, PvString):
+        return arg.codes, repr(arg.alphabet)
+    if isinstance(arg, list):
+        return [_arg_key(a) for a in arg]
+    return arg
+
+
+def _fails_on_b_in_factors(check):
+    """`check_matching` that fails over the factors of any text holding a b,
+    so the sampled patterns are drawn only for the minimizer's candidates
+    that hold none."""
+
+    def check_matching(pv, patterns=None):
+        if patterns is None and "b" in str(pv):
+            return "b in the text"
+        return check(pv, patterns)
+
+    return check_matching
+
+
+# sha256 of the recorded (check, arguments) calls of `selftest --max-len 4
+# --seed 7`, taken before the driver moved from `pdawg.cli` to
+# `pdawg.verify`: with every check passing, and with the matching check
+# failing over the factors of a text that holds a b, so the run stops at the
+# first such random text and minimizes it.  The second run tells drawing the
+# matching patterns lazily from drawing them before the factors are checked.
+CORPUS_DIGESTS = {
+    "passing": "7e168a2781b7f7190a03ff5371deb045ed1cd9dc52a11be4c3ff6fb9176dfe66",
+    "matching fails": "50ebde63c8f8fc9e898de8a6815ac438694fbdae020a178dbd7a15531baeef9a",
+}
+
+
 class TestSelftest:
     def test_all_suites_pass_on_a_small_budget(self, runner):
         result = runner.invoke(main, ["selftest", "--max-len", "4", "--seed", "7"])
         assert result.exit_code == 0, result.output
-        for name in ("encodings", "pdawg", "matching", "duality", "rtl", "bounds"):
-            assert f"suite={name} ok" in result.output
+        # byte for byte, so a changed text count shows
+        assert result.stdout_bytes == (GOLDEN / "selftest.max-len4.seed7.txt").read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(CORPUS_DIGESTS))
+    def test_corpus_and_draw_order_are_pinned(self, runner, monkeypatch, case):
+        names = [
+            name
+            for name, f in vars(verify).items()
+            if name.startswith("check_") and getattr(f, "__module__", None) == verify.__name__
+        ]
+        if case == "matching fails":
+            monkeypatch.setattr(
+                verify, "check_matching", _fails_on_b_in_factors(verify.check_matching)
+            )
+        calls = []
+        for name in names:
+
+            def recorder(*args, _name=name, _check=getattr(verify, name), **kwargs):
+                calls.append((_name, [_arg_key(a) for a in args], sorted(kwargs.items())))
+                return _check(*args, **kwargs)
+
+            monkeypatch.setattr(verify, name, recorder)
+        result = runner.invoke(main, ["selftest", "--max-len", "4", "--seed", "7"])
+        assert result.exit_code == (case == "matching fails"), result.output
+        assert hashlib.sha256(repr(calls).encode()).hexdigest() == CORPUS_DIGESTS[case]
 
     def test_suite_selection(self, runner):
         result = runner.invoke(
@@ -839,14 +898,18 @@ class TestSelftest:
 
     def test_unknown_suite_rejected(self, runner):
         assert runner.invoke(main, ["selftest", "--suites", "nope"]).exit_code == 2
+        # the selection is checked before the known suite runs
+        result = runner.invoke(main, ["selftest", "--suites", "pdawg,nope"])
+        assert (result.exit_code, result.stdout) == (2, "")
 
-    def test_failing_check_reports_a_minimized_witness(self, runner, monkeypatch):
-        def fails_on_b(pv):
+    @pytest.mark.parametrize("suite", ["encodings", "pdawg", "matching", "duality", "rtl"])
+    def test_failing_check_reports_a_minimized_witness(self, runner, monkeypatch, suite):
+        def fails_on_b(pv, *patterns):
             return f"b among {len(pv)} symbols" if "b" in str(pv) else None
 
-        monkeypatch.setattr(verify, "check_pdawg", fails_on_b)
+        monkeypatch.setattr(verify, f"check_{suite}", fails_on_b)
         result = runner.invoke(
-            main, ["selftest", "--suites", "pdawg,encodings", "--max-len", "2"]
+            main, ["selftest", "--suites", f"{suite},bounds", "--max-len", "2"]
         )
         assert result.exit_code == 1, result.output
         # one JSON line, and the later suite never runs
@@ -854,7 +917,7 @@ class TestSelftest:
         assert len(lines) == 1, result.output
         # the detail is recomputed on the witness, which keeps only the b
         assert json.loads(lines[0]) == {
-            "suite": "pdawg",
+            "suite": suite,
             "witness": "b",
             "detail": "b among 1 symbols",
         }
