@@ -14,13 +14,20 @@ exactly the prefixes of the text whose class sits in that node's subtree of
 the (reversed) suffix-link tree.  Counting those prefixes per subtree gives
 every node a contiguous block of a position array, with no tree walk:
 parents are placed before their children, by length.  The block is in tree
-order, so `locate` sorts it; the index keeps each sorted answer of two or
-more ends while the kept answers, each charged its ends and a fixed cost,
-fit in as many pointer slots as the index's own three arrays hold, so a
-class located again costs one dict lookup.
+order, which on repetitive texts is often ascending already: the first
+`locate` of a block of two or more ends builds a run list of the position
+array, and a block within one ascending run is copied with no sort, any
+other block sorted.  The index keeps each sorted answer of two or more ends
+while the kept answers, each charged its ends and a fixed cost, fit in as
+many pointer slots as the index's own three arrays hold, so a class located
+again costs one dict lookup.
 """
 
 from __future__ import annotations
+
+from array import array
+from itertools import chain, compress, count, islice, repeat
+from operator import gt, sub
 
 from .pstrings import PString, PvString, pattern_codes
 from .pdawg import Pdawg, _zero_target
@@ -107,9 +114,15 @@ class OccurrenceIndex:
     index in bytes.  An answer with one end is never kept: a one-element
     slice rebuilds it.  Nothing is evicted.  Nothing is locked either:
     threads sharing an index get right answers, but may overshoot the
-    bound."""
+    bound.
 
-    __slots__ = ("g", "enter", "leave", "positions", "located", "room")
+    `runs[j]` is where the ascending run of `positions` that starts at j
+    ends, so a block `[a, b)` is in order iff `runs[a] >= b`.  It holds
+    n + 1 entries in an `array('q')`, 8 bytes each, and is None until the
+    first `locate` of a block with two or more ends builds it; it sits
+    outside `room`."""
+
+    __slots__ = ("g", "enter", "leave", "positions", "located", "room", "runs")
 
     def __init__(self, g: Pdawg):
         self.g = g
@@ -143,6 +156,17 @@ class OccurrenceIndex:
         self.positions = positions
         self.located: dict[int, tuple[int, ...]] = {}
         self.room = len(positions) + len(enter) + len(leave)
+        self.runs: array | None = None
+
+
+def _ascending_runs(positions: list[int]) -> array:
+    """Per index j of `positions`, the end of the ascending run from j: the
+    least k > j that is the length or has `positions[k - 1] > positions[k]`.
+    Built by C-level calls only: the run ends, then each repeated over its
+    run."""
+    ends = [*compress(count(1), map(gt, positions, islice(positions, 1, None))), len(positions)]
+    # a list first: `array` fills from a list faster than from an iterator
+    return array("q", list(chain.from_iterable(map(repeat, ends, map(sub, ends, [0, *ends])))))
 
 
 def build_occurrence_index(g: Pdawg) -> OccurrenceIndex:
@@ -155,9 +179,11 @@ def locate(idx: OccurrenceIndex, p: PString | PvString) -> tuple[int, ...]:
     The empty pattern reports every position 0..n (it ends everywhere,
     including before the first symbol), and that answer is never cached.  A
     `PString` is prev-encoded as it is walked, and the walk stops at the
-    first missing transition.  The first locate of a class sorts its block
-    and keeps an answer of two or more ends while `idx.room` allows; a later
-    one returns the same tuple, so answers may be shared between calls.
+    first missing transition.  The first locate of a class copies its block,
+    sorted unless `idx.runs` shows it in order, and keeps an answer of two
+    or more ends while `idx.room` allows; a later one returns the same
+    tuple, so answers may be shared between calls.  The first such locate
+    on an index builds `idx.runs` (n + 1 entries, outside the room).
     """
     u = _walk(idx.g, p)
     if u is None:
@@ -166,8 +192,14 @@ def locate(idx: OccurrenceIndex, p: PString | PvString) -> tuple[int, ...]:
         return tuple(range(len(idx.g.text_codes) + 1))
     ends = idx.located.get(u)
     if ends is None:
-        block = idx.positions[idx.enter[u] : idx.leave[u]]
-        block.sort()
+        a, b = idx.enter[u], idx.leave[u]
+        block = idx.positions[a:b]
+        if b - a > 1:
+            runs = idx.runs
+            if runs is None:
+                runs = idx.runs = _ascending_runs(idx.positions)
+            if runs[a] < b:
+                block.sort()
         ends = tuple(block)
         cost = len(ends) + KEPT_ANSWER_SLOTS
         if len(ends) > 1 and cost <= idx.room:

@@ -14,7 +14,7 @@ from pdawg import (
     locate,
     p_match_query,
 )
-from pdawg.matcher import KEPT_ANSWER_SLOTS, _walk
+from pdawg.matcher import KEPT_ANSWER_SLOTS, _ascending_runs, _walk
 from pdawg.oracles import rpos
 from pdawg.verify import check_matching, separation_text
 
@@ -344,6 +344,105 @@ class TestLocateCache:
         kept = sys.getsizeof(idx.located) + sum(map(sys.getsizeof, idx.located.values()))
         index = sum(map(sys.getsizeof, (idx.positions, idx.enter, idx.leave)))
         assert idx.located and kept <= 1.25 * index, kept / index
+
+
+def _runs_by_scan(positions):
+    """Per index j, where the ascending run of `positions` from j ends."""
+    runs = []
+    for j in range(len(positions)):
+        k = j + 1
+        while k < len(positions) and positions[k - 1] < positions[k]:
+            k += 1
+        runs.append(k)
+    return runs
+
+
+class _SortLog(list):
+    """Positions whose slices log the length of every sort made of them, so
+    a test sees which blocks `locate` sorted."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def __getitem__(self, i):
+        item = super().__getitem__(i)
+        return _SortLog(item, self.log) if isinstance(i, slice) else item
+
+    def sort(self, *args, **kwargs):
+        self.log.append(len(self))
+        super().sort(*args, **kwargs)
+
+
+AB_XY = Alphabet("ab", "xy")
+
+
+def _in_order_texts(bench_families):
+    """The four bench families at n = 2000, then every text up to length 6
+    over statics `ab` and parameters `xy`, as (symbols, alphabet)."""
+    for family in BENCH_FAMILIES:
+        symbols, sigma = getattr(bench_families, family)(random.Random(1), 2000)
+        yield symbols, Alphabet.from_text(symbols, sigma)
+    for t in all_pstrings(AB_XY, 6):
+        yield t.raw, AB_XY
+
+
+class TestInOrderBlocks:
+    """`locate` copies a block that lies in one ascending run of `positions`
+    with no sort, by the run list it builds on its first block of two or
+    more ends; every other block it sorts."""
+
+    def test_the_run_list_is_a_scan_and_every_node_locates_to_a_fresh_sort(self, bench_families):
+        seen = {"one run": 0, "descent at the last pair": 0, "run ends at leave": 0}
+        texts = 0
+        for symbols, alphabet in _in_order_texts(bench_families):
+            g, _ = build_online(PString(symbols, alphabet).prev())
+            idx = build_occurrence_index(g)
+            runs = _runs_by_scan(idx.positions)
+            assert list(_ascending_runs(idx.positions)) == runs, symbols
+            texts += 1
+            log = []
+            idx.positions = _SortLog(idx.positions, log)
+            for u in range(1, len(g.lens)):
+                a, b = idx.enter[u], idx.leave[u]
+                block = list.__getitem__(idx.positions, slice(a, b))
+                e = block[0]
+                log.clear()
+                ends = locate(idx, PString(symbols[e - g.lens[u] : e], alphabet))
+                assert ends == tuple(sorted(block)), (symbols, u)
+                in_order = runs[a] >= b
+                assert log == ([] if in_order else [b - a]), (symbols, u)
+                if b - a > 1:
+                    seen["one run"] += in_order
+                    seen["descent at the last pair"] += runs[a] == b - 1
+                    seen["run ends at leave"] += runs[a] == b
+            assert idx.runs is None or list(idx.runs) == runs
+        assert texts == 4 + sum(4**k for k in range(7))
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("n", [3, 40, 2000])
+    def test_extremal_classes_end_in_closed_form(self, n):
+        alphabet = Alphabet("abc", "xy")
+        for text, last in (("a" + "b" * (n - 2) + "c", n - 1), ("a" + "b" * (n - 1), n)):
+            g, _ = build_online(PString(text, alphabet).prev())
+            idx = build_occurrence_index(g)
+            log = []
+            idx.positions = _SortLog(idx.positions, log)
+            for m in range(1, last):
+                assert locate(idx, PString("b" * m, alphabet)) == tuple(range(m + 1, last + 1))
+            assert log == [], text  # every block is one ascending run
+
+    def test_build_a_miss_and_a_one_end_answer_leave_the_run_list_unbuilt(self, indexed):
+        g, _ = indexed
+        idx = build_occurrence_index(g)
+        assert idx.runs is None
+        assert locate(idx, _p("yaxa")) == ()
+        assert locate(idx, _p("xay")) == (5,)
+        assert locate(idx, _p("")) == (0, 1, 2, 3, 4, 5)
+        assert idx.runs is None
+        assert locate(idx, _p("ax")) == (3, 5)
+        assert list(idx.runs) == _runs_by_scan(idx.positions)
+        assert len(idx.runs) == len(idx.positions) == 6
 
 
 def test_exhaustive_tiny_corpus_matches_the_scan():

@@ -1,6 +1,7 @@
 """Definition-level reference structures: trie, minimal automaton, end-position
 classes, compacted tree, and the direct-scan matcher."""
 
+import itertools
 import random
 
 import pytest
@@ -53,6 +54,12 @@ class TestPSTrie:
             for j in range(i - 1, 6):
                 codes = pv.window(i, j).codes
                 assert trie.accepts(codes) == (codes in suffixes)
+        # and every code string up to length 4, most of them no factor at all
+        factors = trie.factor_strings()
+        strings = [c for k in range(5) for c in itertools.product((-1, 0, 1, 2, 3), repeat=k)]
+        assert sum(c not in factors for c in strings) > 500
+        for codes in strings:
+            assert trie.accepts(codes) == (codes in suffixes), codes
 
 
 class TestRpos:
