@@ -169,7 +169,9 @@ def cmd_build(textfile, sigma_chars, sigma_file, pi_chars, pi_auto, tokenize, ou
 # loading
 
 
-def _load_index(path: str) -> tuple[Pdawg, dict]:
+def _load_index(path: str) -> tuple[Pdawg, bool, bool]:
+    """The index at `path`, rebuilt, with its `tokenize` and `pi_auto`
+    flags; exits 3 on a file that does not parse or check."""
     try:
         obj = json.loads(Path(path).read_text("utf-8"))
     # a deeply nested file overflows the parser's recursion limit
@@ -188,21 +190,24 @@ def _load_index(path: str) -> tuple[Pdawg, dict]:
         names = (spec["sigma"], spec["pi"])
         if not all(isinstance(x, list) and all(isinstance(s, str) for s in x) for x in names):
             raise ValueError("alphabet sigma and pi must be lists of strings")
-        if not all(isinstance(f, bool) for f in (obj.get("tokenize"), spec.get("pi_auto"))):
+        tokenize, pi_auto = obj.get("tokenize"), spec.get("pi_auto")
+        if not all(isinstance(f, bool) for f in (tokenize, pi_auto)):
             raise ValueError("tokenize and pi_auto must be booleans")
         alphabet = Alphabet(*names)
-        pv = _checked_text(obj, alphabet, obj["text"])
+        # popped, so the parsed text (n list entries and their ints) is
+        # freed before the rebuild
+        pv = _checked_text(obj, alphabet, obj.pop("text"))
     except (KeyError, TypeError, ValueError, AlphabetError) as exc:
         _fail(f"{path}: {exc}")
-    return build_online(pv)[0], obj
+    return build_online(pv)[0], tokenize, pi_auto
 
 
-def _pattern_pstring(obj: dict, g: Pdawg, pattern: str) -> PString:
+def _pattern_pstring(g: Pdawg, pattern: str, tokenize: bool, pi_auto: bool) -> PString:
     """The pattern over the index's alphabet; a --pi-auto index takes its
     non-static symbols as parameters.  Only the match walk classifies them."""
-    symbols = _split_symbols(pattern, obj["tokenize"])
+    symbols = _split_symbols(pattern, tokenize)
     alphabet = g.alphabet
-    if obj["alphabet"]["pi_auto"]:
+    if pi_auto:
         alphabet = alphabet._with_pi(s for s in symbols if not alphabet.is_static(s))
     return PString(symbols, alphabet)
 
@@ -217,8 +222,8 @@ def cmd_query(indexfile, pattern, do_locate, begin_positions):
     Matching is up to renaming of parameter symbols.  The empty pattern
     matches everywhere: its end positions are 0..n.
     """
-    g, obj = _load_index(indexfile)
-    p = _pattern_pstring(obj, g, pattern)
+    g, tokenize, pi_auto = _load_index(indexfile)
+    p = _pattern_pstring(g, pattern, tokenize, pi_auto)
     try:
         result = p_match_query(g, p)  # printed as JSON: true or false
         if do_locate or begin_positions:
@@ -293,7 +298,7 @@ def cmd_dot(indexfile, structure, out):
     dashed.  The pstree view shows the suffix tree of the reversed text.
     Both views are drawn from the automaton as they are printed.
     """
-    g, _obj = _load_index(indexfile)
+    g = _load_index(indexfile)[0]
     _write_out(out, _dot_pdawg(g) if structure == "pdawg" else _dot_pstree(g))
 
 

@@ -13,21 +13,23 @@ Locating needs one extra observation: the end positions of a class are
 exactly the prefixes of the text whose class sits in that node's subtree of
 the (reversed) suffix-link tree.  Counting those prefixes per subtree gives
 every node a contiguous block of a position array, with no tree walk:
-parents are placed before their children, by length.  The block is in tree
-order, which on repetitive texts is often ascending already: the first
-`locate` of a block of two or more ends builds a run list of the position
-array, and a block within one ascending run is copied with no sort, any
-other block sorted.  The index keeps each sorted answer of two or more ends
-while the kept answers, each charged its ends and a fixed cost, fit in as
-many pointer slots as the index's own three arrays hold, so a class located
+parents are placed before their children, by length.  The position array
+is a tuple, and every answer is cut from it.  A block is in tree order,
+which on repetitive texts is often ascending already: the first `locate` of
+a block of two or more ends lists the descents of the position array, and a
+block with no descent inside it is answered by its slice alone, any other
+block sorted.  The index keeps each sorted answer of two or more ends while
+the kept answers, each charged its ends and a fixed cost, fit in as many
+pointer slots as the index's own three arrays hold, so a class located
 again costs one dict lookup.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import chain, compress, count, islice, repeat
-from operator import gt, sub
+from bisect import bisect_right
+from itertools import compress, count, islice
+from operator import gt
 
 from .pstrings import PString, PvString, pattern_codes
 from .pdawg import Pdawg, _zero_target
@@ -116,13 +118,13 @@ class OccurrenceIndex:
     threads sharing an index get right answers, but may overshoot the
     bound.
 
-    `runs[j]` is where the ascending run of `positions` that starts at j
-    ends, so a block `[a, b)` is in order iff `runs[a] >= b`.  It holds
-    n + 1 entries in an `array('q')`, 8 bytes each, and is None until the
-    first `locate` of a block with two or more ends builds it; it sits
-    outside `room`."""
+    `positions` is a tuple, so an answer is a slice of it or that slice
+    sorted.  `descents` lists, in an `array('q')`, each j with
+    `positions[j - 1] > positions[j]`, so a block `[a, b)` is in order iff
+    no descent lies in `(a, b)`.  It is None until the first `locate` of a
+    block with two or more ends builds it, and it sits outside `room`."""
 
-    __slots__ = ("g", "enter", "leave", "positions", "located", "room", "runs")
+    __slots__ = ("g", "enter", "leave", "positions", "located", "room", "descents")
 
     def __init__(self, g: Pdawg):
         self.g = g
@@ -153,20 +155,17 @@ class OccurrenceIndex:
         positions = [0] * len(history)
         for i, u in zip(slot, history):
             positions[enter[u]] = i
-        self.positions = positions
+        self.positions = tuple(positions)
         self.located: dict[int, tuple[int, ...]] = {}
         self.room = len(positions) + len(enter) + len(leave)
-        self.runs: array | None = None
+        self.descents: array | None = None
 
 
-def _ascending_runs(positions: list[int]) -> array:
-    """Per index j of `positions`, the end of the ascending run from j: the
-    least k > j that is the length or has `positions[k - 1] > positions[k]`.
-    Built by C-level calls only: the run ends, then each repeated over its
-    run."""
-    ends = [*compress(count(1), map(gt, positions, islice(positions, 1, None))), len(positions)]
+def _descents(positions: tuple[int, ...]) -> array:
+    """Each index j of `positions` with `positions[j - 1] > positions[j]`,
+    in increasing order, found by C-level calls only."""
     # a list first: `array` fills from a list faster than from an iterator
-    return array("q", list(chain.from_iterable(map(repeat, ends, map(sub, ends, [0, *ends])))))
+    return array("q", list(compress(count(1), map(gt, positions, islice(positions, 1, None)))))
 
 
 def build_occurrence_index(g: Pdawg) -> OccurrenceIndex:
@@ -179,11 +178,12 @@ def locate(idx: OccurrenceIndex, p: PString | PvString) -> tuple[int, ...]:
     The empty pattern reports every position 0..n (it ends everywhere,
     including before the first symbol), and that answer is never cached.  A
     `PString` is prev-encoded as it is walked, and the walk stops at the
-    first missing transition.  The first locate of a class copies its block,
-    sorted unless `idx.runs` shows it in order, and keeps an answer of two
-    or more ends while `idx.room` allows; a later one returns the same
-    tuple, so answers may be shared between calls.  The first such locate
-    on an index builds `idx.runs` (n + 1 entries, outside the room).
+    first missing transition.  The first locate of a class answers with
+    its block, a slice of `idx.positions`, sorted only if a descent lies
+    inside it, and keeps an answer of two or more ends while `idx.room`
+    allows; a later one returns the same tuple, so answers may be shared
+    between calls.  The first such locate on an index builds
+    `idx.descents` (one entry per descent, outside the room).
     """
     u = _walk(idx.g, p)
     if u is None:
@@ -193,14 +193,14 @@ def locate(idx: OccurrenceIndex, p: PString | PvString) -> tuple[int, ...]:
     ends = idx.located.get(u)
     if ends is None:
         a, b = idx.enter[u], idx.leave[u]
-        block = idx.positions[a:b]
+        ends = idx.positions[a:b]
         if b - a > 1:
-            runs = idx.runs
-            if runs is None:
-                runs = idx.runs = _ascending_runs(idx.positions)
-            if runs[a] < b:
-                block.sort()
-        ends = tuple(block)
+            if idx.descents is None:
+                idx.descents = _descents(idx.positions)
+            # in order iff the first descent after a, if any, is b or later
+            i = bisect_right(idx.descents, a)
+            if i < len(idx.descents) and idx.descents[i] < b:
+                ends = tuple(sorted(ends))
         cost = len(ends) + KEPT_ANSWER_SLOTS
         if len(ends) > 1 and cost <= idx.room:
             idx.room -= cost

@@ -14,7 +14,8 @@ from pdawg import (
     locate,
     p_match_query,
 )
-from pdawg.matcher import KEPT_ANSWER_SLOTS, _ascending_runs, _walk
+from pdawg import matcher
+from pdawg.matcher import KEPT_ANSWER_SLOTS, _descents, _walk
 from pdawg.oracles import rpos
 from pdawg.verify import check_matching, separation_text
 
@@ -172,7 +173,7 @@ class TestOccurrenceIndex:
             g, _ = build_online(random_pstring(rng, AB_XYZ, rng.randint(0, 120)).prev())
             idx = build_occurrence_index(g)
             enter, leave, history = idx.enter, idx.leave, g.sink_history
-            positions = sorted(range(len(history)), key=lambda i: (enter[history[i]], i))
+            positions = tuple(sorted(range(len(history)), key=lambda i: (enter[history[i]], i)))
             assert idx.positions == positions
             # each prefix sits at the offset where the tour enters its class
             assert [enter[history[i]] for i in positions] == list(range(len(positions)))
@@ -346,32 +347,24 @@ class TestLocateCache:
         assert idx.located and kept <= 1.25 * index, kept / index
 
 
-def _runs_by_scan(positions):
-    """Per index j, where the ascending run of `positions` from j ends."""
-    runs = []
-    for j in range(len(positions)):
-        k = j + 1
-        while k < len(positions) and positions[k - 1] < positions[k]:
-            k += 1
-        runs.append(k)
-    return runs
+def _descents_by_scan(positions):
+    """Each index j with `positions[j - 1] > positions[j]`."""
+    return [j for j in range(1, len(positions)) if positions[j - 1] > positions[j]]
 
 
-class _SortLog(list):
-    """Positions whose slices log the length of every sort made of them, so
-    a test sees which blocks `locate` sorted."""
+@pytest.fixture
+def sorts(monkeypatch):
+    """The length of every sort `pdawg.matcher` makes, logged by a `sorted`
+    set on it, so a test that clears the log before a `locate` sees which
+    blocks it sorted."""
+    log = []
 
-    def __init__(self, items, log):
-        super().__init__(items)
-        self.log = log
+    def logged(items, **kwargs):
+        log.append(len(items))
+        return sorted(items, **kwargs)
 
-    def __getitem__(self, i):
-        item = super().__getitem__(i)
-        return _SortLog(item, self.log) if isinstance(i, slice) else item
-
-    def sort(self, *args, **kwargs):
-        self.log.append(len(self))
-        super().sort(*args, **kwargs)
+    monkeypatch.setattr(matcher, "sorted", logged, raising=False)
+    return log
 
 
 AB_XY = Alphabet("ab", "xy")
@@ -388,61 +381,60 @@ def _in_order_texts(bench_families):
 
 
 class TestInOrderBlocks:
-    """`locate` copies a block that lies in one ascending run of `positions`
-    with no sort, by the run list it builds on its first block of two or
-    more ends; every other block it sorts."""
+    """`locate` answers a block with no descent of `positions` inside it by
+    its slice, with no sort, by the descents it lists on its first block of
+    two or more ends; every other block it sorts."""
 
-    def test_the_run_list_is_a_scan_and_every_node_locates_to_a_fresh_sort(self, bench_families):
-        seen = {"one run": 0, "descent at the last pair": 0, "run ends at leave": 0}
+    def test_descents_are_a_scan_and_nodes_locate_to_a_fresh_sort(self, bench_families, sorts):
+        seen = {"no descent": 0, "descent at the last pair": 0, "descent at leave": 0}
         texts = 0
         for symbols, alphabet in _in_order_texts(bench_families):
             g, _ = build_online(PString(symbols, alphabet).prev())
             idx = build_occurrence_index(g)
-            runs = _runs_by_scan(idx.positions)
-            assert list(_ascending_runs(idx.positions)) == runs, symbols
+            descents = _descents_by_scan(idx.positions)
+            assert list(_descents(idx.positions)) == descents, symbols
             texts += 1
-            log = []
-            idx.positions = _SortLog(idx.positions, log)
+            at = set(descents)
             for u in range(1, len(g.lens)):
                 a, b = idx.enter[u], idx.leave[u]
-                block = list.__getitem__(idx.positions, slice(a, b))
+                block = idx.positions[a:b]
+                fresh = tuple(sorted(block))
                 e = block[0]
-                log.clear()
+                sorts.clear()
                 ends = locate(idx, PString(symbols[e - g.lens[u] : e], alphabet))
-                assert ends == tuple(sorted(block)), (symbols, u)
-                in_order = runs[a] >= b
-                assert log == ([] if in_order else [b - a]), (symbols, u)
+                assert ends == fresh, (symbols, u)
+                assert sorts == ([] if block == fresh else [b - a]), (symbols, u)
                 if b - a > 1:
-                    seen["one run"] += in_order
-                    seen["descent at the last pair"] += runs[a] == b - 1
-                    seen["run ends at leave"] += runs[a] == b
-            assert idx.runs is None or list(idx.runs) == runs
+                    seen["no descent"] += block == fresh
+                    seen["descent at the last pair"] += b - 1 in at
+                    seen["descent at leave"] += b in at
+            assert idx.descents is None or list(idx.descents) == descents
         assert texts == 4 + sum(4**k for k in range(7))
         assert all(seen.values()), seen
 
     @pytest.mark.parametrize("n", [3, 40, 2000])
-    def test_extremal_classes_end_in_closed_form(self, n):
+    def test_extremal_classes_end_in_closed_form(self, n, sorts):
         alphabet = Alphabet("abc", "xy")
         for text, last in (("a" + "b" * (n - 2) + "c", n - 1), ("a" + "b" * (n - 1), n)):
             g, _ = build_online(PString(text, alphabet).prev())
             idx = build_occurrence_index(g)
-            log = []
-            idx.positions = _SortLog(idx.positions, log)
+            sorts.clear()
             for m in range(1, last):
                 assert locate(idx, PString("b" * m, alphabet)) == tuple(range(m + 1, last + 1))
-            assert log == [], text  # every block is one ascending run
+            # the positions ascend throughout, so no block is sorted
+            assert list(_descents(idx.positions)) == [] and sorts == [], text
 
-    def test_build_a_miss_and_a_one_end_answer_leave_the_run_list_unbuilt(self, indexed):
+    def test_build_a_miss_and_a_one_end_answer_leave_descents_unbuilt(self, indexed):
         g, _ = indexed
         idx = build_occurrence_index(g)
-        assert idx.runs is None
+        assert idx.descents is None
         assert locate(idx, _p("yaxa")) == ()
         assert locate(idx, _p("xay")) == (5,)
         assert locate(idx, _p("")) == (0, 1, 2, 3, 4, 5)
-        assert idx.runs is None
+        assert idx.descents is None
         assert locate(idx, _p("ax")) == (3, 5)
-        assert list(idx.runs) == _runs_by_scan(idx.positions)
-        assert len(idx.runs) == len(idx.positions) == 6
+        assert list(idx.descents) == _descents_by_scan(idx.positions)
+        assert type(idx.positions) is tuple and len(idx.positions) == 6
 
 
 def test_exhaustive_tiny_corpus_matches_the_scan():
